@@ -46,8 +46,8 @@ int main() {
   benchx::print_header(
       "bench_alloc",
       "tape vs no-tape vs no-tape+arena inference at Pensieve scale, plus "
-      "a lockstep collection round with the arena off/on — results "
-      "bitwise identical in every mode");
+      "a collection round with the arena off/on — results bitwise "
+      "identical in every mode");
 
   metis::Rng rng(3);
   nn::PolicyNet net(abr::kStateDim, 128, 2, 6, rng);
@@ -117,7 +117,7 @@ int main() {
   }
   fwd_table.print(std::cout);
 
-  // ---- lockstep collection round: arena off vs on ---------------------------
+  // ---- collection round: arena off vs on ------------------------------------
   abr::Video video(48, 7);
   abr::TraceGenConfig tcfg;
   tcfg.family = abr::TraceFamily::kHsdpa;
@@ -128,7 +128,6 @@ int main() {
   core::CollectConfig cc;
   cc.episodes = 20;
   cc.max_steps = 60;
-  cc.parallel.lockstep = true;
 
   auto run_round = [&](bool arena_on, std::vector<core::CollectedSample>* out,
                        std::uint64_t* fresh, std::uint64_t* fresh_bytes) {
@@ -164,9 +163,9 @@ int main() {
 
   Table col_table(
       {"collection round", "best wall-clock (ms)", "fresh tensor allocs"});
-  col_table.add_row({"lockstep, arena off", Table::num(off_s * 1e3),
+  col_table.add_row({"arena off", Table::num(off_s * 1e3),
                      std::to_string(off_fresh)});
-  col_table.add_row({"lockstep, arena on", Table::num(on_s * 1e3),
+  col_table.add_row({"arena on", Table::num(on_s * 1e3),
                      std::to_string(on_fresh)});
   col_table.print(std::cout);
   std::cout << "\nforwards bitwise identical across modes: "

@@ -1,11 +1,11 @@
-// Episode-sharded + cross-episode lockstep trace collection.
+// Episode-sharded trace collection.
 //
-// Claim: the K episodes of a collection round are independent, so (a)
-// sharding them across a worker pool scales collection with cores, and
-// (b) advancing a block of episodes in lockstep lets the teacher batch
-// every step's policy/value queries into ONE trunk forward for the whole
-// block (Teacher::act_and_values_multi) instead of one per episode —
-// and the two compose. All modes produce a bitwise-identical dataset.
+// Claim: the K episodes of a collection round are independent, so cutting
+// the round into one lockstep block per worker scales collection with
+// cores, on top of the block batching every step's policy/value queries
+// into ONE trunk forward (Teacher::act_and_values_multi). The sweep also
+// crosses the GEMM backend and the tensor arena. All modes produce a
+// bitwise-identical dataset.
 //
 // Run:  ./bench/bench_parallel_collection [--threads N]
 //       (N = top of the shard sweep; default = hardware threads, min 4)
@@ -49,7 +49,6 @@ bool identical(const std::vector<core::CollectedSample>& a,
 
 struct Mode {
   std::size_t workers;
-  bool lockstep;
   nn::gemm::Backend backend;
   bool arena;  // per-thread tensor arena on/off for this mode
   std::string label;
@@ -61,8 +60,8 @@ int main(int argc, char** argv) {
   using namespace metis;
   benchx::print_header(
       "bench_parallel_collection",
-      "sharded vs lockstep vs sharded+lockstep collection at Pensieve "
-      "scale; dataset bitwise identical to the sequential path");
+      "collection at Pensieve scale across worker counts, GEMM backends "
+      "and arena on/off; dataset bitwise identical in every mode");
 
   // Paper-scale Pensieve teacher dimensions (25-dim state, 6 bitrates).
   // Untrained weights — collection cost does not depend on weight values.
@@ -101,29 +100,21 @@ int main(int argc, char** argv) {
   if (max_threads > 1) sweep.push_back(max_threads);
 
   std::vector<Mode> modes = {
-      {1, false, kNaive, false, "sequential (naive gemm, no arena)"}};
+      {1, kNaive, false, "one block (naive gemm, no arena)"}};
   for (std::size_t w : sweep) {
-    modes.push_back(
-        {w, false, kNaive, false, "sharded x" + std::to_string(w)});
+    modes.push_back({w, kNaive, false, "sharded x" + std::to_string(w)});
   }
-  modes.push_back({1, true, kNaive, false, "lockstep"});
-  modes.push_back({max_threads, true, kNaive, false,
-                   "sharded x" + std::to_string(max_threads) + " + lockstep"});
-  modes.push_back({1, false, kBlocked, false, "sequential + blocked gemm"});
-  modes.push_back({1, true, kBlocked, false, "lockstep + blocked gemm"});
-  modes.push_back({1, true, kBlocked, true, "lockstep + blocked + arena"});
-  modes.push_back({1, false, kBlocked, true, "sequential + blocked + arena"});
+  modes.push_back({1, kBlocked, false, "one block + blocked gemm"});
+  modes.push_back({1, kBlocked, true, "one block + blocked + arena"});
   for (std::size_t w : sweep) {
-    modes.push_back({w, true, kBlocked, true,
-                     "sharded x" + std::to_string(w) +
-                         " + lockstep + blocked + arena"});
+    modes.push_back({w, kBlocked, true,
+                     "sharded x" + std::to_string(w) + " + blocked + arena"});
   }
   std::vector<core::CollectedSample> reference;
   std::vector<double> best_seconds(modes.size(), 1e100);
   bool all_identical = true;
   for (std::size_t m = 0; m < modes.size(); ++m) {
     cc.parallel.workers = modes[m].workers;
-    cc.parallel.lockstep = modes[m].lockstep;
     nn::gemm::BackendScope backend(modes[m].backend);
     nn::arena::set_enabled(modes[m].arena);
     for (int r = 0; r < kReps; ++r) {
@@ -142,7 +133,7 @@ int main(int argc, char** argv) {
   }
   nn::arena::set_enabled(true);
   if (!all_identical) {
-    std::cout << "ERROR: parallel collection diverged from sequential\n";
+    std::cout << "ERROR: collection diverged across modes\n";
     return EXIT_FAILURE;
   }
 
@@ -164,16 +155,14 @@ int main(int argc, char** argv) {
   json.set("max_steps", cc.max_steps);
   json.set("samples", reference.size());
   {
-    std::vector<double> workers, lockstep, blocked, arena, ms;
+    std::vector<double> workers, blocked, arena, ms;
     for (const Mode& m : modes) {
       workers.push_back(static_cast<double>(m.workers));
-      lockstep.push_back(m.lockstep ? 1.0 : 0.0);
       blocked.push_back(m.backend == kBlocked ? 1.0 : 0.0);
       arena.push_back(m.arena ? 1.0 : 0.0);
     }
     for (double s : best_seconds) ms.push_back(s * 1e3);
     json.set("workers", workers);
-    json.set("lockstep", lockstep);
     json.set("blocked_gemm", blocked);
     json.set("arena", arena);
     json.set("best_ms", ms);

@@ -1,203 +1,88 @@
 #include "metis/core/trace_collector.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <memory>
 #include <span>
-#include <thread>
 #include <utility>
-
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 #include "metis/nn/arena.h"
 #include "metis/nn/autodiff.h"
 #include "metis/util/check.h"
-#include "metis/util/exception_slot.h"
+#include "metis/util/parallel_for.h"
 
 namespace metis::core {
 namespace {
 
-// The per-thread tensor arena now keeps every batch tensor out of
-// malloc entirely, but non-tensor allocations on the lockstep path (the
-// per-step row vectors, autodiff node blocks) can still cross glibc's
-// default mmap/trim thresholds (128 KiB) and fault pages in and out
-// every step. Keep the thresholds raised as a belt-and-braces backstop
-// for whatever the arena does not cover. Process-wide and
-// glibc-specific (no-op elsewhere): a few MB of retained heap in
-// exchange for fault-free steady-state collection.
-void retain_large_alloc_pages() {
-#if defined(__GLIBC__)
-  static const bool once = [] {
-    mallopt(M_MMAP_THRESHOLD, 32 << 20);
-    mallopt(M_TRIM_THRESHOLD, 32 << 20);
-    return true;
-  }();
-  (void)once;
-#endif
-}
-
 // metis-lint: begin-deterministic — the §3.2/Eq. 1 collection pipeline:
-// datasets must be bitwise identical across worker counts, lockstep
-// on/off, and pool on/off, so no nondeterminism source may enter here.
-// All randomness flows through the envs' Rng::derive(seed, episode)
-// streams; episode k's trajectory is a pure function of (seed, k).
-
-// One episode of §3.2 step 1. Everything the episode touches is local to
-// the call — the env instance, the per-step teacher queries, the takeover
-// bookkeeping — so episodes can run concurrently on distinct envs and
-// still reproduce the sequential trajectory bit for bit.
-std::vector<CollectedSample> collect_episode(const Teacher& teacher,
-                                             RolloutEnv& env,
-                                             const CollectConfig& cfg,
-                                             const StudentPolicy* student,
-                                             std::size_t episode_index) {
-  // Collection never backpropagates: run the whole episode tape-free so
-  // every teacher forward skips parent wiring and gradient tensors.
-  nn::NoGradGuard no_grad;
-  std::vector<CollectedSample> samples;
-  std::vector<double> state = env.reset(episode_index);
-  std::size_t deviations = 0;
-  std::size_t teacher_control_left = 0;
-
-  for (std::size_t t = 0; t < cfg.max_steps; ++t) {
-    CollectedSample sample;
-    sample.features = env.interpretable_features();
-
-    // Teacher label + Eq. 1 weight. The batched path fuses the policy
-    // head and every value probe of the step into one act_and_values
-    // trunk forward; the scalar path issues the reference per-state calls.
-    std::size_t teacher_action;
-    bool weighted = false;
-    if (cfg.weight_by_advantage && cfg.batched_inference) {
-      std::vector<Lookahead> la = env.lookahead();
-      if (!la.empty()) {
-        MET_CHECK(la.size() == teacher.action_count());
-        // Row 0 = s, rows 1.. = the per-action successors s' — one batch,
-        // built once, both heads in one trunk forward.
-        std::vector<std::vector<double>> batch;
-        batch.reserve(la.size() + 1);
-        batch.push_back(state);
-        for (auto& l : la) batch.push_back(std::move(l.next_state));
-        const Teacher::ActValues av = teacher.act_and_values(batch);
-        MET_CHECK(av.values.size() == la.size() + 1);
-        teacher_action = av.action;
-        // Eq. 1:  p(s,a) ∝ V(s) − min_a' Q(s,a').  Clamp at a small
-        // positive floor so no visited state is entirely discarded.
-        double min_q = la[0].reward + cfg.gamma * av.values[1];
-        for (std::size_t a = 1; a < la.size(); ++a) {
-          min_q = std::min(min_q, la[a].reward + cfg.gamma * av.values[a + 1]);
-        }
-        sample.weight = std::max(av.values[0] - min_q, 1e-3);
-        weighted = true;
-      } else {
-        teacher_action = teacher.act(state);
-      }
-    } else {
-      teacher_action = teacher.act(state);
-    }
-    if (cfg.weight_by_advantage && !weighted) {
-      const auto qs = env.q_values(teacher, cfg.gamma);
-      if (!qs.empty()) {
-        MET_CHECK(qs.size() == teacher.action_count());
-        const double v = teacher.value(state);
-        const double min_q = *std::min_element(qs.begin(), qs.end());
-        sample.weight = std::max(v - min_q, 1e-3);
-      }
-    }
-    sample.action = teacher_action;
-    samples.push_back(std::move(sample));
-
-    // Who drives this step?
-    std::size_t executed = teacher_action;
-    if (student != nullptr && teacher_control_left == 0) {
-      executed = (*student)(samples.back().features);
-      MET_CHECK(executed < env.action_count());
-      if (executed != teacher_action) {
-        if (++deviations >= cfg.deviation_limit) {
-          // §3.2: the DNN takes over on the deviated trajectory.
-          teacher_control_left = cfg.takeover_steps;
-          deviations = 0;
-        }
-      } else {
-        deviations = 0;
-      }
-    } else if (teacher_control_left > 0) {
-      --teacher_control_left;
-    }
-
-    nn::StepResult sr = env.step(executed);
-    if (sr.done) break;
-    state = std::move(sr.next_state);
-  }
-  return samples;
-}
-
-// --- cross-episode lockstep path ---------------------------------------------
+// datasets must be bitwise identical across worker counts, block cuts,
+// and pool on/off, so no nondeterminism source may enter here. All
+// randomness flows through the envs' Rng::derive(seed, episode) streams;
+// episode k's trajectory is a pure function of (seed, k).
 
 // Sentinel for "this episode contributed no row to that batch this step".
 constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
-// Live state of one episode advancing in lockstep with its block. The
-// fields mirror collect_episode's locals exactly; the per-step logic below
-// must stay in sync with collect_episode (the sequential reference).
-struct LockstepEpisode {
+// Live state of one episode advancing in lockstep with its block.
+struct LiveEpisode {
   std::size_t slot = 0;  // index into the round's per_episode output
-  std::shared_ptr<RolloutEnv> env;
+  RolloutEnv* env = nullptr;
   std::vector<double> state;
   std::size_t deviations = 0;
   std::size_t teacher_control_left = 0;
 };
 
-// Runs episodes [first, first + count) of the round in lockstep: all of
-// them advance through step t together, and the step's teacher queries
-// are batched — fused Eq. 1 groups ([s, s'_1..s'_A] per episode) into one
-// act_and_values_multi call, plain policy queries into one act_batch
-// call. Episodes that terminate drop out of the batch; per-episode rows
-// are independent, so every episode's samples are bitwise identical to
-// collect_episode's.
-void collect_block_lockstep(const Teacher& teacher,
-                            std::span<const std::shared_ptr<RolloutEnv>> envs,
-                            const CollectConfig& cfg,
-                            const StudentPolicy* student,
-                            std::size_t episode_offset, std::size_t first,
-                            std::size_t count,
-                            std::vector<std::vector<CollectedSample>>& out) {
-  // Tape-free inference + buffer recycling: each step of the block
-  // allocates the same batch/intermediate tensor shapes, so after the
-  // first step the arena serves every one from its free list
-  // (tests/alloc_test.cpp pins this to zero fresh allocations).
+// §3.2 step 1 for episodes [first, first + envs.size()) of the round,
+// envs[i] driving episode first + i. All of them advance through step t
+// together, and the step's teacher queries are batched: fused Eq. 1
+// groups ([s, s'_1..s'_A] per episode) into one act_and_values_multi
+// call, plain policy rows into one act_batch call. Episodes that
+// terminate drop out of the batch; per-episode rows are independent, so
+// each episode's samples do not depend on the block it ran in.
+//
+// Callers hold an nn::arena::Scope across their blocks: every step
+// allocates the same tensor shapes, so after the first step the arena
+// serves each one from its free list (tests/alloc_test.cpp pins this to
+// zero fresh allocations).
+void collect_block(const Teacher& teacher, std::span<RolloutEnv* const> envs,
+                   const CollectConfig& cfg, const StudentPolicy* student,
+                   std::size_t episode_offset, std::size_t first,
+                   std::vector<std::vector<CollectedSample>>& out) {
+  // Collection never backpropagates: tape-free forwards skip parent
+  // wiring and gradient tensors.
   nn::NoGradGuard no_grad;
-  nn::arena::Scope arena;
-  std::vector<LockstepEpisode> active;
-  active.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    LockstepEpisode ep;
+  std::vector<LiveEpisode> active;
+  active.reserve(envs.size());
+  for (std::size_t i = 0; i < envs.size(); ++i) {
+    LiveEpisode ep;
     ep.slot = first + i;
-    ep.env = envs[first + i];
+    ep.env = envs[i];
     ep.state = ep.env->reset(episode_offset + first + i);
     active.push_back(std::move(ep));
   }
 
-  const bool fused = cfg.weight_by_advantage && cfg.batched_inference;
+  // Per-step scratch, reused so steps do not churn the allocator.
+  std::vector<std::vector<double>> fused_rows;
+  std::vector<std::size_t> fused_groups;
+  std::vector<std::size_t> fused_of;
+  std::vector<std::vector<Lookahead>> lookaheads;
+  std::vector<std::vector<double>> act_rows;
+  std::vector<std::size_t> act_of;
+  std::vector<LiveEpisode> still;
   for (std::size_t t = 0; t < cfg.max_steps && !active.empty(); ++t) {
     // Every episode of the block is mid-flight at once, so the natural
-    // cancellation boundary here is the lockstep step.
+    // cancellation boundary is the step.
     cfg.cancel.check();
     // Phase 1: assemble the step's queries across the block. Episode e
-    // contributes either a fused group (Eq. 1 lookahead available) or a
-    // single act row; with batched_inference off it keeps the scalar
-    // reference calls in phase 2.
-    std::vector<std::vector<double>> fused_rows;
-    std::vector<std::size_t> fused_groups;
-    std::vector<std::size_t> fused_of(active.size(), kNoRow);
-    std::vector<std::vector<Lookahead>> lookaheads(active.size());
-    std::vector<std::vector<double>> act_rows;
-    std::vector<std::size_t> act_of(active.size(), kNoRow);
+    // contributes a fused group when Eq. 1 is on and its env can look
+    // ahead, a single act row otherwise.
+    fused_rows.clear();
+    fused_groups.clear();
+    fused_of.assign(active.size(), kNoRow);
+    lookaheads.resize(active.size());
+    act_rows.clear();
+    act_of.assign(active.size(), kNoRow);
     for (std::size_t e = 0; e < active.size(); ++e) {
-      if (fused) {
+      if (cfg.weight_by_advantage) {
         lookaheads[e] = active[e].env->lookahead();
         if (!lookaheads[e].empty()) {
           MET_CHECK(lookaheads[e].size() == teacher.action_count());
@@ -210,10 +95,8 @@ void collect_block_lockstep(const Teacher& teacher,
           continue;
         }
       }
-      if (cfg.batched_inference) {
-        act_of[e] = act_rows.size();
-        act_rows.push_back(active[e].state);
-      }
+      act_of[e] = act_rows.size();
+      act_rows.push_back(active[e].state);
     }
     std::vector<Teacher::ActValues> fused_out;
     if (!fused_rows.empty()) {
@@ -222,52 +105,52 @@ void collect_block_lockstep(const Teacher& teacher,
     std::vector<std::size_t> act_out;
     if (!act_rows.empty()) act_out = teacher.act_batch(act_rows);
 
-    // Phase 2: per-episode labeling, control handoff, and stepping — in
-    // episode order, mirroring collect_episode line for line.
-    std::vector<LockstepEpisode> still;
-    still.reserve(active.size());
+    // Phase 2: per-episode labeling, control handoff, and stepping, in
+    // episode order.
+    still.clear();
     for (std::size_t e = 0; e < active.size(); ++e) {
-      LockstepEpisode& ep = active[e];
+      LiveEpisode& ep = active[e];
       CollectedSample sample;
       sample.features = ep.env->interpretable_features();
 
       std::size_t teacher_action;
-      bool weighted = false;
       if (fused_of[e] != kNoRow) {
         const Teacher::ActValues& av = fused_out[fused_of[e]];
         const std::vector<Lookahead>& la = lookaheads[e];
         MET_CHECK(av.values.size() == la.size() + 1);
         teacher_action = av.action;
+        // Eq. 1:  p(s,a) ∝ V(s) − min_a' Q(s,a').  Clamp at a small
+        // positive floor so no visited state is entirely discarded.
         double min_q = la[0].reward + cfg.gamma * av.values[1];
         for (std::size_t a = 1; a < la.size(); ++a) {
           min_q = std::min(min_q, la[a].reward + cfg.gamma * av.values[a + 1]);
         }
         sample.weight = std::max(av.values[0] - min_q, 1e-3);
-        weighted = true;
-      } else if (act_of[e] != kNoRow) {
-        teacher_action = act_out[act_of[e]];
       } else {
-        teacher_action = teacher.act(ep.state);
-      }
-      if (cfg.weight_by_advantage && !weighted) {
-        const auto qs = ep.env->q_values(teacher, cfg.gamma);
-        if (!qs.empty()) {
-          MET_CHECK(qs.size() == teacher.action_count());
-          const double v = teacher.value(ep.state);
-          const double min_q = *std::min_element(qs.begin(), qs.end());
-          sample.weight = std::max(v - min_q, 1e-3);
+        teacher_action = act_out[act_of[e]];
+        if (cfg.weight_by_advantage) {
+          // No lookahead: the env's own Q(s,·) estimate, if it has one.
+          const auto qs = ep.env->q_values(teacher, cfg.gamma);
+          if (!qs.empty()) {
+            MET_CHECK(qs.size() == teacher.action_count());
+            const double v = teacher.value(ep.state);
+            const double min_q = *std::min_element(qs.begin(), qs.end());
+            sample.weight = std::max(v - min_q, 1e-3);
+          }
         }
       }
       sample.action = teacher_action;
       std::vector<CollectedSample>& samples = out[ep.slot];
       samples.push_back(std::move(sample));
 
+      // Who drives this step?
       std::size_t executed = teacher_action;
       if (student != nullptr && ep.teacher_control_left == 0) {
         executed = (*student)(samples.back().features);
         MET_CHECK(executed < ep.env->action_count());
         if (executed != teacher_action) {
           if (++ep.deviations >= cfg.deviation_limit) {
+            // §3.2: the DNN takes over on the deviated trajectory.
             ep.teacher_control_left = cfg.takeover_steps;
             ep.deviations = 0;
           }
@@ -286,7 +169,7 @@ void collect_block_lockstep(const Teacher& teacher,
         still.push_back(std::move(ep));
       }
     }
-    active = std::move(still);
+    active.swap(still);
   }
   // Episodes that exhausted max_steps without terminating complete here.
   if (cfg.on_episode_done) {
@@ -315,110 +198,48 @@ std::vector<CollectedSample> collect_traces(const Teacher& teacher,
                                             std::size_t episode_offset) {
   MET_CHECK(cfg.episodes > 0 && cfg.max_steps > 0);
   MET_CHECK(teacher.action_count() == env.action_count());
+  std::vector<std::vector<CollectedSample>> per_episode(cfg.episodes);
 
+  // Every episode of a block is live at once, so each needs its own env.
+  std::vector<std::shared_ptr<RolloutEnv>> clones;
+  if (std::shared_ptr<RolloutEnv> clone = env.clone()) {
+    clones.reserve(cfg.episodes);
+    clones.push_back(std::move(clone));
+    while (clones.size() < cfg.episodes) {
+      clones.push_back(env.clone());
+      MET_CHECK(clones.back() != nullptr);
+    }
+  }
+  if (clones.empty()) {
+    // The env cannot clone: episodes run in order as blocks of size 1 on
+    // the caller's env, sharing one arena scope.
+    nn::arena::Scope arena;
+    RolloutEnv* const only[] = {&env};
+    for (std::size_t ep = 0; ep < cfg.episodes; ++ep) {
+      collect_block(teacher, only, cfg, student, episode_offset, ep,
+                    per_episode);
+    }
+    return merge_in_episode_order(std::move(per_episode));
+  }
+
+  std::vector<RolloutEnv*> envs;
+  envs.reserve(clones.size());
+  for (const auto& c : clones) envs.push_back(c.get());
+  // One contiguous block per worker (the whole round when workers <= 1,
+  // on the calling thread), each under its own arena scope: arenas are
+  // per-thread.
   const std::size_t workers =
       std::min(std::max<std::size_t>(cfg.parallel.workers, 1), cfg.episodes);
-
-  if (cfg.parallel.lockstep) {
-    retain_large_alloc_pages();
-    // Every episode of the round is live at once, each on its own clone;
-    // workers > 1 additionally splits the round into contiguous blocks,
-    // one lockstep batch per worker. Block boundaries cannot affect the
-    // result: each episode's rows are independent inside any batch.
-    std::vector<std::shared_ptr<RolloutEnv>> envs;
-    envs.reserve(cfg.episodes);
-    bool cloneable = true;
-    for (std::size_t i = 0; i < cfg.episodes && cloneable; ++i) {
-      envs.push_back(env.clone());
-      cloneable = envs.back() != nullptr;
-    }
-    if (cloneable) {
-      std::vector<std::vector<CollectedSample>> per_episode(cfg.episodes);
-      if (workers <= 1) {
-        collect_block_lockstep(teacher, envs, cfg, student, episode_offset, 0,
-                               cfg.episodes, per_episode);  // scoped inside
-      } else {
-        const std::size_t base = cfg.episodes / workers;
-        const std::size_t rem = cfg.episodes % workers;
-        util::ExceptionSlot error;
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-          const std::size_t count = base + (w < rem ? 1 : 0);
-          const std::size_t block_first = w * base + std::min(w, rem);
-          threads.emplace_back([&, block_first, count] {
-            try {
-              collect_block_lockstep(teacher, envs, cfg, student,
-                                     episode_offset, block_first, count,
-                                     per_episode);
-            } catch (...) {
-              error.capture();
-            }
-          });
-        }
-        for (auto& t : threads) t.join();
-        error.rethrow_if_set();
-      }
-      return merge_in_episode_order(std::move(per_episode));
-    }
-    // Env cannot clone: fall through to the sharded/sequential path.
-  }
-
-  if (workers > 1) {
-    // Shard episodes across workers, each driving its own env clone.
-    // Episodes are claimed dynamically (whichever worker frees up takes
-    // the next index), which cannot affect the result: episode k's
-    // trajectory depends only on k, and the merge is by episode order.
-    std::vector<std::shared_ptr<RolloutEnv>> envs;
-    envs.reserve(workers);
-    bool cloneable = true;
-    for (std::size_t w = 0; w < workers && cloneable; ++w) {
-      envs.push_back(env.clone());
-      cloneable = envs.back() != nullptr;
-    }
-    if (cloneable) {
-      std::vector<std::vector<CollectedSample>> per_episode(cfg.episodes);
-      std::atomic<std::size_t> next{0};
-      util::ExceptionSlot error;
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-          try {
-            // One arena per worker thread: buffers recycle across all the
-            // episodes this worker claims, not just within one.
-            nn::arena::Scope arena;
-            for (;;) {
-              const std::size_t ep = next.fetch_add(1);
-              // One failed episode aborts the round: stop claiming so the
-              // caller sees the error promptly, not after the full round.
-              if (ep >= cfg.episodes || error.failed()) return;
-              cfg.cancel.check();  // episode boundary
-              per_episode[ep] = collect_episode(teacher, *envs[w], cfg,
-                                                student, episode_offset + ep);
-              if (cfg.on_episode_done) cfg.on_episode_done();
-            }
-          } catch (...) {
-            error.capture();
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-      error.rethrow_if_set();
-      return merge_in_episode_order(std::move(per_episode));
-    }
-    // Env cannot clone: fall through to the sequential reference path.
-  }
-
-  std::vector<std::vector<CollectedSample>> per_episode;
-  per_episode.reserve(cfg.episodes);
-  nn::arena::Scope arena;  // recycle buffers across the whole round
-  for (std::size_t ep = 0; ep < cfg.episodes; ++ep) {
-    cfg.cancel.check();  // episode boundary
-    per_episode.push_back(
-        collect_episode(teacher, env, cfg, student, episode_offset + ep));
-    if (cfg.on_episode_done) cfg.on_episode_done();
-  }
+  const std::size_t base = cfg.episodes / workers;
+  const std::size_t rem = cfg.episodes % workers;
+  const std::span<RolloutEnv* const> all(envs);
+  util::parallel_for(workers, workers, [&](std::size_t w) {
+    const std::size_t block_first = w * base + std::min(w, rem);
+    const std::size_t count = base + (w < rem ? 1 : 0);
+    nn::arena::Scope arena;
+    collect_block(teacher, all.subspan(block_first, count), cfg, student,
+                  episode_offset, block_first, per_episode);
+  });
   return merge_in_episode_order(std::move(per_episode));
 }
 

@@ -16,14 +16,27 @@
 
 namespace metis::core {
 
-// Episode sharding for one collection round. The round's episodes are
-// independent by the RolloutEnv episode-determinism contract (each episode
-// is a pure function of its index), so they can run on `workers` threads —
-// each worker drives its own env clone, and every episode derives its
-// randomness from the episode index (Rng::derive-style), never from
-// whichever worker happens to run it. Results are merged in episode order,
-// so the dataset is bitwise identical to the sequential path at any worker
-// count. Envs that do not support clone() fall back to the sequential path.
+// How one collection round is executed. There is a single engine: the
+// episodes of a block advance step-for-step together, and each step's
+// teacher queries across the block are stacked into one batch — fused
+// Eq. 1 groups ([s, s'_1..s'_A] per episode) into one
+// Teacher::act_and_values_multi call, plain policy rows into one
+// act_batch call — so a DNN teacher runs ~steps trunk forwards per block
+// instead of episodes x steps. How the round is cut into blocks:
+//
+//  - cloneable env, workers <= 1: the whole round is one block, each
+//    episode on its own env clone;
+//  - cloneable env, workers > 1: the round is split into `workers`
+//    contiguous blocks, run on `workers` threads;
+//  - env whose clone() returns nullptr: the episodes run in order as
+//    blocks of size 1 on the caller's env, on the calling thread.
+//
+// The cut cannot affect the result: every episode derives its randomness
+// from its index (the RolloutEnv episode-determinism contract), per-row
+// teacher outputs are independent of the batch they sit in, and the
+// output is merged in episode order. The dataset is therefore bitwise
+// identical to the scalar per-episode reference loop at any worker count
+// (tests/collect_oracle.h is that reference).
 //
 // Precondition at workers > 1: the Teacher and (in DAgger rounds) the
 // StudentPolicy are invoked from several threads at once, so their const
@@ -31,45 +44,30 @@ namespace metis::core {
 // inputs, no internal mutable scratch. The built-in teachers
 // (PolicyNetTeacher, TabularTeacher) and tree-backed students qualify.
 struct ParallelCollectConfig {
-  std::size_t workers = 1;  // <= 1: sequential reference path
-  // Cross-episode lockstep batching: the episodes of a round (or, when
-  // sharded, the episodes assigned to one worker) advance step-for-step
-  // together, and each step's per-episode teacher queries — act(s) plus
-  // Eq. 1's V(s)/V(s') probes — are stacked into ONE
-  // Teacher::act_and_values_multi batch. A DNN teacher then runs one
-  // trunk forward per step for the whole block instead of one per
-  // episode, collapsing a round's trunk forwards from episodes x steps to
-  // ~steps. Per-episode rows stay independent inside the batch, so the
-  // dataset is bitwise identical to the sequential path (and to any
-  // workers/lockstep combination). Every episode of the round is live at
-  // once, so the env must support clone(); envs that cannot clone fall
-  // back to the sharded/sequential reference path.
-  bool lockstep = false;
+  std::size_t workers = 1;  // <= 1: one block on the calling thread
 };
 
 struct CollectConfig {
   std::size_t episodes = 32;      // per collection round
   std::size_t max_steps = 1000;   // per-episode cap
   double gamma = 0.99;            // Q bootstrap discount for Eq. 1
+  // Eq. 1 weighting. Episodes whose env exposes lookahead() get act(s),
+  // V(s) and every V(s') from one fused trunk forward; the others fall
+  // back to RolloutEnv::q_values (uniform weight when that is empty too).
   bool weight_by_advantage = true;
   // Teacher takes control after this many consecutive student deviations…
   std::size_t deviation_limit = 3;
   // …and keeps it for this many steps before handing back.
   std::size_t takeover_steps = 8;
-  // Fuse the per-step teacher queries — act(s), V(s), and the per-action
-  // V(s') lookaheads of Eq. 1 — into a single act_and_values trunk forward
-  // (environments exposing lookahead() only). Off = the scalar reference
-  // path; results are identical.
-  bool batched_inference = true;
   ParallelCollectConfig parallel;
   // Invoked once per completed episode (serve-path progress reporting).
-  // Called from worker threads when the round is sharded, possibly
-  // concurrently — the callback must be thread-safe.
+  // Called from worker threads when workers > 1, possibly concurrently —
+  // the callback must be thread-safe.
   std::function<void()> on_episode_done;
-  // Cooperative cancellation, polled at episode boundaries (and between
-  // lockstep steps). Checkpoints never alter the computation — a round
-  // that runs to completion is bitwise identical with or without a token
-  // attached; a fired token aborts the round via CancelledError.
+  // Cooperative cancellation, polled before every lockstep step of a
+  // block. Checkpoints never alter the computation — a round that runs to
+  // completion is bitwise identical with or without a token attached; a
+  // fired token aborts the round via CancelledError.
   util::CancelToken cancel;
 };
 

@@ -9,7 +9,7 @@
 // parked in a thread-local pool instead of returning to malloc, and the
 // next allocation of the same size pops it back — so a steady-state loop
 // performs zero fresh allocations after its first iteration
-// (tests/alloc_test.cpp enforces this for lockstep collection, and for
+// (tests/alloc_test.cpp enforces this for trace collection, and for
 // the §4.2 mask-optimization step including its tape metadata).
 //
 // Design invariants:

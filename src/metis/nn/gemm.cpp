@@ -12,11 +12,7 @@ Backend initial_backend() {
   if (const char* env = std::getenv("METIS_GEMM_BACKEND")) {
     if (auto parsed = parse_backend(env)) return *parsed;
   }
-#ifdef METIS_GEMM_DEFAULT_BLOCKED
   return Backend::kBlocked;
-#else
-  return Backend::kNaive;
-#endif
 }
 
 std::atomic<Backend>& backend_slot() {

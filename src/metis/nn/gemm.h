@@ -5,11 +5,12 @@
 // Two implementations of every kernel are selectable at runtime:
 //
 //  - Backend::kNaive   — the seed's reference triple loop (order r, k, c
-//    with a zero-skip on the left operand), kept verbatim for A/B parity
-//    testing.
-//  - Backend::kBlocked — cache-blocked, register-tiled kernels with an
-//    explicitly vectorizable inner loop (the accumulator tile lives in
-//    registers across the whole k loop, so the hot loop has no C traffic).
+//    with a zero-skip on the left operand), kept verbatim as the parity
+//    oracle for A/B testing.
+//  - Backend::kBlocked — the default: cache-blocked, register-tiled
+//    kernels with an explicitly vectorizable inner loop (the accumulator
+//    tile lives in registers across the whole k loop, so the hot loop has
+//    no C traffic).
 //
 // Bitwise-identity contract: every output element is the k-ascending
 // accumulation sum_k a(r,k)*b(k,c) into a single accumulator, finished by
@@ -19,10 +20,9 @@
 // shapes). The only divergence the naive zero-skip could introduce is
 // 0 * inf / 0 * nan; no caller feeds non-finite operands.
 //
-// Selection: set_backend() at runtime, the METIS_GEMM_BACKEND environment
-// variable ("naive" | "blocked") at startup, or the CMake option
-// METIS_GEMM_DEFAULT_BLOCKED to flip the compiled-in default (the CI job
-// that runs the full test suite on the blocked backend uses this).
+// Selection: set_backend() at runtime or the METIS_GEMM_BACKEND
+// environment variable ("naive" | "blocked") at startup; blocked
+// otherwise.
 #pragma once
 
 #include <optional>
@@ -39,8 +39,8 @@ enum class Backend { kNaive, kBlocked };
 [[nodiscard]] std::optional<Backend> parse_backend(std::string_view name);
 
 // Process-wide backend selection. Initialized once from METIS_GEMM_BACKEND
-// (falling back to the compiled-in default); reads are a relaxed atomic
-// load, so flipping mid-run is safe and cheap to query on the hot path.
+// (falling back to blocked); reads are a relaxed atomic load, so flipping
+// mid-run is safe and cheap to query on the hot path.
 [[nodiscard]] Backend backend();
 void set_backend(Backend backend);
 

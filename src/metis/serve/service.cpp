@@ -281,7 +281,6 @@ void Service::run_distill(const detail::JobState& state,
   if (config_.collect_workers > 0) {
     cfg.collect.parallel.workers = config_.collect_workers;
   }
-  if (config_.collect_lockstep) cfg.collect.parallel.lockstep = true;
   api::apply_overrides(cfg, state.distill_overrides);
 
   // Progress counters for JobHandle::progress(). The callbacks capture

@@ -58,11 +58,6 @@ struct ServiceConfig {
   // ParallelCollectConfig); jobs may override per submission via
   // DistillOverrides::collect_workers. 0 keeps each scenario's default.
   std::size_t collect_workers = 0;
-  // Default cross-episode lockstep batching for distill collection rounds
-  // (see ParallelCollectConfig::lockstep): one trunk forward per step for
-  // a whole episode block instead of one per episode, bitwise identical
-  // datasets. Jobs may override via DistillOverrides::collect_lockstep.
-  bool collect_lockstep = false;
   // Build-cache bound, per surface (local/global): beyond this many cached
   // scenario builds, the least-recently-used IDLE slot is evicted (slots
   // referenced by in-flight jobs are never evicted; the cache may

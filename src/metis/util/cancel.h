@@ -2,7 +2,7 @@
 //
 // A CancelSource owns the request side (cancel(), set_deadline()); the
 // CancelTokens it hands out are cheap copyable views that long-running
-// loops poll at *work-unit boundaries* — episode boundaries in trace
+// loops poll at *work-unit boundaries* — lockstep steps in trace
 // collection, DAgger-round boundaries in distillation, mask-step
 // boundaries in interpretation. Checking only at boundaries is the
 // point: a job that runs to completion performs exactly the same

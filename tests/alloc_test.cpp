@@ -3,9 +3,9 @@
 //    backward stays bitwise identical to an eagerly allocated baseline),
 //  - NoGradGuard no-tape forwards (same values, no parents, no closures),
 //  - the per-thread tensor arena (buffers recycle inside a scope; the
-//    lockstep collection loop performs ZERO fresh tensor allocations
-//    after warm-up; datasets and training are bitwise identical with the
-//    arena on or off),
+//    collection loop performs ZERO fresh tensor allocations after
+//    warm-up; datasets and training are bitwise identical with the arena
+//    on or off),
 //  - the autodiff node pool (tape nodes recycle inside a scope; a §4.2
 //    mask-optimization step performs ZERO fresh tensor AND node
 //    allocations after warm-up; gradients and masks are bitwise
@@ -14,6 +14,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "metis/core/hypergraph_interpreter.h"
@@ -222,7 +223,8 @@ TEST(Arena, BuffersSurviveScopeExit) {
 // the zero-fresh-allocation assertion).
 class ToyRolloutEnv final : public core::RolloutEnv {
  public:
-  explicit ToyRolloutEnv(std::size_t dim = 6) : dim_(dim) {}
+  explicit ToyRolloutEnv(std::size_t dim = 6, bool cloneable = true)
+      : dim_(dim), cloneable_(cloneable) {}
 
   std::size_t action_count() const override { return 3; }
 
@@ -256,6 +258,7 @@ class ToyRolloutEnv final : public core::RolloutEnv {
   }
 
   std::shared_ptr<core::RolloutEnv> clone() const override {
+    if (!cloneable_) return nullptr;
     return std::make_shared<ToyRolloutEnv>(dim_);
   }
 
@@ -270,40 +273,48 @@ class ToyRolloutEnv final : public core::RolloutEnv {
   }
 
   std::size_t dim_;
+  bool cloneable_;
   std::size_t episode_ = 0;
   std::size_t t_ = 0;
 };
 
-core::CollectConfig lockstep_config() {
+core::CollectConfig collect_config() {
   core::CollectConfig cc;
   cc.episodes = 4;
   cc.max_steps = 16;
-  cc.parallel.lockstep = true;
   cc.parallel.workers = 1;  // stats are thread-local: stay on this thread
   return cc;
 }
 
-TEST(Arena, LockstepCollectionZeroFreshAllocsAfterWarmup) {
+// Both single-thread cuts of a round: one block over per-episode clones,
+// and blocks of size 1 on the caller's env (an env that cannot clone runs
+// on the calling thread at any worker count).
+TEST(Arena, CollectionZeroFreshAllocsAfterWarmup) {
   ArenaEnabledRestore restore;
   arena::set_enabled(true);
   metis::Rng rng(24);
   PolicyNet net(6, 32, 2, 3, rng);
   core::PolicyNetTeacher teacher(&net);
-  ToyRolloutEnv env;
-  const core::CollectConfig cc = lockstep_config();
+  for (const bool cloneable : {true, false}) {
+    ToyRolloutEnv env(6, cloneable);
+    core::CollectConfig cc = collect_config();
+    if (!cloneable) cc.parallel.workers = 4;
+    const std::string what = cloneable ? "one block" : "size-1 blocks";
 
-  // Outer scope: the collector's internal scope nests inside it, so the
-  // pool survives between rounds and round 2 runs entirely off the free
-  // list.
-  arena::Scope scope;
-  (void)core::collect_traces(teacher, env, cc, nullptr, 0);  // warm-up
-  const arena::Stats warm = arena::stats();
-  const auto samples = core::collect_traces(teacher, env, cc, nullptr, 0);
-  const arena::Stats after = arena::stats();
-  EXPECT_EQ(after.fresh_allocs, warm.fresh_allocs)
-      << "steady-state collection must not allocate fresh tensor buffers";
-  EXPECT_GT(after.reuses, warm.reuses);
-  EXPECT_EQ(samples.size(), cc.episodes * cc.max_steps);
+    // Outer scope: the collector's internal scope nests inside it, so the
+    // pool survives between rounds and round 2 runs entirely off the free
+    // list.
+    arena::Scope scope;
+    (void)core::collect_traces(teacher, env, cc, nullptr, 0);  // warm-up
+    const arena::Stats warm = arena::stats();
+    const auto samples = core::collect_traces(teacher, env, cc, nullptr, 0);
+    const arena::Stats after = arena::stats();
+    EXPECT_EQ(after.fresh_allocs, warm.fresh_allocs)
+        << what << ": steady-state collection must not allocate fresh "
+        << "tensor buffers";
+    EXPECT_GT(after.reuses, warm.reuses) << what;
+    EXPECT_EQ(samples.size(), cc.episodes * cc.max_steps) << what;
+  }
 }
 
 TEST(Arena, CollectionDatasetBitwiseIdenticalOnOrOff) {
@@ -312,7 +323,7 @@ TEST(Arena, CollectionDatasetBitwiseIdenticalOnOrOff) {
   PolicyNet net(6, 32, 2, 3, rng);
   core::PolicyNetTeacher teacher(&net);
   ToyRolloutEnv env;
-  const core::CollectConfig cc = lockstep_config();
+  const core::CollectConfig cc = collect_config();
 
   arena::set_enabled(false);
   const auto off = core::collect_traces(teacher, env, cc, nullptr, 0);

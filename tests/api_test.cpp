@@ -287,40 +287,6 @@ TEST(BatchedTeacher, EmptyBatchIsEmpty) {
   EXPECT_TRUE(teacher.action_probs_batch({}).empty());
 }
 
-// Trace collection over the real ABR environment: the batched Eq. 1 path
-// must produce exactly the dataset the scalar path produces.
-TEST(BatchedTeacher, CollectionIdenticalWithAndWithoutBatching) {
-  abr::Video video(12, 3);
-  abr::TraceGenConfig tcfg;
-  tcfg.duration_seconds = 200.0;
-  abr::AbrEnv env(video, abr::generate_corpus(tcfg, 3, 11));
-  metis::Rng rng(36);
-  nn::PolicyNet net(abr::kStateDim, 16, 1, 6, rng);  // untrained is fine
-  core::PolicyNetTeacher teacher(&net);
-  abr::AbrRolloutEnv rollout(&env);
-
-  core::CollectConfig cc;
-  cc.episodes = 3;
-  cc.max_steps = 12;
-  cc.batched_inference = true;
-  const auto batched = core::collect_traces(teacher, rollout, cc, nullptr, 0);
-  cc.batched_inference = false;
-  const auto scalar = core::collect_traces(teacher, rollout, cc, nullptr, 0);
-
-  ASSERT_EQ(batched.size(), scalar.size());
-  ASSERT_GT(batched.size(), 20u);
-  bool saw_nonuniform_weight = false;
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].action, scalar[i].action) << i;
-    EXPECT_EQ(batched[i].weight, scalar[i].weight) << i;  // bitwise
-    EXPECT_EQ(batched[i].features, scalar[i].features) << i;
-    if (std::abs(batched[i].weight - 1.0) > 1e-12) {
-      saw_nonuniform_weight = true;
-    }
-  }
-  EXPECT_TRUE(saw_nonuniform_weight) << "Eq. 1 weighting should be active";
-}
-
 // ---- mimic adapters ---------------------------------------------------------
 
 TEST(Mimic, ReplayEnvWalksEveryRowOncePerEpisode) {

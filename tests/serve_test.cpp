@@ -1,5 +1,5 @@
-// Tests for the serve-path redesign: deterministic sharded trace
-// collection, the asynchronous job Service (thread-safe job table, shared
+// Tests for the serve-path redesign: trace collection checked bit for bit
+// against the scalar oracle (tests/collect_oracle.h), the asynchronous job Service (thread-safe job table, shared
 // per-scenario builds, cancellation), the fused act_and_values teacher
 // path, and thread-safe ScenarioRegistry access.
 #include <gtest/gtest.h>
@@ -27,6 +27,8 @@
 #include "metis/tree/tree_io.h"
 #include "metis/util/parallel_for.h"
 #include "metis/util/thread_pool.h"
+
+#include "collect_oracle.h"
 
 namespace metis {
 namespace {
@@ -120,177 +122,133 @@ void expect_identical(const std::vector<core::CollectedSample>& a,
   }
 }
 
-// ---- deterministic parallel collection --------------------------------------
+// ---- collection: every block cut matches the scalar oracle ------------------
 
-TEST(ParallelCollection, BitwiseIdenticalAcrossWorkerCounts) {
-  RuleTeacher teacher;
-  SplitLineEnv env(123);
-  core::CollectConfig cc;
-  cc.episodes = 9;
-  cc.max_steps = 25;
+// One row of the collection battery: a teacher/env pair, a round config,
+// and an optional DAgger student. `make_env` builds a fresh env so the
+// oracle and every engine run start from the same construction.
+struct CollectCase {
+  std::string name;
+  std::shared_ptr<core::Teacher> teacher;
+  std::function<std::unique_ptr<core::RolloutEnv>()> make_env;
+  core::CollectConfig config;
+  core::StudentPolicy student;  // empty = the teacher drives
+  std::size_t episode_offset = 0;
+  std::size_t min_samples = 0;
+  bool expect_nonuniform_weights = false;
+  bool expect_takeovers = false;  // the student is skipped on some steps
+};
 
-  const auto sequential = core::collect_traces(teacher, env, cc, nullptr, 0);
-  ASSERT_GT(sequential.size(), 100u);
-  for (std::size_t workers : {2u, 3u, 4u, 8u}) {
-    cc.parallel.workers = workers;
-    const auto parallel = core::collect_traces(teacher, env, cc, nullptr, 0);
-    expect_identical(sequential, parallel,
-                     "workers=" + std::to_string(workers));
+// Small ABR world shared by the Eq. 1 rows: untrained Pensieve-shaped
+// teacher (collection does not care about weight values) over a short
+// synthetic corpus with lookahead, so every state takes the fused path.
+struct AbrWorld {
+  abr::Video video{12, 3};
+  abr::AbrEnv env;
+  metis::Rng rng{36};
+  nn::PolicyNet net{abr::kStateDim, 16, 1, 6, rng};
+
+  AbrWorld() : env(video, corpus()) {}
+  static std::vector<abr::NetworkTrace> corpus() {
+    abr::TraceGenConfig tcfg;
+    tcfg.duration_seconds = 200.0;
+    return abr::generate_corpus(tcfg, 3, 11);
   }
-}
+};
 
-TEST(ParallelCollection, DaggerStudentPathAlsoIdentical) {
-  RuleTeacher teacher;
-  SplitLineEnv env(321);
-  core::CollectConfig cc;
-  cc.episodes = 8;
-  cc.max_steps = 25;
-  // A slightly-off student so deviations and teacher takeovers happen.
-  core::StudentPolicy student = [](std::span<const double> f) {
-    return static_cast<std::size_t>(f[0] > 0.42 ? 1 : 0);
+std::vector<CollectCase> collect_battery(AbrWorld& abr_world) {
+  std::vector<CollectCase> cases;
+  const auto rule = std::make_shared<RuleTeacher>();
+
+  CollectCase teacher_driven;
+  teacher_driven.name = "teacher-driven";
+  teacher_driven.teacher = rule;
+  teacher_driven.make_env = [] { return std::make_unique<SplitLineEnv>(123); };
+  teacher_driven.config.episodes = 9;
+  teacher_driven.config.max_steps = 25;
+  teacher_driven.min_samples = 100;
+  cases.push_back(teacher_driven);
+
+  // The full Eq. 1 path (lookahead + fused value probes) over the real
+  // ABR environment.
+  CollectCase eq1;
+  eq1.name = "abr eq1 fused";
+  eq1.teacher = std::make_shared<core::PolicyNetTeacher>(&abr_world.net);
+  eq1.make_env = [&abr_world] {
+    return std::make_unique<abr::AbrRolloutEnv>(&abr_world.env);
   };
+  eq1.config.episodes = 6;
+  eq1.config.max_steps = 12;
+  eq1.min_samples = 40;
+  eq1.expect_nonuniform_weights = true;
 
-  cc.parallel.workers = 1;
-  const auto sequential =
-      core::collect_traces(teacher, env, cc, &student, 40);
-  for (std::size_t workers : {2u, 3u, 4u}) {
-    cc.parallel.workers = workers;
-    const auto parallel =
-        core::collect_traces(teacher, env, cc, &student, 40);
-    expect_identical(sequential, parallel,
-                     "workers=" + std::to_string(workers));
-  }
-}
-
-// The full Eq. 1 path (lookahead + fused value probes) over the real ABR
-// environment, sharded: still bitwise identical at every worker count.
-TEST(ParallelCollection, AbrEq1PathIdenticalAcrossWorkerCounts) {
-  abr::Video video(12, 3);
-  abr::TraceGenConfig tcfg;
-  tcfg.duration_seconds = 200.0;
-  abr::AbrEnv env(video, abr::generate_corpus(tcfg, 3, 11));
-  metis::Rng rng(36);
-  nn::PolicyNet net(abr::kStateDim, 16, 1, 6, rng);  // untrained is fine
-  core::PolicyNetTeacher teacher(&net);
-  abr::AbrRolloutEnv rollout(&env);
-
-  core::CollectConfig cc;
-  cc.episodes = 6;
-  cc.max_steps = 12;
-  const auto sequential = core::collect_traces(teacher, rollout, cc, nullptr, 0);
-  ASSERT_GT(sequential.size(), 40u);
-  bool nonuniform = false;
-  for (const auto& s : sequential) nonuniform = nonuniform || s.weight != 1.0;
-  EXPECT_TRUE(nonuniform) << "Eq. 1 weighting should be active";
-
-  for (std::size_t workers : {2u, 3u, 4u}) {
-    cc.parallel.workers = workers;
-    const auto parallel =
-        core::collect_traces(teacher, rollout, cc, nullptr, 0);
-    expect_identical(sequential, parallel,
-                     "workers=" + std::to_string(workers));
-  }
-}
-
-TEST(ParallelCollection, NonCloneableEnvFallsBackToSequential) {
-  RuleTeacher teacher;
-  SplitLineEnv env(55, /*cloneable=*/false);
-  core::CollectConfig cc;
-  cc.episodes = 5;
-  cc.max_steps = 25;
-  const auto sequential = core::collect_traces(teacher, env, cc, nullptr, 0);
-  cc.parallel.workers = 4;
-  const auto fallback = core::collect_traces(teacher, env, cc, nullptr, 0);
-  expect_identical(sequential, fallback, "fallback");
-}
-
-// ---- cross-episode lockstep collection --------------------------------------
-
-TEST(LockstepCollection, BitwiseIdenticalToSequential) {
-  RuleTeacher teacher;
-  SplitLineEnv env(123);
-  core::CollectConfig cc;
-  cc.episodes = 9;
-  cc.max_steps = 25;
-
-  const auto sequential = core::collect_traces(teacher, env, cc, nullptr, 0);
-  ASSERT_GT(sequential.size(), 100u);
-  cc.parallel.lockstep = true;
-  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    cc.parallel.workers = workers;
-    const auto lockstep = core::collect_traces(teacher, env, cc, nullptr, 0);
-    expect_identical(sequential, lockstep,
-                     "lockstep workers=" + std::to_string(workers));
-  }
-}
-
-TEST(LockstepCollection, DaggerStudentPathAlsoIdentical) {
-  RuleTeacher teacher;
-  SplitLineEnv env(321);
-  core::CollectConfig cc;
-  cc.episodes = 8;
-  cc.max_steps = 25;
-  core::StudentPolicy student = [](std::span<const double> f) {
-    return static_cast<std::size_t>(f[0] > 0.42 ? 1 : 0);
+  // DAgger round on the same world: bitrate choices move the session, and
+  // a student that keeps picking a bitrate the teacher rarely does forces
+  // repeated teacher takeovers mid-episode.
+  CollectCase dagger = eq1;
+  dagger.name = "dagger student with takeovers";
+  dagger.config.episodes = 7;
+  dagger.student = [](std::span<const double> f) {
+    return static_cast<std::size_t>(f[0] * 10.0) % 6;
   };
+  dagger.episode_offset = 40;
+  dagger.min_samples = 60;
+  dagger.expect_takeovers = true;
+  cases.push_back(dagger);
+  cases.push_back(eq1);
 
-  const auto sequential =
-      core::collect_traces(teacher, env, cc, &student, 40);
-  cc.parallel.lockstep = true;
-  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    cc.parallel.workers = workers;
-    const auto lockstep =
-        core::collect_traces(teacher, env, cc, &student, 40);
-    expect_identical(sequential, lockstep,
-                     "lockstep workers=" + std::to_string(workers));
+  // clone() returns nullptr: episodes run as blocks of size 1 on the
+  // caller's env whatever the worker count.
+  CollectCase non_cloneable;
+  non_cloneable.name = "non-cloneable env";
+  non_cloneable.teacher = rule;
+  non_cloneable.make_env = [] {
+    return std::make_unique<SplitLineEnv>(55, /*cloneable=*/false);
+  };
+  non_cloneable.config.episodes = 5;
+  non_cloneable.config.max_steps = 25;
+  non_cloneable.min_samples = 100;
+  cases.push_back(non_cloneable);
+  return cases;
+}
+
+TEST(Collection, EveryCaseBitwiseIdenticalToOracleAtEveryWorkerCount) {
+  AbrWorld abr_world;
+  for (CollectCase& c : collect_battery(abr_world)) {
+    // Counts student queries, so a case can show takeovers happened.
+    std::atomic<std::size_t> student_calls{0};
+    const core::StudentPolicy counted = [&](std::span<const double> f) {
+      ++student_calls;
+      return c.student(f);
+    };
+    const core::StudentPolicy* student = c.student ? &counted : nullptr;
+    const auto oracle_env = c.make_env();
+    const auto reference = oracle::collect_traces(
+        *c.teacher, *oracle_env, c.config, student, c.episode_offset);
+    ASSERT_GT(reference.size(), c.min_samples) << c.name;
+    if (c.expect_takeovers) {
+      EXPECT_GT(student_calls.load(), 0u) << c.name;
+      EXPECT_LT(student_calls.load(), reference.size() * 3 / 4) << c.name;
+    }
+    if (c.expect_nonuniform_weights) {
+      bool nonuniform = false;
+      for (const auto& s : reference) nonuniform |= s.weight != 1.0;
+      EXPECT_TRUE(nonuniform) << c.name << ": Eq. 1 weighting should be active";
+    }
+    for (std::size_t workers : {1u, 2u, 3u, 4u, 8u}) {
+      c.config.parallel.workers = workers;
+      const auto env = c.make_env();
+      const auto collected = core::collect_traces(
+          *c.teacher, *env, c.config, student, c.episode_offset);
+      expect_identical(reference, collected,
+                       c.name + " workers=" + std::to_string(workers));
+    }
   }
 }
 
-// The full Eq. 1 path (lookahead + fused value probes) over the real ABR
-// environment: lockstep batching, alone and composed with sharding, still
-// reproduces the sequential dataset bit for bit.
-TEST(LockstepCollection, AbrEq1PathIdentical) {
-  abr::Video video(12, 3);
-  abr::TraceGenConfig tcfg;
-  tcfg.duration_seconds = 200.0;
-  abr::AbrEnv env(video, abr::generate_corpus(tcfg, 3, 11));
-  metis::Rng rng(36);
-  nn::PolicyNet net(abr::kStateDim, 16, 1, 6, rng);
-  core::PolicyNetTeacher teacher(&net);
-  abr::AbrRolloutEnv rollout(&env);
-
-  core::CollectConfig cc;
-  cc.episodes = 6;
-  cc.max_steps = 12;
-  const auto sequential = core::collect_traces(teacher, rollout, cc, nullptr, 0);
-  ASSERT_GT(sequential.size(), 40u);
-  cc.parallel.lockstep = true;
-  for (std::size_t workers : {1u, 2u, 4u}) {
-    cc.parallel.workers = workers;
-    const auto lockstep =
-        core::collect_traces(teacher, rollout, cc, nullptr, 0);
-    expect_identical(sequential, lockstep,
-                     "lockstep workers=" + std::to_string(workers));
-  }
-}
-
-TEST(LockstepCollection, NonCloneableEnvFallsBackToSequential) {
-  RuleTeacher teacher;
-  SplitLineEnv env(55, /*cloneable=*/false);
-  core::CollectConfig cc;
-  cc.episodes = 5;
-  cc.max_steps = 25;
-  const auto sequential = core::collect_traces(teacher, env, cc, nullptr, 0);
-  cc.parallel.lockstep = true;
-  cc.parallel.workers = 4;
-  const auto fallback = core::collect_traces(teacher, env, cc, nullptr, 0);
-  expect_identical(sequential, fallback, "lockstep fallback");
-}
-
-// Counts teacher trunk queries by delegation, to pin the claimed win:
-// sequential fused collection issues one act_and_values per (episode,
-// step); lockstep collapses each step's whole block into one
-// act_and_values_multi call.
+// Counts teacher trunk queries by delegation, to pin the claimed win: a
+// block collapses each step's fused Eq. 1 queries for all its episodes
+// into one act_and_values_multi call.
 class CountingTeacher final : public core::Teacher {
  public:
   explicit CountingTeacher(const core::Teacher* inner) : inner_(inner) {}
@@ -323,37 +281,63 @@ class CountingTeacher final : public core::Teacher {
   const core::Teacher* inner_;
 };
 
-TEST(LockstepCollection, TrunkForwardsCollapseFromEpisodesXStepsToSteps) {
-  abr::Video video(12, 3);
-  abr::TraceGenConfig tcfg;
-  tcfg.duration_seconds = 200.0;
-  abr::AbrEnv env(video, abr::generate_corpus(tcfg, 3, 11));
-  metis::Rng rng(36);
-  nn::PolicyNet net(abr::kStateDim, 16, 1, 6, rng);
-  core::PolicyNetTeacher inner(&net);
-  abr::AbrRolloutEnv rollout(&env);
+TEST(Collection, TrunkForwardsCollapseFromEpisodesXStepsToSteps) {
+  AbrWorld world;
+  core::PolicyNetTeacher inner(&world.net);
+  abr::AbrRolloutEnv rollout(&world.env);
 
   core::CollectConfig cc;
   cc.episodes = 6;
   cc.max_steps = 12;
+  const auto reference = oracle::collect_traces(inner, rollout, cc, nullptr, 0);
 
-  CountingTeacher sequential_teacher(&inner);
-  const auto sequential =
-      core::collect_traces(sequential_teacher, rollout, cc, nullptr, 0);
-  // One fused trunk forward per collected sample (episode x step).
-  EXPECT_EQ(sequential_teacher.fused_calls.load(), sequential.size());
-  EXPECT_EQ(sequential_teacher.multi_calls.load(), 0u);
+  CountingTeacher counting(&inner);
+  const auto samples = core::collect_traces(counting, rollout, cc, nullptr, 0);
+  expect_identical(reference, samples, "counting");
+  EXPECT_EQ(counting.fused_calls.load(), 0u);
+  EXPECT_LE(counting.multi_calls.load(), cc.max_steps);
+  EXPECT_GT(counting.multi_calls.load(), 0u);
+  // One call per step, not one per (episode, step) sample.
+  EXPECT_LT(counting.multi_calls.load(), samples.size());
+}
 
-  CountingTeacher lockstep_teacher(&inner);
-  cc.parallel.lockstep = true;
-  const auto lockstep =
-      core::collect_traces(lockstep_teacher, rollout, cc, nullptr, 0);
-  expect_identical(sequential, lockstep, "counting lockstep");
-  EXPECT_EQ(lockstep_teacher.fused_calls.load(), 0u);
-  EXPECT_LE(lockstep_teacher.multi_calls.load(), cc.max_steps);
-  EXPECT_GT(lockstep_teacher.multi_calls.load(), 0u);
-  EXPECT_LT(lockstep_teacher.multi_calls.load(),
-            sequential_teacher.fused_calls.load());
+// ---- the size-1-block path (env cannot clone) --------------------------------
+
+TEST(Collection, NonCloneableEnvReportsEveryEpisodeDone) {
+  RuleTeacher teacher;
+  SplitLineEnv env(55, /*cloneable=*/false);
+  // 25 steps: every episode terminates (done); 10: every one exhausts
+  // max_steps instead.
+  for (std::size_t max_steps : {25u, 10u}) {
+    core::CollectConfig cc;
+    cc.episodes = 5;
+    cc.max_steps = max_steps;
+    cc.parallel.workers = 4;
+    std::atomic<std::size_t> done{0};
+    cc.on_episode_done = [&done] { ++done; };
+    const auto samples = core::collect_traces(teacher, env, cc, nullptr, 0);
+    EXPECT_EQ(done.load(), cc.episodes) << "max_steps=" << max_steps;
+    EXPECT_EQ(samples.size(), cc.episodes * max_steps);
+  }
+}
+
+TEST(Collection, NonCloneableEnvCancelledMidRoundThrows) {
+  RuleTeacher teacher;
+  SplitLineEnv env(55, /*cloneable=*/false);
+  util::CancelSource source;
+  core::CollectConfig cc;
+  cc.episodes = 5;
+  cc.max_steps = 25;
+  cc.parallel.workers = 4;
+  cc.cancel = source.token();
+  std::size_t done = 0;
+  // Cancel once the second episode completes: the third must not finish.
+  cc.on_episode_done = [&] {
+    if (++done == 2) source.cancel();
+  };
+  EXPECT_THROW((void)core::collect_traces(teacher, env, cc, nullptr, 0),
+               util::CancelledError);
+  EXPECT_EQ(done, 2u);
 }
 
 // ---- fused act_and_values ---------------------------------------------------
@@ -706,7 +690,8 @@ TEST(Service, DistillAndInterpretJobsRunConcurrently) {
 }
 
 // The sync facade and a parallel-collection service must produce the very
-// same dataset/tree: sharding cannot leak into results.
+// same dataset/tree: sharding cannot leak into results, whether it comes
+// from the ServiceConfig default or a per-job override.
 TEST(Service, ShardedCollectionMatchesFacadeBitwise) {
   api::ScenarioRegistry reg;
   reg.add(std::make_unique<LineScenario>("line"));
@@ -722,51 +707,23 @@ TEST(Service, ShardedCollectionMatchesFacadeBitwise) {
   cfg.collect_workers = 4;  // shard every collection round four ways
   serve::Service svc(cfg);
   auto sharded = svc.submit_distill("line", o).take_distill_run();
-
-  ASSERT_EQ(sharded.result.samples_collected,
-            reference.result.samples_collected);
-  ASSERT_EQ(sharded.result.fidelity, reference.result.fidelity);  // bitwise
-  const auto& a = sharded.result.train_data;
-  const auto& b = reference.result.train_data;
-  ASSERT_EQ(a.x, b.x);
-  ASSERT_EQ(a.y, b.y);
-  ASSERT_EQ(a.weight, b.weight);
-}
-
-// Lockstep collection through the service front door (ServiceConfig
-// default and per-job override) must also leave results untouched.
-TEST(Service, LockstepCollectionMatchesFacadeBitwise) {
-  api::ScenarioRegistry reg;
-  reg.add(std::make_unique<LineScenario>("line"));
-
-  Interpreter facade(&reg);
-  api::DistillOverrides o;
-  o.seed = 5;
-  auto reference = facade.distill("line", o);
-
-  serve::ServiceConfig cfg;
-  cfg.workers = 2;
-  cfg.registry = &reg;
-  cfg.collect_workers = 3;
-  cfg.collect_lockstep = true;  // sharded + lockstep
-  serve::Service svc(cfg);
-  auto lockstep = svc.submit_distill("line", o).take_distill_run();
-  EXPECT_TRUE(lockstep.config.collect.parallel.lockstep);
+  EXPECT_EQ(sharded.config.collect.parallel.workers, 4u);
 
   // Per-job override through the facade path, no service default.
   api::DistillOverrides o2 = o;
-  o2.collect_lockstep = true;
-  o2.collect_workers = 2;
+  o2.collect_workers = 3;
   auto overridden = facade.distill("line", o2);
+  EXPECT_EQ(overridden.config.collect.parallel.workers, 3u);
 
-  for (const api::DistillRun* run : {&lockstep, &overridden}) {
+  for (const api::DistillRun* run : {&sharded, &overridden}) {
     ASSERT_EQ(run->result.samples_collected,
               reference.result.samples_collected);
     ASSERT_EQ(run->result.fidelity, reference.result.fidelity);  // bitwise
-    ASSERT_EQ(run->result.train_data.x, reference.result.train_data.x);
-    ASSERT_EQ(run->result.train_data.y, reference.result.train_data.y);
-    ASSERT_EQ(run->result.train_data.weight,
-              reference.result.train_data.weight);
+    const auto& a = run->result.train_data;
+    const auto& b = reference.result.train_data;
+    ASSERT_EQ(a.x, b.x);
+    ASSERT_EQ(a.y, b.y);
+    ASSERT_EQ(a.weight, b.weight);
   }
 }
 
