@@ -2,13 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "metis/util/check.h"
 
 namespace metis::tree {
 namespace {
+
+// metis-lint: begin-deterministic — the CART fit: a tree is a pure
+// function of (dataset, FitConfig). Equal feature values are ordered by
+// row index, never by what a sort happens to leave behind, so the scan
+// order, and with it every accumulated double, is fixed.
 
 // Accumulated node statistics for one side of a candidate split.
 struct SideStats {
@@ -22,6 +29,16 @@ struct SideStats {
 
   void init(Task task, std::size_t classes) {
     if (task == Task::kClassification) class_w.assign(classes, 0.0);
+  }
+  // Empties the side, keeping the class vector's size and capacity.
+  void clear(Task task) {
+    weight = 0.0;
+    count = 0;
+    sum_y = 0.0;
+    sum_y2 = 0.0;
+    if (task == Task::kClassification) {
+      std::fill(class_w.begin(), class_w.end(), 0.0);
+    }
   }
   void add(Task task, double y, double w) {
     weight += w;
@@ -57,24 +74,71 @@ struct SideStats {
   }
 };
 
+// Presorted builder. Features are transposed once into column-major
+// `cols` (cols[f*n + i] = x[i][f]), and `ord` holds F+1 rows of n row
+// ids: row f sorted by (x[i][f], i), row F in index order. A node owns
+// [lo, hi) of every row; a split stable-partitions all F+1 rows, so both
+// children inherit sorted ranges and no node sorts again.
 struct Builder {
-  const Dataset& data;
   const FitConfig& cfg;
   std::size_t classes;
+  std::size_t n;
+  std::size_t features;
+  std::vector<double> cols;
+  const std::vector<double>& y;
+  std::vector<double> w;
+  std::vector<std::uint32_t> ord;
+  std::vector<std::uint8_t> goes_left;  // by row id, for the current split
+  std::vector<std::uint32_t> spill;     // right-hand ids during a partition
+  SideStats left, right;                // scan scratch
 
-  std::unique_ptr<TreeNode> build(std::vector<std::size_t>& idx,
+  Builder(const Dataset& data, const FitConfig& cfg, std::size_t classes)
+      : cfg(cfg),
+        classes(classes),
+        n(data.size()),
+        features(data.feature_count()),
+        cols(features * n),
+        y(data.y),
+        w(n),
+        ord((features + 1) * n),
+        goes_left(n),
+        spill(n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      w[i] = data.weight_of(i);
+      for (std::size_t f = 0; f < features; ++f) {
+        const double v = data.x[i][f];
+        MET_CHECK_MSG(!std::isnan(v), "features must not be NaN");
+        cols[f * n + i] = v;
+      }
+    }
+    std::vector<std::pair<double, std::uint32_t>> keyed(n);
+    for (std::size_t f = 0; f < features; ++f) {
+      for (std::size_t i = 0; i < n; ++i) {
+        keyed[i] = {cols[f * n + i], static_cast<std::uint32_t>(i)};
+      }
+      std::sort(keyed.begin(), keyed.end());  // (value, row index)
+      for (std::size_t k = 0; k < n; ++k) ord[f * n + k] = keyed[k].second;
+    }
+    std::iota(ord.begin() + static_cast<std::ptrdiff_t>(features * n),
+              ord.end(), std::uint32_t{0});
+    left.init(cfg.task, classes);
+    right.init(cfg.task, classes);
+  }
+
+  std::unique_ptr<TreeNode> build(std::size_t lo, std::size_t hi,
                                   std::size_t depth) {
     auto node = std::make_unique<TreeNode>();
+    const std::uint32_t* by_index = &ord[features * n];
     SideStats stats;
     stats.init(cfg.task, classes);
-    for (std::size_t i : idx) {
-      stats.add(cfg.task, data.y[i], data.weight_of(i));
+    for (std::size_t k = lo; k < hi; ++k) {
+      stats.add(cfg.task, y[by_index[k]], w[by_index[k]]);
     }
     node->weight_sum = stats.weight;
-    node->sample_count = idx.size();
+    node->sample_count = hi - lo;
     fill_leaf_payload(*node, stats);
 
-    if (depth >= cfg.max_depth || idx.size() < cfg.min_samples_split ||
+    if (depth >= cfg.max_depth || hi - lo < cfg.min_samples_split ||
         is_pure(stats)) {
       return node;
     }
@@ -84,21 +148,17 @@ struct Builder {
     double best_threshold = 0.0;
     double best_decrease = cfg.min_impurity_decrease;
 
-    std::vector<std::size_t> sorted = idx;
-    for (std::size_t f = 0; f < data.feature_count(); ++f) {
-      std::sort(sorted.begin(), sorted.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return data.x[a][f] < data.x[b][f];
-                });
-      SideStats left;
-      left.init(cfg.task, classes);
-      SideStats right = stats;
-      for (std::size_t k = 0; k + 1 < sorted.size(); ++k) {
-        const std::size_t i = sorted[k];
-        left.add(cfg.task, data.y[i], data.weight_of(i));
-        right.remove(cfg.task, data.y[i], data.weight_of(i));
-        const double v = data.x[i][f];
-        const double vnext = data.x[sorted[k + 1]][f];
+    for (std::size_t f = 0; f < features; ++f) {
+      const std::uint32_t* sorted = &ord[f * n];
+      const double* col = &cols[f * n];
+      left.clear(cfg.task);
+      right = stats;
+      for (std::size_t k = lo; k + 1 < hi; ++k) {
+        const std::uint32_t i = sorted[k];
+        left.add(cfg.task, y[i], w[i]);
+        right.remove(cfg.task, y[i], w[i]);
+        const double v = col[i];
+        const double vnext = col[sorted[k + 1]];
         if (v == vnext) continue;  // not a valid cut point
         if (left.count < cfg.min_samples_leaf ||
             right.count < cfg.min_samples_leaf) {
@@ -116,22 +176,36 @@ struct Builder {
 
     if (best_feature < 0) return node;  // no admissible split
 
-    std::vector<std::size_t> left_idx, right_idx;
-    left_idx.reserve(idx.size());
-    right_idx.reserve(idx.size());
-    for (std::size_t i : idx) {
-      (data.x[i][static_cast<std::size_t>(best_feature)] <= best_threshold
-           ? left_idx
-           : right_idx)
-          .push_back(i);
+    const double* col = &cols[static_cast<std::size_t>(best_feature) * n];
+    std::size_t left_count = 0;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::uint32_t i = by_index[k];
+      goes_left[i] = col[i] <= best_threshold ? 1 : 0;
+      left_count += goes_left[i];
     }
-    MET_CHECK(!left_idx.empty() && !right_idx.empty());
+    MET_CHECK(left_count > 0 && left_count < hi - lo);
+    for (std::size_t r = 0; r <= features; ++r) partition(&ord[r * n], lo, hi);
 
     node->feature = best_feature;
     node->threshold = best_threshold;
-    node->left = build(left_idx, depth + 1);
-    node->right = build(right_idx, depth + 1);
+    node->left = build(lo, lo + left_count, depth + 1);
+    node->right = build(lo + left_count, hi, depth + 1);
     return node;
+  }
+
+  // Stable partition of row[lo, hi) by goes_left: left ids first.
+  void partition(std::uint32_t* row, std::size_t lo, std::size_t hi) {
+    std::size_t out = lo;
+    std::size_t spilled = 0;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::uint32_t i = row[k];
+      if (goes_left[i] != 0) {
+        row[out++] = i;
+      } else {
+        spill[spilled++] = i;
+      }
+    }
+    std::copy_n(spill.begin(), spilled, row + out);
   }
 
   void fill_leaf_payload(TreeNode& node, const SideStats& stats) const {
@@ -153,6 +227,7 @@ struct Builder {
     return stats.impurity_mass(cfg.task) <= 1e-12;
   }
 };
+// metis-lint: end-deterministic
 
 const TreeNode* descend(const TreeNode* node, std::span<const double> x) {
   MET_CHECK(node != nullptr);
@@ -185,15 +260,15 @@ std::size_t max_depth(const TreeNode* node) {
 DecisionTree DecisionTree::fit(const Dataset& data, const FitConfig& cfg) {
   data.validate();
   MET_CHECK_MSG(data.size() > 0, "cannot fit a tree on an empty dataset");
+  MET_CHECK_MSG(data.size() <= std::numeric_limits<std::uint32_t>::max(),
+                "row ids are 32-bit");
   DecisionTree tree;
   tree.task_ = cfg.task;
   tree.feature_names_ = data.feature_names;
   tree.class_count_ =
       cfg.task == Task::kClassification ? data.class_count() : 0;
-  Builder builder{data, cfg, tree.class_count_};
-  std::vector<std::size_t> idx(data.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  tree.root_ = builder.build(idx, 0);
+  Builder builder(data, cfg, tree.class_count_);
+  tree.root_ = builder.build(0, data.size(), 0);
   return tree;
 }
 

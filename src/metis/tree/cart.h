@@ -2,6 +2,19 @@
 // local-system interpretation (§3). Supports Gini-impurity classification
 // and mean-squared-error regression (the paper uses regression trees for
 // continuous outputs such as AuTO's queue thresholds).
+//
+// Tie order. A node scans each feature's rows in (value, row index) order:
+// rows with equal values are visited by ascending index. The accumulated
+// split statistics, and hence the fitted tree, are therefore a pure
+// function of the dataset and the FitConfig, independent of the standard
+// library's sort. Node statistics are accumulated in row-index order.
+//
+// Cost. fit() presorts every feature once, O(F·n log n) for F features
+// and n rows, then does O(F·n) work per tree level: each level scans and
+// stable-partitions the presorted rows of its nodes; no node sorts. It
+// holds about F·n doubles (the features, column-major) plus (F+1)·n
+// 32-bit row ids beside the dataset for the duration of the fit, so n
+// must fit in 32 bits.
 #pragma once
 
 #include <memory>

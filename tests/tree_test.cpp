@@ -6,9 +6,16 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cart_oracle.h"
 
 #include "metis/tree/cart.h"
 #include "metis/tree/dataset.h"
@@ -552,6 +559,312 @@ TEST(CollapseRedundant, PreservesPredictionsOnRealTree) {
     std::vector<double> x = {rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
     EXPECT_DOUBLE_EQ(t.predict(x), before.predict(x));
   }
+}
+
+// ---- presorted fit and memoized CCP vs their oracles -----------------------
+
+// An ABR-shaped distillation dataset: the nine interpretable features of
+// abr::tree_feature_names (bitrate history on the 6-rung ladder, buffer
+// and download times quantized the way the simulator reports them), six
+// actions, Eq. 1 style positive weights. Quantization makes ties the
+// common case, which is what the tie order pins.
+Dataset abr_shaped_dataset(std::size_t n, std::uint64_t seed) {
+  const double ladder[] = {300, 750, 1200, 1850, 2850, 4300};
+  metis::Rng rng(seed);
+  Dataset d;
+  d.feature_names = {"rt",  "theta_t", "theta_t-1", "theta_t-2", "theta_hm5",
+                     "B",   "Tt",      "Tt-1",      "chunks_left"};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double rt = ladder[rng.uniform_int(6)];
+    const double th0 = std::round(rng.uniform(0.2, 5.0) * 10.0) / 10.0;
+    const double th1 = std::round(rng.uniform(0.2, 5.0) * 10.0) / 10.0;
+    const double th2 = std::round(rng.uniform(0.2, 5.0) * 10.0) / 10.0;
+    const double hm = std::round(3.0 / (1.0 / th0 + 1.0 / th1 + 1.0 / th2) *
+                                 10.0) / 10.0;
+    const double buffer = std::round(rng.uniform(0.0, 60.0) * 2.0) / 2.0;
+    const double t0 = std::round(rng.uniform(0.1, 8.0) * 4.0) / 4.0;
+    const double t1 = std::round(rng.uniform(0.1, 8.0) * 4.0) / 4.0;
+    const double left = static_cast<double>(rng.uniform_int(48));
+    // Rate-based choice, pushed up by a full buffer, with label noise.
+    std::size_t a = 0;
+    while (a + 1 < 6 && ladder[a + 1] <= hm * 1000.0 * (0.6 + buffer / 60.0)) {
+      ++a;
+    }
+    if (rng.uniform() < 0.1) a = rng.uniform_int(6);
+    const double w = std::ceil(rng.uniform(0.05, 4.0) * 8.0) / 8.0;
+    d.add({rt, th0, th1, th2, hm, buffer, t0, t1, left},
+          static_cast<double>(a), w);
+  }
+  return d;
+}
+
+// A regression dataset shaped like the flowsched/AuTO thresholds: a
+// piecewise target over quantized flow features plus noise.
+Dataset regression_dataset(std::size_t n, std::uint64_t seed, bool weighted,
+                           double grid) {
+  metis::Rng rng(seed);
+  Dataset d;
+  d.feature_names = {"size", "age", "load"};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = std::round(rng.uniform(0.0, 1.0) / grid) * grid;
+    const double b = std::round(rng.uniform(0.0, 1.0) / grid) * grid;
+    const double c = std::round(rng.uniform(0.0, 1.0) / grid) * grid;
+    const double y = (a > 0.4 ? 10.0 : 2.0) + 3.0 * b * c + rng.normal(0, 0.3);
+    d.add({a, b, c}, y, weighted ? rng.uniform(0.1, 3.0) : 1.0);
+  }
+  return d;
+}
+
+struct FitCase {
+  std::string name;
+  Task task;
+  Dataset data;
+};
+
+std::vector<FitCase> fit_cases() {
+  std::vector<FitCase> cases;
+  auto cls = [&](std::string name, Dataset d) {
+    cases.push_back({std::move(name), Task::kClassification, std::move(d)});
+  };
+  metis::Rng rng(41);
+  {
+    Dataset d = xor_dataset(300, rng);
+    cls("xor_unweighted", d);
+    Dataset w;
+    w.feature_names = d.feature_names;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      w.add(d.x[i], d.y[i], rng.uniform(0.1, 3.0));
+    }
+    cls("xor_weighted", w);
+  }
+  cls("abr_shaped", abr_shaped_dataset(500, 42));
+  {
+    // The same rows in reverse: ties now break the other way round.
+    const Dataset d = abr_shaped_dataset(300, 46);
+    Dataset rev;
+    rev.feature_names = d.feature_names;
+    for (std::size_t i = d.size(); i-- > 0;) {
+      rev.add(d.x[i], d.y[i], d.weight_of(i));
+    }
+    cls("abr_shaped_reversed", rev);
+  }
+  {
+    // Features on a 5-level grid and a binary flag: almost every value
+    // is tied, and -0.0 ties with 0.0.
+    Dataset d;
+    for (int i = 0; i < 400; ++i) {
+      const double a = static_cast<double>(rng.uniform_int(5)) / 4.0;
+      const double b = static_cast<double>(rng.uniform_int(2));
+      const double c = rng.uniform_int(2) == 0 ? -0.0 : 0.0;
+      const double label = a + b > 1.0 ? 2.0 : (a > 0.3 ? 1.0 : 0.0);
+      d.add({a, b, c}, rng.uniform() < 0.15 ? 0.0 : label,
+            static_cast<double>(1 + rng.uniform_int(3)));
+    }
+    cls("quantized_heavy_ties", d);
+  }
+  {
+    // Every row four times, sometimes with a conflicting label.
+    Dataset d;
+    for (int i = 0; i < 60; ++i) {
+      const std::vector<double> x = {rng.uniform(), rng.uniform()};
+      for (int copy = 0; copy < 4; ++copy) {
+        d.add(x, (x[0] > 0.5) != (copy == 3 && i % 3 == 0) ? 1.0 : 0.0);
+      }
+    }
+    cls("duplicate_rows", d);
+  }
+  {
+    // §6.3's debugging fix: a rare action duplicated up to 30% of the
+    // weight, the copies at a fixed weight.
+    const Dataset abr = abr_shaped_dataset(600, 43);
+    Dataset skewed;
+    skewed.feature_names = abr.feature_names;
+    for (std::size_t i = 0; i < abr.size(); ++i) {
+      if (abr.y[i] != 0.0 || i % 5 == 0) {
+        skewed.add(abr.x[i], abr.y[i], abr.weight_of(i));
+      }
+    }
+    cls("oversample_class", skewed.oversample_class(0, 0.3, 1.0));
+  }
+  {
+    Dataset d;
+    for (int i = 0; i < 50; ++i) d.add({rng.uniform(), rng.uniform()}, 0.0);
+    cls("single_class", d);
+  }
+  {
+    Dataset d;
+    d.add({0.3, 0.7}, 1.0, 2.0);
+    cls("single_row", d);
+  }
+  cases.push_back({"regression_unweighted", Task::kRegression,
+                   regression_dataset(400, 44, false, 0.001)});
+  cases.push_back({"regression_weighted_quantized", Task::kRegression,
+                   regression_dataset(400, 45, true, 0.1)});
+  {
+    Dataset d;
+    d.add({1.0, 2.0}, 3.5, 0.5);
+    cases.push_back({"regression_single_row", Task::kRegression, d});
+  }
+  return cases;
+}
+
+std::vector<FitConfig> fit_configs(Task task) {
+  std::vector<FitConfig> cfgs;
+  for (std::size_t leaf : {1, 2, 5}) {
+    for (std::size_t depth : {1, 3, 30}) {
+      FitConfig cfg;
+      cfg.task = task;
+      cfg.min_samples_leaf = leaf;
+      cfg.max_depth = depth;
+      cfgs.push_back(cfg);
+    }
+  }
+  FitConfig gated;
+  gated.task = task;
+  gated.min_impurity_decrease = 0.5;
+  cfgs.push_back(gated);
+  FitConfig split;
+  split.task = task;
+  split.min_samples_split = 12;
+  split.min_samples_leaf = 2;
+  cfgs.push_back(split);
+  return cfgs;
+}
+
+std::string describe(const FitConfig& cfg) {
+  std::ostringstream os;
+  os << "leaf=" << cfg.min_samples_leaf << " depth=" << cfg.max_depth
+     << " split=" << cfg.min_samples_split
+     << " min_dec=" << cfg.min_impurity_decrease;
+  return os.str();
+}
+
+TEST(CartOracle, EveryCaseFitsByteIdenticalToPerNodeSortBuilder) {
+  std::size_t compared = 0;
+  for (const FitCase& c : fit_cases()) {
+    for (const FitConfig& cfg : fit_configs(c.task)) {
+      const std::string got = serialize(DecisionTree::fit(c.data, cfg));
+      const std::string want = serialize(oracle::cart_fit(c.data, cfg));
+      EXPECT_EQ(got, want) << c.name << " " << describe(cfg);
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 12u * 11u);
+}
+
+TEST(Cart, RejectsNaNFeatures) {
+  Dataset d;
+  d.add({0.0}, 0.0);
+  d.add({std::nan("")}, 1.0);
+  EXPECT_THROW((void)DecisionTree::fit(d, FitConfig{}), std::logic_error);
+}
+
+// Reference CCP over the public definitions: every step walks the whole
+// tree, evaluates weakest_link_value on each internal node in preorder,
+// and collapses the first strict minimum.
+TreeNode* reference_weakest(TreeNode* node, TreeNode* best, double& best_g) {
+  if (node->is_leaf()) return best;
+  const double g = weakest_link_value(*node);
+  if (g < best_g) {
+    best_g = g;
+    best = node;
+  }
+  best = reference_weakest(node->left.get(), best, best_g);
+  return reference_weakest(node->right.get(), best, best_g);
+}
+
+void reference_collapse(TreeNode& node) {
+  node.feature = -1;
+  node.left.reset();
+  node.right.reset();
+}
+
+std::size_t reference_prune_to_leaf_count(DecisionTree& t, std::size_t budget) {
+  std::size_t steps = 0;
+  while (t.leaf_count() > budget) {
+    double g = std::numeric_limits<double>::infinity();
+    reference_collapse(*reference_weakest(t.mutable_root(), nullptr, g));
+    ++steps;
+  }
+  return steps;
+}
+
+std::size_t reference_prune_with_alpha(DecisionTree& t, double alpha) {
+  std::size_t steps = 0;
+  for (;;) {
+    double g = std::numeric_limits<double>::infinity();
+    TreeNode* weakest = reference_weakest(t.mutable_root(), nullptr, g);
+    if (weakest == nullptr || g > alpha) return steps;
+    reference_collapse(*weakest);
+    ++steps;
+  }
+}
+
+std::vector<std::pair<std::string, DecisionTree>> prune_cases() {
+  FitConfig leaf5;
+  leaf5.min_samples_leaf = 5;
+  FitConfig reg;
+  reg.task = Task::kRegression;
+  std::vector<std::pair<std::string, DecisionTree>> trees;
+  trees.emplace_back("abr_shaped",
+                     DecisionTree::fit(abr_shaped_dataset(800, 47), {}));
+  trees.emplace_back("abr_shaped_leaf5",
+                     DecisionTree::fit(abr_shaped_dataset(800, 48), leaf5));
+  trees.emplace_back(
+      "regression",
+      DecisionTree::fit(regression_dataset(500, 49, true, 0.05), reg));
+  return trees;
+}
+
+TEST(PruneOracle, LeafBudgetsByteIdenticalToReferenceLoop) {
+  for (const auto& [name, fitted] : prune_cases()) {
+    ASSERT_GT(fitted.leaf_count(), 60u) << name;
+    for (std::size_t budget : {1, 2, 5, 28, 35, 43, 1000}) {
+      DecisionTree got = fitted.clone();
+      DecisionTree want = fitted.clone();
+      const std::size_t steps = prune_to_leaf_count(got, budget);
+      EXPECT_EQ(steps, reference_prune_to_leaf_count(want, budget))
+          << name << " budget " << budget;
+      EXPECT_EQ(serialize(got), serialize(want))
+          << name << " budget " << budget;
+    }
+  }
+}
+
+TEST(PruneOracle, AlphasByteIdenticalToReferenceLoop) {
+  for (const auto& [name, fitted] : prune_cases()) {
+    for (double alpha : {0.0, 1e-3, 0.05, 0.5, 2.0, 20.0, 1e9}) {
+      DecisionTree got = fitted.clone();
+      DecisionTree want = fitted.clone();
+      const std::size_t steps = prune_with_alpha(got, alpha);
+      EXPECT_EQ(steps, reference_prune_with_alpha(want, alpha))
+          << name << " alpha " << alpha;
+      EXPECT_EQ(serialize(got), serialize(want)) << name << " alpha " << alpha;
+    }
+  }
+}
+
+// §3.2 / Appendix F: CCP trades leaves for training error along one nested
+// sequence, so a larger leaf budget never fits the training data worse.
+TEST(Prune, CcpTrainingErrorNonIncreasingInLeafBudget) {
+  const Dataset d = abr_shaped_dataset(800, 47);
+  const DecisionTree fitted = DecisionTree::fit(d, FitConfig{});
+  const double total = fitted.root()->weight_sum;
+  double prev_r = std::numeric_limits<double>::infinity();
+  double prev_err = 1.0;
+  for (std::size_t budget = 1; budget <= fitted.leaf_count() + 1; ++budget) {
+    DecisionTree t = fitted.clone();
+    prune_to_leaf_count(t, budget);
+    EXPECT_LE(t.leaf_count(), budget);
+    const double r = subtree_error(*t.root());
+    const double err = 1.0 - t.accuracy(d);
+    EXPECT_LE(r, prev_r + 1e-9 * total) << "budget " << budget;
+    EXPECT_LE(err, prev_err + 1e-12) << "budget " << budget;
+    prev_r = r;
+    prev_err = err;
+  }
+  // Unpruned, the weighted training error is R(T), the leaves' node_error.
+  EXPECT_NEAR(prev_err * total, subtree_error(*fitted.root()), 1e-6 * total);
 }
 
 // ---- crash-safe file persistence --------------------------------------------
