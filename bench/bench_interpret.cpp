@@ -1,15 +1,10 @@
-// Interpretation-engine benchmark (ISSUE 5): single-job §4.2
-// mask-optimization latency with the fused Figure-6 ops and the arena
-// node pool on/off, versus a faithful reproduction of PR 4's composite
-// per-step loss graph — and aggregate throughput of N concurrent
-// same-key interpret jobs through serve::Service, per-job model clones
-// versus the serialized (per-key run lock) path.
+// Interpretation-engine benchmark: single-job §4.2 mask-optimization
+// latency with the arena node pool on and off (masks must stay bitwise
+// identical), on NFV, cluster and routing hypergraphs up to the 182 x 42
+// routing box — and wall clock for N concurrent same-key interpret jobs
+// through serve::Service, each on its own model clone.
 //
-// Emits BENCH_interpret.json. The "pr4" baseline runs the exact
-// composite-op step loop the interpreter used before this change
-// (mul/sigmoid gating, kl_divergence_rows, binary_entropy_sum, node pool
-// off); it still benefits from this PR's cheaper tape plumbing, so the
-// reported speedups UNDERSTATE the true delta against a PR 4 binary.
+// Emits BENCH_interpret.json.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -17,12 +12,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "metis/api/registry.h"
 #include "metis/core/hypergraph_interpreter.h"
 #include "metis/nn/arena.h"
-#include "metis/nn/optim.h"
 #include "metis/scenarios/cluster.h"
 #include "metis/scenarios/nfv.h"
 #include "metis/serve/service.h"
@@ -41,45 +36,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// PR 4's find_critical_connections step loop, verbatim: composite
-// mul/sigmoid gating and composite KL/L1/entropy nodes, log(target)
-// recomputed every step. Run with the node pool disabled to match PR 4's
-// make_shared tape.
-nn::Tensor legacy_interpret(const core::MaskableModel& model,
-                            const core::InterpretConfig& cfg) {
-  const hypergraph::Hypergraph& graph = model.graph();
-  const nn::Tensor incidence = graph.incidence_matrix();
-  nn::Var incidence_const = nn::constant(incidence);
-  nn::Var y_ref = model.decisions(nn::constant(incidence));
-  nn::Var y_target = nn::constant(y_ref->value());
-
-  metis::Rng rng(cfg.seed);
-  nn::Tensor logits0(incidence.rows(), incidence.cols());
-  for (double& v : logits0.data()) v = rng.normal(0.0, 0.05);
-  nn::Var logits = nn::parameter(std::move(logits0));
-  nn::Adam opt({logits}, cfg.lr);
-
-  const double n_conn =
-      std::max<double>(1.0, static_cast<double>(graph.connection_count()));
-  nn::arena::Scope arena;
-  for (std::size_t step = 0; step < cfg.steps; ++step) {
-    nn::Var w = nn::mul(incidence_const, nn::sigmoid(logits));
-    nn::Var y = model.decisions(w);
-    nn::Var divergence = model.discrete_output()
-                             ? nn::kl_divergence_rows(y_target, y)
-                             : nn::mse_loss(y, y_target);
-    nn::Var l1 = nn::scale(nn::sum_all(w), 1.0 / n_conn);
-    nn::Var entropy = nn::scale(nn::binary_entropy_sum(w), 1.0 / n_conn);
-    nn::Var loss = nn::add(
-        divergence,
-        nn::add(nn::scale(l1, cfg.lambda1), nn::scale(entropy, cfg.lambda2)));
-    opt.zero_grad();
-    nn::backward(loss);
-    opt.step();
-  }
-  return nn::mul(incidence_const, nn::sigmoid(logits))->value();
 }
 
 // Cheap-build scenario handing the service a fixed cluster DAG, so the
@@ -105,9 +61,9 @@ class BenchClusterScenario final : public api::Scenario {
 };
 
 struct SingleResult {
-  double legacy_ms = 0.0;
-  double fused_pool_off_ms = 0.0;
-  double fused_pool_on_ms = 0.0;
+  std::size_t edges = 0, vertices = 0, connections = 0;
+  double pool_off_ms = 0.0;
+  double pool_on_ms = 0.0;
   bool identical_pool_on_off = true;
 };
 
@@ -115,6 +71,9 @@ SingleResult bench_single(const core::MaskableModel& model) {
   core::InterpretConfig cfg;
   cfg.steps = kSteps;
   SingleResult r;
+  r.edges = model.graph().edge_count();
+  r.vertices = model.graph().vertex_count();
+  r.connections = model.graph().connection_count();
 
   nn::Tensor pool_on_mask, pool_off_mask;
   auto timed = [&](auto&& fn) {
@@ -128,11 +87,10 @@ SingleResult bench_single(const core::MaskableModel& model) {
   };
 
   nn::arena::set_node_pool_enabled(false);
-  r.legacy_ms = timed([&] { (void)legacy_interpret(model, cfg); });
-  r.fused_pool_off_ms = timed(
+  r.pool_off_ms = timed(
       [&] { pool_off_mask = core::find_critical_connections(model, cfg).mask; });
   nn::arena::set_node_pool_enabled(true);
-  r.fused_pool_on_ms = timed(
+  r.pool_on_ms = timed(
       [&] { pool_on_mask = core::find_critical_connections(model, cfg).mask; });
 
   r.identical_pool_on_off =
@@ -143,13 +101,12 @@ SingleResult bench_single(const core::MaskableModel& model) {
 }
 
 // Wall-clock for `jobs` same-key interpret jobs on a `jobs`-worker
-// service (build pre-warmed), cloned or serialized.
+// service (build pre-warmed).
 double concurrent_wall_seconds(const api::ScenarioRegistry& reg,
-                               std::size_t jobs, bool clone_models) {
+                               std::size_t jobs) {
   serve::ServiceConfig cfg;
   cfg.workers = jobs;
   cfg.registry = &reg;
-  cfg.clone_interpret_models = clone_models;
   serve::Service svc(cfg);
   svc.submit_interpret("bench-cluster").wait();  // pay the build once
 
@@ -178,9 +135,8 @@ double concurrent_wall_seconds(const api::ScenarioRegistry& reg,
 int main(int argc, char** argv) {
   benchx::print_header(
       "bench_interpret",
-      "§4.2 mask-optimization latency (fused ops + node pool vs the PR 4 "
-      "composite loop) and concurrent same-key interpret throughput "
-      "(per-job model clones vs the serialized path)");
+      "§4.2 mask-optimization latency (node pool on vs off) and concurrent "
+      "same-key interpret wall clock (one model clone per job)");
 
   // --threads N tops out the concurrent-job sweep (default: hardware
   // threads, min 8 so the queueing regime is visible even on one core).
@@ -193,34 +149,48 @@ int main(int argc, char** argv) {
   }
 
   // ---- single-job latency ---------------------------------------------------
+  // The routing instance is the one the repo benchmark's interpret jobs
+  // search (scale 0.25, default seed).
+  api::ScenarioOptions routing_options;
+  routing_options.scale = 0.25;
+  const api::GlobalSystem routing =
+      api::ScenarioRegistry::global().get("routing").make_global(
+          routing_options);
   scenarios::NfvPlacementModel fig21(scenarios::figure21_nfv());
   scenarios::NfvPlacementModel nfv16(scenarios::random_nfv(16, 16, 21));
   scenarios::ClusterSchedulingModel dag(scenarios::random_job(6, 5, 2026));
-  const SingleResult small = bench_single(fig21);
-  const SingleResult mid = bench_single(nfv16);
-  const SingleResult cluster = bench_single(dag);
+  const std::vector<std::pair<std::string, const core::MaskableModel*>>
+      models = {{"fig21", &fig21},
+                {"nfv16", &nfv16},
+                {"cluster", &dag},
+                {"routing", routing.model.get()}};
 
-  metis::Table single({"model", "pr4 composite (ms)", "fused pool-off (ms)",
-                       "fused pool-on (ms)", "speedup vs pr4"});
-  auto add_single = [&](const std::string& name, const SingleResult& r) {
-    single.add_row({name, metis::Table::num(r.legacy_ms),
-                    metis::Table::num(r.fused_pool_off_ms),
-                    metis::Table::num(r.fused_pool_on_ms),
-                    metis::Table::num(r.legacy_ms / r.fused_pool_on_ms) + "x"});
-  };
-  add_single("nfv fig21 (4x4)", small);
-  add_single("nfv random (16x16)", mid);
-  add_single("cluster dag (6x5)", cluster);
-  single.print(std::cout);
-  if (!small.identical_pool_on_off || !mid.identical_pool_on_off ||
-      !cluster.identical_pool_on_off) {
-    std::cerr << "ERROR: masks differ with the node pool on vs off\n";
-    return EXIT_FAILURE;
+  metis::Table single({"model", "E x V", "connections", "pool-off (ms)",
+                       "pool-on (ms)"});
+  benchx::JsonReport json("interpret");
+  json.set("steps", kSteps);
+  for (const auto& [name, model] : models) {
+    const SingleResult r = bench_single(*model);
+    if (!r.identical_pool_on_off) {
+      std::cerr << "ERROR: " << name
+                << " masks differ with the node pool on vs off\n";
+      return EXIT_FAILURE;
+    }
+    single.add_row({name,
+                    std::to_string(r.edges) + " x " +
+                        std::to_string(r.vertices),
+                    std::to_string(r.connections),
+                    metis::Table::num(r.pool_off_ms),
+                    metis::Table::num(r.pool_on_ms)});
+    json.set(name + "_connections", r.connections);
+    json.set(name + "_pool_off_ms", r.pool_off_ms);
+    json.set(name + "_pool_on_ms", r.pool_on_ms);
   }
-  std::cout << "(masks bitwise identical, node pool on vs off; "
-            << kSteps << " steps per job)\n";
+  single.print(std::cout);
+  std::cout << "(masks bitwise identical, node pool on vs off; " << kSteps
+            << " steps per job, best of " << kReps << ")\n";
 
-  // ---- concurrent throughput ------------------------------------------------
+  // ---- concurrent jobs ------------------------------------------------------
   api::ScenarioRegistry reg;
   reg.add(std::make_unique<BenchClusterScenario>(
       scenarios::random_job(6, 5, 2026)));
@@ -228,80 +198,23 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> job_counts;
   for (std::size_t j = 1; j < max_jobs; j *= 2) job_counts.push_back(j);
   job_counts.push_back(max_jobs);
-  std::vector<double> cloned_wall, serialized_wall, pr4_wall;
-  std::vector<double> speedup_vs_serialized, speedup_vs_pr4;
-  // PR 4's serialized path runs the N jobs one at a time, each at the
-  // composite loop's latency: its wall clock is N x the legacy
-  // single-job time (service overhead is negligible at these scales).
-  const double pr4_single_s = cluster.legacy_ms / 1e3;
+  std::vector<double> jobs_d, wall_ms;
+  metis::Table table({"jobs", "wall (ms)", "per job (ms)"});
   for (std::size_t jobs : job_counts) {
-    const double cloned = concurrent_wall_seconds(reg, jobs, true);
-    const double serialized = concurrent_wall_seconds(reg, jobs, false);
-    const double pr4 = pr4_single_s * static_cast<double>(jobs);
-    cloned_wall.push_back(cloned);
-    serialized_wall.push_back(serialized);
-    pr4_wall.push_back(pr4);
-    speedup_vs_serialized.push_back(serialized / cloned);
-    speedup_vs_pr4.push_back(pr4 / cloned);
-  }
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  metis::Table table({"jobs", "cloned wall (ms)", "serialized wall (ms)",
-                      "pr4-path wall (ms)", "vs serialized", "vs pr4 path"});
-  for (std::size_t i = 0; i < job_counts.size(); ++i) {
-    table.add_row({std::to_string(job_counts[i]),
-                   metis::Table::num(cloned_wall[i] * 1e3),
-                   metis::Table::num(serialized_wall[i] * 1e3),
-                   metis::Table::num(pr4_wall[i] * 1e3),
-                   metis::Table::num(speedup_vs_serialized[i]) + "x",
-                   metis::Table::num(speedup_vs_pr4[i]) + "x"});
+    const double wall = concurrent_wall_seconds(reg, jobs) * 1e3;
+    jobs_d.push_back(static_cast<double>(jobs));
+    wall_ms.push_back(wall);
+    table.add_row({std::to_string(jobs), metis::Table::num(wall),
+                   metis::Table::num(wall / static_cast<double>(jobs))});
   }
   table.print(std::cout);
-  std::cout << "\n(" << hw << " hardware threads; with one core the cloned "
-            << "path's win over in-binary serialization is bounded by the "
-            << "per-job speedup — the clone scaling shows on multicore)\n";
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::cout << "\n(" << hw << " hardware threads; cluster DAG 6x5, "
+            << kSteps << " steps per job)\n";
 
-  benchx::JsonReport json("interpret");
-  json.set("steps", kSteps);
   json.set("hardware_threads", static_cast<std::size_t>(hw));
-  json.set("fig21_pr4_composite_ms", small.legacy_ms);
-  json.set("fig21_fused_pool_off_ms", small.fused_pool_off_ms);
-  json.set("fig21_fused_pool_on_ms", small.fused_pool_on_ms);
-  json.set("fig21_speedup_vs_pr4", small.legacy_ms / small.fused_pool_on_ms);
-  json.set("nfv16_pr4_composite_ms", mid.legacy_ms);
-  json.set("nfv16_fused_pool_off_ms", mid.fused_pool_off_ms);
-  json.set("nfv16_fused_pool_on_ms", mid.fused_pool_on_ms);
-  json.set("nfv16_speedup_vs_pr4", mid.legacy_ms / mid.fused_pool_on_ms);
-  {
-    std::vector<double> jobs_d;
-    for (std::size_t j : job_counts) jobs_d.push_back(static_cast<double>(j));
-    json.set("concurrent_jobs", jobs_d);
-  }
-  json.set("cloned_wall_ms", [&] {
-    std::vector<double> v;
-    for (double s : cloned_wall) v.push_back(s * 1e3);
-    return v;
-  }());
-  json.set("serialized_wall_ms", [&] {
-    std::vector<double> v;
-    for (double s : serialized_wall) v.push_back(s * 1e3);
-    return v;
-  }());
-  json.set("pr4_serialized_wall_ms", [&] {
-    std::vector<double> v;
-    for (double s : pr4_wall) v.push_back(s * 1e3);
-    return v;
-  }());
-  json.set("aggregate_speedup_vs_serialized", speedup_vs_serialized);
-  json.set("aggregate_speedup_vs_pr4_path", speedup_vs_pr4);
-  {
-    // The 4-job point when the sweep has it, else the sweep's top.
-    std::size_t at = job_counts.size() - 1;
-    for (std::size_t i = 0; i < job_counts.size(); ++i) {
-      if (job_counts[i] == 4) at = i;
-    }
-    json.set("aggregate_speedup_4jobs_vs_pr4_path", speedup_vs_pr4[at]);
-  }
+  json.set("concurrent_jobs", jobs_d);
+  json.set("concurrent_wall_ms", wall_ms);
   json.set("max_concurrent_jobs", max_jobs);
   json.set("masks_identical_pool_on_off", std::string("true"));
   json.write();

@@ -4,6 +4,7 @@
 
 #include "metis/nn/arena.h"
 #include "metis/nn/optim.h"
+#include "metis/nn/sparse.h"
 #include "metis/util/check.h"
 
 namespace metis::core {
@@ -34,7 +35,10 @@ InterpretResult find_critical_connections(const MaskableModel& model,
   const hypergraph::Hypergraph& graph = model.graph();
   graph.validate();
   const nn::Tensor incidence = graph.incidence_matrix();
-  nn::Var incidence_const = nn::constant(incidence);
+  // The search's free variables are the connections, not the |E| x |V|
+  // box: the logits, their gradient and the Adam state are 1 x nnz, one
+  // entry per connection in the support's row-major order.
+  const nn::CsrMatrix support(incidence);
 
   // Reference decisions Y_I with the unmasked incidence matrix, frozen as a
   // constant target. For discrete systems the target's per-entry logs are
@@ -51,16 +55,23 @@ InterpretResult find_critical_connections(const MaskableModel& model,
   // (+ tiny noise for symmetry breaking): from there the divergence term
   // pulls critical connections towards 1 while λ1 pulls the rest towards 0,
   // and the entropy term then locks each side in (the Fig. 9a bimodality).
+  // The draw still covers the whole box in row-major order, so a seed
+  // gives each connection the same initial logit as a dense search would.
   metis::Rng rng(cfg.seed);
-  nn::Tensor logits0(incidence.rows(), incidence.cols());
-  for (double& v : logits0.data()) v = rng.normal(0.0, 0.05);
+  nn::Tensor logits0(1, support.nnz());
+  const auto offsets = support.offsets();
+  for (std::size_t i = 0, j = 0; i < incidence.size(); ++i) {
+    const double v = rng.normal(0.0, 0.05);
+    if (j < offsets.size() && offsets[j] == i) logits0.data()[j++] = v;
+  }
   nn::Var logits = nn::parameter(std::move(logits0));
   nn::Adam opt({logits}, cfg.lr);
 
   auto masked = [&] {
-    // Gating (Eq. 9): W = I ∘ sigmoid(W') keeps 0 <= W_ev <= I_ev; the
-    // fused op evaluates the sigmoid only on the incidence support.
-    return nn::gated_sigmoid(logits, incidence_const);
+    // Gating (Eq. 9): W = I ∘ sigmoid(W') keeps 0 <= W_ev <= I_ev. The
+    // fused op scatters one sigmoid per connection into the dense
+    // |E| x |V| mask the model consumes.
+    return nn::gated_sigmoid(logits, support);
   };
 
   // Normalize both penalties by the connection count to keep λ1/λ2
@@ -89,7 +100,7 @@ InterpretResult find_critical_connections(const MaskableModel& model,
                  : nn::mse_loss(y, y_target);
     double sum_w = 0.0, entropy_w = 0.0;
     nn::Var reg =
-        nn::mask_regularizer(w, incidence_const, cfg.lambda1 / n_conn,
+        nn::mask_regularizer(w, support, cfg.lambda1 / n_conn,
                              cfg.lambda2 / n_conn, &sum_w, &entropy_w);
     nn::Var loss = nn::add(divergence, reg);
     opt.zero_grad();

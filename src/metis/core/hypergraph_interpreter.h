@@ -11,6 +11,21 @@
 // the §5 gating trick: W = I ∘ sigmoid(W′), optimized with Adam on W′.
 // Connections whose mask stays ~1 are the ones the system's decisions
 // critically depend on.
+//
+// Sparse layout. Only the entries where I_ev = 1 are free variables, so
+// the search optimizes one logit per connection: W′, its gradient and the
+// Adam state are 1 x nnz, stored in the incidence support's row-major
+// order (edges ascending, then vertices ascending — nn::CsrMatrix's entry
+// order). The gating scatters those nnz sigmoids into the dense |E| x |V|
+// mask that MaskableModel::decisions() receives, and the regularizer reads
+// them back through the same entry list. That order is part of the
+// result: ||W|| and H(W) are floating-point sums, so summing the
+// connections in any other order would round differently and change the
+// masks in the last bits. Row-major is also the order the dense
+// formulation scanned the box in, which keeps every mask, ranking and
+// diagnostic bitwise identical to it (tests/interpret_oracle.h). The
+// initial logits are drawn for the whole box, row-major, and the support
+// entries kept, so a seed means the same start point either way.
 #pragma once
 
 #include <cstddef>

@@ -106,6 +106,22 @@ Var matmul(const Var& a, const Var& b) {
       a, b);
 }
 
+// metis-lint: begin-hot-path
+Var matmul(const CsrMatrix& a, const Var& b) {
+  Tensor out = sparse::matmul(a, b->value());
+  const CsrMatrix* sa = &a;
+  return make_node(
+      std::move(out),
+      [sa](Node& n) {
+        auto& pb = *n.parents()[0];
+        if (pb.requires_grad()) {
+          sparse::matmul_transA_acc(*sa, n.grad(), pb.grad());
+        }
+      },
+      b);
+}
+// metis-lint: end-hot-path
+
 Var linear(const Var& x, const Var& w, const Var& b) {
   MET_CHECK_MSG(x->value().cols() == w->value().rows(),
                 "linear: input width mismatch");
@@ -485,6 +501,35 @@ Var gated_sigmoid(const Var& x, const Var& support) {
       x, support);
 }
 
+// metis-lint: begin-hot-path
+Var gated_sigmoid(const Var& x, const CsrMatrix& support) {
+  MET_CHECK(x->value().rows() == 1 && x->value().cols() == support.nnz());
+  Tensor out(support.rows(), support.cols(), 0.0);
+  auto in = x->value().data();
+  auto off = support.offsets();
+  auto o = out.data();
+  for (std::size_t j = 0; j < in.size(); ++j) {
+    o[off[j]] = 1.0 / (1.0 + std::exp(-in[j]));
+  }
+  const CsrMatrix* sp = &support;
+  return make_node(
+      std::move(out),
+      [sp](Node& n) {
+        auto& px = *n.parents()[0];
+        if (!px.requires_grad()) return;
+        auto off = sp->offsets();
+        auto y = n.value().data();
+        auto g = n.grad().data();
+        auto pg = px.grad().data();
+        for (std::size_t j = 0; j < off.size(); ++j) {
+          const std::size_t i = off[j];
+          pg[j] += y[i] * (1.0 - y[i]) * g[i];
+        }
+      },
+      x);
+}
+// metis-lint: end-hot-path
+
 Var kl_divergence_rows_cached(const Var& target_probs, const Var& log_target,
                               const Var& pred_probs, double eps) {
   const Tensor& t = target_probs->value();
@@ -522,21 +567,23 @@ Var kl_divergence_rows_cached(const Var& target_probs, const Var& log_target,
       target_probs, pred_probs);
 }
 
-Var mask_regularizer(const Var& w, const Var& support, double c1, double c2,
-                     double* sum_out, double* entropy_out, double eps) {
+// metis-lint: begin-hot-path
+Var mask_regularizer(const Var& w, const CsrMatrix& support, double c1,
+                     double c2, double* sum_out, double* entropy_out) {
+  // A constant, not a parameter: the backward closure has room for the
+  // support pointer and c1/c2 only.
+  static constexpr double eps = 1e-8;
   const Tensor& wv = w->value();
-  MET_CHECK(wv.same_shape(support->value()));
-  MET_CHECK_MSG(!support->requires_grad(),
-                "mask_regularizer: support must be a constant");
+  MET_CHECK(wv.rows() == support.rows() && wv.cols() == support.cols());
   auto wd = wv.data();
-  auto sv = support->value().data();
+  auto off = support.offsets();
   // ||W|| = Σ w (w >= 0 by the gating) and H(W) = -Σ [w log w +
-  // (1-w) log(1-w)], both restricted to support entries: a masked-out
-  // entry is exactly 0 and contributes exactly 0 to either sum.
+  // (1-w) log(1-w)], both over the support entries in row-major order:
+  // a masked-out entry is exactly 0 and contributes exactly 0 to either
+  // sum, and the order fixes the rounding of both.
   double sum = 0.0;
   double ent = 0.0;
-  for (std::size_t i = 0; i < wd.size(); ++i) {
-    if (sv[i] == 0.0) continue;
+  for (const std::size_t i : off) {
     sum += wd[i];
     ent += wd[i] * std::log(std::max(wd[i], eps)) +
            (1.0 - wd[i]) * std::log(std::max(1.0 - wd[i], eps));
@@ -545,18 +592,16 @@ Var mask_regularizer(const Var& w, const Var& support, double c1, double c2,
   if (sum_out != nullptr) *sum_out = sum;
   if (entropy_out != nullptr) *entropy_out = ent;
   Tensor out(1, 1, c1 * sum + c2 * ent);
+  const CsrMatrix* sp = &support;
   return make_node(
       std::move(out),
-      [c1, c2, eps](Node& n) {
+      [sp, c1, c2](Node& n) {
         auto& pw = *n.parents()[0];
-        auto& ps = *n.parents()[1];
         if (!pw.requires_grad()) return;
         const double g = n.grad()(0, 0);
         auto wd = pw.value().data();
-        auto sv = ps.value().data();
         auto pg = pw.grad().data();
-        for (std::size_t i = 0; i < wd.size(); ++i) {
-          if (sv[i] == 0.0) continue;
+        for (const std::size_t i : sp->offsets()) {
           // d/dw [w log w + (1-w) log(1-w)] with the same eps floors the
           // composite log_op backward applies.
           const double dterm =
@@ -566,8 +611,9 @@ Var mask_regularizer(const Var& w, const Var& support, double c1, double c2,
           pg[i] += g * (c1 - c2 * dterm);
         }
       },
-      w, support);
+      w);
 }
+// metis-lint: end-hot-path
 
 // metis-lint: begin-hot-path
 void backward(const Var& root) {

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "metis/nn/sparse.h"
 #include "metis/nn/tensor.h"
 #include "metis/util/check.h"
 
@@ -45,12 +46,13 @@ namespace detail {
 
 // metis-lint: begin-hot-path
 // Fixed-capacity, never-heap-allocating closure holder for a node's
-// backward function. Every op's backward lambda captures at most one
-// scalar (a bias flag, a split column, an epsilon), so a small inline
-// buffer fits them all — std::function's "maybe heap" semantics would
-// silently reintroduce a malloc per tape node, the very cost the node
-// pool exists to kill. The static_asserts turn an oversized or
-// non-trivial capture into a compile error instead of a regression.
+// backward function. Every op's backward lambda captures at most three
+// words (a bias flag, an epsilon, the mask regularizer's CsrMatrix
+// pointer and c1/c2), so a small inline buffer fits them all —
+// std::function's "maybe heap" semantics would silently reintroduce a
+// malloc per tape node, the very cost the node pool exists to kill. The
+// static_asserts turn an oversized or non-trivial capture into a compile
+// error instead of a regression.
 class BackwardFn {
  public:
   static constexpr std::size_t kCapacity = 24;
@@ -189,6 +191,11 @@ class Node {
 // ---- Ops -------------------------------------------------------------------
 
 [[nodiscard]] Var matmul(const Var& a, const Var& b);
+// Constant-sparse x dense product a * b through nn::sparse::matmul; the
+// backward accumulates db += a^T * dY. Bitwise identical to the dense
+// matmul on a's dense source. The tape keeps a pointer to `a`: it must
+// outlive every backward() through the returned node.
+[[nodiscard]] Var matmul(const CsrMatrix& a, const Var& b);
 // Fused affine map x * w + b with the 1 x C bias row broadcast over rows —
 // one node where Linear's forward previously built matmul + add. Forward
 // and backward are bitwise identical to add(matmul(x, w), b), but the
@@ -251,19 +258,31 @@ class Node {
 // ---- Fused Figure-6 ops -----------------------------------------------------
 //
 // The §4.2 mask optimization runs its loss hundreds of times per job; the
-// three fused ops below collapse its per-step composite subgraphs into
-// single nodes and restrict the transcendental work to the hypergraph's
-// support, which is what makes a mask-optimization step cheap enough to
-// serve at production rates (bench_interpret). Each is the drop-in
-// equivalent of the composite it replaces: identical forward values, the
-// same mathematical gradient (checked against finite differences in
-// tests/nn_test.cpp).
+// fused ops below collapse its per-step composite subgraphs into single
+// nodes and restrict the work to the hypergraph's support, which is what
+// makes a mask-optimization step cheap enough to serve at production
+// rates (bench_interpret). Each is the drop-in equivalent of the
+// composite it replaces: identical forward values, the same mathematical
+// gradient (checked against finite differences in tests/nn_test.cpp).
+//
+// The CsrMatrix overloads index the support through its stored entries
+// (nn/sparse.h) instead of scanning the dense |E| x |V| box. They keep a
+// pointer to the CsrMatrix in the tape, not a copy: it must outlive every
+// backward() through the returned node.
 
 // Gating (Eq. 9): out = support ∘ sigmoid(x), with the sigmoid evaluated
 // only where support is non-zero (elsewhere the product is exactly 0).
 // Support entries must be 0 or 1 — the incidence matrix's contract — and
 // carry no gradient.
 [[nodiscard]] Var gated_sigmoid(const Var& x, const Var& support);
+
+// Gating over the support's stored entries: x is 1 x nnz, one logit per
+// entry in the support's row-major order, and out is the dense
+// support.rows() x support.cols() mask with sigmoid(x_j) at entry j's
+// offset and exactly 0 elsewhere — bitwise the dense overload's output
+// for the same logits on the support's dense source. Stored entries must
+// be 1.
+[[nodiscard]] Var gated_sigmoid(const Var& x, const CsrMatrix& support);
 
 // KL(target || pred) mean over rows (Eq. 6) with log(target) hoisted:
 // the target distribution is frozen across the whole optimization, so
@@ -274,15 +293,16 @@ class Node {
                                             const Var& pred_probs,
                                             double eps = 1e-12);
 
-// Fused regularizer c1·||W|| + c2·H(W) (Eqs. 7 + 8) over the support
-// entries only (a zero-mask entry contributes exactly 0 to either term).
+// Fused regularizer c1·||W|| + c2·H(W) (Eqs. 7 + 8) over the dense mask
+// w's support entries only (a zero-mask entry contributes exactly 0 to
+// either term). Both sums run in the support's row-major entry order.
+// The logs are floored at 1e-8, as binary_entropy_sum's default eps.
 // `sum_out` / `entropy_out`, when non-null, receive the raw Σ W and H(W)
 // of this forward — the Fig. 30 diagnostics — without extra nodes.
-[[nodiscard]] Var mask_regularizer(const Var& w, const Var& support,
+[[nodiscard]] Var mask_regularizer(const Var& w, const CsrMatrix& support,
                                    double c1, double c2,
                                    double* sum_out = nullptr,
-                                   double* entropy_out = nullptr,
-                                   double eps = 1e-8);
+                                   double* entropy_out = nullptr);
 
 // ---- Engine ----------------------------------------------------------------
 

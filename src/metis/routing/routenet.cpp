@@ -169,10 +169,7 @@ RoutingMaskModel::RoutingMaskModel(const RouteNetStar* model,
       result_(std::move(result)),
       graph_(routing_hypergraph(model->topology(), result_)),
       volumes_row_(1, result_.demands.size()),
-      inv_capacity_row_(1, model->topology().link_count()),
-      candidate_incidence_(
-          result_.demands.size() * model->config().candidates,
-          model->topology().link_count(), 0.0) {
+      inv_capacity_row_(1, model->topology().link_count()) {
   MET_CHECK(model != nullptr);
   const Topology& topo = model_->topology();
   for (std::size_t e = 0; e < result_.demands.size(); ++e) {
@@ -182,17 +179,18 @@ RoutingMaskModel::RoutingMaskModel(const RouteNetStar* model,
     inv_capacity_row_(0, v) = 1.0 / topo.link(v).capacity;
   }
   const std::size_t k = model_->config().candidates;
+  nn::Tensor candidates(result_.demands.size() * k, topo.link_count(), 0.0);
   for (std::size_t e = 0; e < result_.demands.size(); ++e) {
     MET_CHECK(result_.candidates[e].size() == k);
     for (std::size_t c = 0; c < k; ++c) {
       for (std::size_t lid : result_.candidates[e][c].links) {
-        candidate_incidence_(e * k + c, lid) = 1.0;
+        candidates(e * k + c, lid) = 1.0;
       }
     }
   }
   volumes_const_ = nn::constant(volumes_row_);
   inv_capacity_const_ = nn::constant(inv_capacity_row_);
-  candidate_incidence_const_ = nn::constant(candidate_incidence_);
+  candidate_incidence_ = std::make_shared<const nn::CsrMatrix>(candidates);
 }
 
 nn::Var RoutingMaskModel::decisions(const nn::Var& mask) const {
@@ -204,7 +202,7 @@ nn::Var RoutingMaskModel::decisions(const nn::Var& mask) const {
   // Learned per-link delays.
   nn::Var delays = delay_net().forward(nn::transpose(utilization));
   // Candidate-path latencies: ((|E|k) x |V|) · (|V| x 1).
-  nn::Var cand_lat = nn::matmul(candidate_incidence_const_, delays);
+  nn::Var cand_lat = nn::matmul(*candidate_incidence_, delays);
   nn::Var logits = nn::reshape(
       nn::scale(cand_lat, -model_->config().softmax_beta), n_demands, k);
   return nn::softmax_rows(logits);

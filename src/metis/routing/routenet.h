@@ -15,6 +15,7 @@
 #include "metis/hypergraph/hypergraph.h"
 #include "metis/nn/mlp.h"
 #include "metis/nn/optim.h"
+#include "metis/nn/sparse.h"
 #include "metis/routing/latency_model.h"
 #include "metis/routing/paths.h"
 #include "metis/routing/topology.h"
@@ -127,15 +128,15 @@ class RoutingMaskModel final : public core::MaskableModel {
   hypergraph::Hypergraph graph_;
   nn::Tensor volumes_row_;       // 1 x |E| demand volumes
   nn::Tensor inv_capacity_row_;  // 1 x |V|
-  nn::Tensor candidate_incidence_;  // (|E| * k) x |V| 0-1 matrix
-  // The same three, frozen once as constant nodes: decisions() runs every
+  // The same two, frozen once as constant nodes: decisions() runs every
   // mask-optimization step, and rebuilding a constant copies its whole
-  // tensor — the candidate incidence alone is |E|k x |V|. Constants carry
-  // no gradient, so sharing the nodes across steps (and across clones)
-  // is race-free.
+  // tensor. Constants carry no gradient, so sharing the nodes across
+  // steps (and across clones) is race-free.
   nn::Var volumes_const_;
   nn::Var inv_capacity_const_;
-  nn::Var candidate_incidence_const_;
+  // (|E| * k) x |V| 0-1 candidate-path incidence, each row a path's few
+  // links: a constant CSR shared read-only by every clone.
+  std::shared_ptr<const nn::CsrMatrix> candidate_incidence_;
 };
 
 }  // namespace metis::routing

@@ -319,11 +319,8 @@ void Service::run_distill(const detail::JobState& state,
   // const, but a per-job deep copy (Teacher::clone, bitwise-equal weights)
   // means the returned run owns a teacher no other job touches — and
   // same-key jobs never share one network's internals. Teachers that
-  // cannot clone — and the clone_distill_teachers=false A/B baseline —
-  // keep the cached teacher, shared read-only.
-  if (config_.clone_distill_teachers) {
-    if (auto cloned = sys.teacher->clone()) sys.teacher = std::move(cloned);
-  }
+  // cannot clone keep the cached teacher, shared read-only.
+  if (auto cloned = sys.teacher->clone()) sys.teacher = std::move(cloned);
 
   out.scenario = scenario.key();
   out.system = sys;
@@ -377,16 +374,11 @@ void Service::run_interpret(const detail::JobState& state,
   // the model per job so N same-key searches run on N workers at once;
   // the cached build (and its keepalive, which clones may borrow
   // read-only state from) stays alive in `sys`. Models that cannot clone
-  // serialize on the slot's run lock, as does the
-  // clone_interpret_models=false A/B baseline.
+  // serialize on the slot's run lock.
   std::shared_ptr<core::MaskableModel> model = sys.model;
   util::OptionalLock run_lock;
-  if (config_.clone_interpret_models) {
-    if (auto cloned = sys.model->clone()) {
-      model = std::move(cloned);
-    } else {
-      run_lock.lock(slot->run_mu);
-    }
+  if (auto cloned = sys.model->clone()) {
+    model = std::move(cloned);
   } else {
     run_lock.lock(slot->run_mu);
   }

@@ -64,18 +64,6 @@ struct ServiceConfig {
   // transiently exceed the cap while every slot is busy). 0 = unbounded,
   // preserving the pre-cap behavior.
   std::size_t cache_capacity = 0;
-  // Interpret jobs deep-clone the cached model per job (see
-  // MaskableModel::clone), so any number of same-key searches run fully
-  // in parallel. false restores the serialized path (one search at a time
-  // per key on the shared model) — the A/B baseline for
-  // bench_interpret and a safety valve for exotic user models.
-  bool clone_interpret_models = true;
-  // Distill jobs likewise deep-clone the cached teacher per job (see
-  // Teacher::clone), so each returned run owns a fully independent
-  // teacher. false shares the cached teacher read-only (the pre-clone
-  // behavior and A/B baseline); teachers without clone() fall back to
-  // sharing either way.
-  bool clone_distill_teachers = true;
 };
 
 class Service {
@@ -153,8 +141,7 @@ class Service {
     // (unused) gradients into its weight nodes — concurrent searches over
     // ONE model would race on those tensors. Interpret jobs therefore
     // clone the model per job (MaskableModel::clone) and run without any
-    // lock; models that cannot clone — and the
-    // clone_interpret_models=false A/B path — serialize here instead.
+    // lock; models that cannot clone serialize here instead.
     // Like env_mu: an execution lock guarding no fields, taken via
     // util::OptionalLock.
     util::Mutex run_mu;

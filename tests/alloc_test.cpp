@@ -15,8 +15,10 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "metis/api/registry.h"
 #include "metis/core/hypergraph_interpreter.h"
 #include "metis/core/teacher.h"
 #include "metis/core/trace_collector.h"
@@ -24,6 +26,7 @@
 #include "metis/nn/autodiff.h"
 #include "metis/nn/mlp.h"
 #include "metis/nn/optim.h"
+#include "metis/routing/routenet.h"
 #include "metis/scenarios/nfv.h"
 #include "metis/util/rng.h"
 
@@ -411,38 +414,55 @@ TEST(NodePool, BackwardBitwiseIdenticalPoolOnOrOff) {
 // The §4.2 acceptance pin: after warm-up, one full mask-optimization step
 // — forward through the model, loss assembly, backward, Adam — performs
 // ZERO fresh tensor-buffer and ZERO fresh node-block allocations; every
-// byte of the tape recycles through the thread's pools.
+// byte of the tape recycles through the thread's pools. NFV covers the
+// dense model ops; routing adds the CSR candidate-path product, whose
+// backward scratch must come from the arena too.
 TEST(NodePool, MaskOptimizationStepsAreAllocationFreeAfterWarmup) {
   ArenaEnabledRestore arena_restore;
   NodePoolEnabledRestore restore;
   arena::set_enabled(true);
   arena::set_node_pool_enabled(true);
 
-  scenarios::NfvPlacementModel model(scenarios::figure21_nfv());
-  core::InterpretConfig cfg;
-  cfg.steps = 8;
-  std::vector<arena::Stats> tensor_at_step;
-  std::vector<arena::NodeStats> node_at_step;
-  cfg.on_step = [&] {
-    tensor_at_step.push_back(arena::stats());
-    node_at_step.push_back(arena::node_stats());
-  };
+  api::ScenarioOptions options;
+  options.scale = 0.05;
+  const api::GlobalSystem routing =
+      api::ScenarioRegistry::global().get("routing").make_global(options);
+  ASSERT_NE(dynamic_cast<const routing::RoutingMaskModel*>(
+                routing.model.get()),
+            nullptr);
+  const scenarios::NfvPlacementModel nfv(scenarios::figure21_nfv());
+  const std::vector<std::pair<const char*, const core::MaskableModel*>>
+      models = {{"nfv", &nfv}, {"routing", routing.model.get()}};
 
-  arena::Scope scope;
-  const core::InterpretResult result =
-      core::find_critical_connections(model, cfg);
-  ASSERT_EQ(tensor_at_step.size(), cfg.steps);
-  // Step 1 warms the pools (and step 2's close still parks step 1's
-  // blocks); from then on every step must run entirely off the free
-  // lists.
-  for (std::size_t s = 2; s < cfg.steps; ++s) {
-    EXPECT_EQ(tensor_at_step[s].fresh_allocs, tensor_at_step[1].fresh_allocs)
-        << "fresh tensor allocation in mask-optimization step " << s + 1;
-    EXPECT_EQ(node_at_step[s].fresh_allocs, node_at_step[1].fresh_allocs)
-        << "fresh node allocation in mask-optimization step " << s + 1;
-    EXPECT_GT(node_at_step[s].reuses, node_at_step[s - 1].reuses);
+  for (const auto& [name, model] : models) {
+    core::InterpretConfig cfg;
+    cfg.steps = 8;
+    std::vector<arena::Stats> tensor_at_step;
+    std::vector<arena::NodeStats> node_at_step;
+    cfg.on_step = [&] {
+      tensor_at_step.push_back(arena::stats());
+      node_at_step.push_back(arena::node_stats());
+    };
+
+    arena::Scope scope;
+    const core::InterpretResult result =
+        core::find_critical_connections(*model, cfg);
+    ASSERT_EQ(tensor_at_step.size(), cfg.steps) << name;
+    // Step 1 warms the pools (and step 2's close still parks step 1's
+    // blocks); from then on every step must run entirely off the free
+    // lists.
+    for (std::size_t s = 2; s < cfg.steps; ++s) {
+      EXPECT_EQ(tensor_at_step[s].fresh_allocs,
+                tensor_at_step[1].fresh_allocs)
+          << name << ": fresh tensor allocation in mask-optimization step "
+          << s + 1;
+      EXPECT_EQ(node_at_step[s].fresh_allocs, node_at_step[1].fresh_allocs)
+          << name << ": fresh node allocation in mask-optimization step "
+          << s + 1;
+      EXPECT_GT(node_at_step[s].reuses, node_at_step[s - 1].reuses) << name;
+    }
+    EXPECT_FALSE(result.ranked.empty()) << name;
   }
-  EXPECT_FALSE(result.ranked.empty());
 }
 
 // Full-pipeline parity: the interpretation masks are bitwise identical

@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "interpret_oracle.h"
+#include "metis/api/registry.h"
 #include "metis/core/distill.h"
 #include "metis/core/hypergraph_interpreter.h"
 #include "metis/core/kmeans.h"
@@ -12,6 +18,7 @@
 #include "metis/core/lime.h"
 #include "metis/core/linreg.h"
 #include "metis/scenarios/nfv.h"
+#include "metis/nn/gemm.h"
 #include "metis/util/stats.h"
 
 namespace metis::core {
@@ -287,6 +294,95 @@ TEST(HypergraphInterpreter, VertexMaskSumAggregates) {
   InterpretResult result = find_critical_connections(model, cfg);
   double manual = result.mask(0, 1) + result.mask(1, 1);
   EXPECT_NEAR(result.vertex_mask_sum(1), manual, 1e-12);
+}
+
+// A continuous-output model (Eq. 6's MSE branch, which no built-in
+// scenario exercises): per-edge two-column scores, linear in the mask.
+class ContinuousToyModel final : public MaskableModel {
+ public:
+  ContinuousToyModel() : graph_(4, 3) {
+    graph_.connect(0, 0);
+    graph_.connect(0, 2);
+    graph_.connect(1, 1);
+    graph_.connect(1, 2);
+    graph_.connect(1, 3);
+    graph_.connect(2, 3);
+  }
+
+  const hypergraph::Hypergraph& graph() const override { return graph_; }
+  bool discrete_output() const override { return false; }
+
+  nn::Var decisions(const nn::Var& mask) const override {
+    nn::Tensor mix(4, 2, std::vector<double>{1.5, -0.2, 0.3, 0.9,  //
+                                             -0.7, 0.4, 0.05, 2.0});
+    return nn::tanh_op(nn::matmul(mask, nn::constant(mix)));
+  }
+
+ private:
+  hypergraph::Hypergraph graph_;
+};
+
+void expect_same_bits(double a, double b, const std::string& what) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+      << what << ": " << a << " vs " << b;
+}
+
+// The sparse search (one logit per connection) against the dense
+// |E| x |V| loop of tests/interpret_oracle.h: every built-in hypergraph
+// model, both toys (discrete and MSE), several seeds and λ settings, and
+// both GEMM backends underneath the sparse side.
+TEST(InterpretOracle, EveryModelBitwiseIdenticalToDenseLoop) {
+  api::ScenarioOptions options;
+  options.scale = 0.05;
+  std::vector<api::GlobalSystem> systems;  // keep the builds alive
+  std::vector<std::pair<std::string, std::shared_ptr<MaskableModel>>> models;
+  for (const char* key : {"routing", "cluster", "nfv", "cellular"}) {
+    systems.push_back(
+        api::ScenarioRegistry::global().get(key).make_global(options));
+    models.emplace_back(key, systems.back().model);
+  }
+  models.emplace_back("toy", std::make_shared<ToyMaskModel>());
+  models.emplace_back("toy-mse", std::make_shared<ContinuousToyModel>());
+
+  struct Setting {
+    std::uint64_t seed;
+    double lambda1, lambda2;
+  };
+  const std::vector<Setting> settings = {
+      {3, 0.25, 1.0}, {11, 0.05, 3.0}, {29, 2.0, 0.0}};
+  for (const auto& [name, model] : models) {
+    for (const Setting& s : settings) {
+      InterpretConfig cfg;
+      cfg.steps = 30;
+      cfg.seed = s.seed;
+      cfg.lambda1 = s.lambda1;
+      cfg.lambda2 = s.lambda2;
+      const InterpretResult want =
+          oracle::find_critical_connections(*model, cfg);
+      for (const auto backend :
+           {nn::gemm::Backend::kNaive, nn::gemm::Backend::kBlocked}) {
+        nn::gemm::BackendScope scope(backend);
+        const std::string what = name + " seed " + std::to_string(s.seed) +
+                                 " / " + nn::gemm::to_string(backend);
+        const InterpretResult got = find_critical_connections(*model, cfg);
+        ASSERT_TRUE(got.mask.same_shape(want.mask)) << what;
+        EXPECT_EQ(std::memcmp(got.mask.data().data(), want.mask.data().data(),
+                              want.mask.size() * sizeof(double)),
+                  0)
+            << what << ": mask";
+        ASSERT_EQ(got.ranked.size(), want.ranked.size()) << what;
+        for (std::size_t i = 0; i < want.ranked.size(); ++i) {
+          EXPECT_EQ(got.ranked[i].edge, want.ranked[i].edge) << what << i;
+          EXPECT_EQ(got.ranked[i].vertex, want.ranked[i].vertex) << what << i;
+          expect_same_bits(got.ranked[i].mask, want.ranked[i].mask,
+                           what + " ranked " + std::to_string(i));
+        }
+        expect_same_bits(got.divergence, want.divergence, what + " divergence");
+        expect_same_bits(got.mask_l1, want.mask_l1, what + " mask_l1");
+        expect_same_bits(got.entropy, want.entropy, what + " entropy");
+      }
+    }
+  }
 }
 
 // ---- baselines --------------------------------------------------------------

@@ -4,17 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "metis/nn/a2c.h"
 #include "metis/nn/autodiff.h"
+#include "metis/nn/gemm.h"
 #include "metis/nn/layers.h"
 #include "metis/nn/mlp.h"
 #include "metis/nn/optim.h"
 #include "metis/nn/serialize.h"
+#include "metis/nn/sparse.h"
 #include "metis/util/rng.h"
 
 namespace metis::nn {
@@ -234,12 +239,30 @@ TEST(Autodiff, CachedKlMatchesCompositeAndDifferentiates) {
   });
 }
 
+TEST(Autodiff, CsrGatedSigmoidMatchesDenseGatingBitwise) {
+  Tensor sv(2, 3, std::vector<double>{1, 0, 1, 0, 1, 1});
+  const CsrMatrix support(sv);
+  ASSERT_EQ(support.nnz(), 4u);
+  // One logit per connection; the dense form carries junk off the support
+  // that the gating must ignore.
+  Var x = parameter(Tensor(1, 4, std::vector<double>{-1.2, 0.4, -0.1, 2.5}));
+  Tensor dense_x(2, 3, std::vector<double>{-1.2, 9.0, 0.4, -9.0, -0.1, 2.5});
+  const Tensor sparse = gated_sigmoid(x, support)->value();
+  const Tensor dense = gated_sigmoid(constant(dense_x), constant(sv))->value();
+  ASSERT_TRUE(sparse.same_shape(dense));
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    EXPECT_EQ(sparse.data()[i], dense.data()[i]) << i;  // bitwise
+  }
+  expect_gradients_match(x, [&] { return sum_all(square(
+      gated_sigmoid(x, support))); });
+}
+
 TEST(Autodiff, MaskRegularizerMatchesCompositeAndDifferentiates) {
   Tensor sv(2, 3, std::vector<double>{1, 0, 1, 1, 1, 0});
+  const CsrMatrix support(sv);
   // Values strictly inside (0, 1) on the support; exactly 0 elsewhere —
   // the shape gated_sigmoid produces.
   Tensor wv(2, 3, std::vector<double>{0.3, 0.0, 0.8, 0.55, 0.12, 0.0});
-  Var support = constant(sv);
   const double c1 = 0.25 / 4.0, c2 = 1.0 / 4.0;
 
   double sum = 0.0, entropy = 0.0;
@@ -252,12 +275,121 @@ TEST(Autodiff, MaskRegularizerMatchesCompositeAndDifferentiates) {
   EXPECT_NEAR(entropy, h_composite, 1e-12);
   EXPECT_NEAR(fused, c1 * l1_composite + c2 * h_composite, 1e-12);
 
-  // Gradient through the full gating chain, as the interpreter uses it.
-  Var logits = parameter(Tensor(2, 3, std::vector<double>{0.4, 2.0, -0.7,
-                                                          0.2, -1.5, 3.0}));
+  // Gradient through the full gating chain, as the interpreter uses it:
+  // one logit per support entry.
+  Var logits = parameter(Tensor(1, 4, std::vector<double>{0.4, -0.7, 0.2,
+                                                          -1.5}));
   expect_gradients_match(logits, [&] {
     return mask_regularizer(gated_sigmoid(logits, support), support, c1, c2);
   }, 1e-4);
+}
+
+// ---- constant-sparse (CSR) product ------------------------------------------
+
+void expect_bitwise(const Tensor& a, const Tensor& b, const std::string& what) {
+  ASSERT_TRUE(a.same_shape(b)) << what;
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        a.size() * sizeof(double)), 0)
+      << what;
+}
+
+// m x k with roughly `density` of its entries non-zero (any sign), plus
+// the requested all-zero rows.
+Tensor random_sparse(std::size_t m, std::size_t k, double density,
+                     std::uint64_t seed, std::vector<std::size_t> empty_rows) {
+  metis::Rng rng(seed);
+  Tensor a(m, k, 0.0);
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < k; ++c) {
+      if (rng.uniform() < density) a(r, c) = rng.normal(0.0, 2.0);
+    }
+  }
+  for (std::size_t r : empty_rows) {
+    for (std::size_t c = 0; c < k; ++c) a(r, c) = 0.0;
+  }
+  return a;
+}
+
+Tensor random_dense(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  metis::Rng rng(seed);
+  Tensor t(rows, cols);
+  for (double& v : t.data()) v = rng.normal(0.0, 1.5);
+  return t;
+}
+
+TEST(Sparse, CsrKeepsNonZerosInRowMajorOrder) {
+  Tensor dense(3, 4, std::vector<double>{0, 2, 0, -1,  //
+                                         0, 0, 0, 0,   //
+                                         5, 0, 0, 7});
+  const CsrMatrix a(dense);
+  EXPECT_EQ(a.rows(), 3u);
+  EXPECT_EQ(a.cols(), 4u);
+  EXPECT_EQ(a.nnz(), 4u);
+  EXPECT_EQ(std::vector<std::size_t>(a.row_ptr().begin(), a.row_ptr().end()),
+            (std::vector<std::size_t>{0, 2, 2, 4}));
+  EXPECT_EQ(std::vector<std::size_t>(a.col_index().begin(),
+                                     a.col_index().end()),
+            (std::vector<std::size_t>{1, 3, 0, 3}));
+  EXPECT_EQ(std::vector<std::size_t>(a.offsets().begin(), a.offsets().end()),
+            (std::vector<std::size_t>{1, 3, 8, 11}));
+  EXPECT_EQ(std::vector<double>(a.values().begin(), a.values().end()),
+            (std::vector<double>{2, -1, 5, 7}));
+  EXPECT_EQ(CsrMatrix(Tensor(2, 5, 0.0)).nnz(), 0u);
+}
+
+TEST(Sparse, ProductBitwiseIdenticalToGemmOnEveryBackend) {
+  struct Case {
+    const char* name;
+    std::size_t m, k, n;
+    double density;
+    std::vector<std::size_t> empty_rows;
+    bool zero_one = false;  // an incidence matrix, like RouteNet*'s
+  };
+  const std::vector<Case> cases = {
+      {"routing-like 0/1 paths", 54, 42, 1, 0.07, {}, true},
+      {"random 20% with empty rows", 17, 13, 3, 0.2, {0, 5, 16}},
+      {"dense-ish", 9, 11, 5, 0.9, {}},
+      {"single column", 12, 1, 4, 0.5, {3}},
+      {"all zero", 6, 8, 2, 0.0, {}},
+      {"wide n", 7, 9, 33, 0.3, {2}},
+  };
+  std::uint64_t seed = 100;
+  for (const Case& c : cases) {
+    Tensor dense = random_sparse(c.m, c.k, c.density, ++seed, c.empty_rows);
+    if (c.zero_one) {
+      for (double& v : dense.data()) v = v != 0.0 ? 1.0 : 0.0;
+    }
+    const CsrMatrix a(dense);
+    const Tensor b = random_dense(c.k, c.n, ++seed);
+    const Tensor dy = random_dense(c.m, c.n, ++seed);
+    const Tensor acc0 = random_dense(c.k, c.n, ++seed);
+    for (const auto backend :
+         {gemm::Backend::kNaive, gemm::Backend::kBlocked}) {
+      gemm::BackendScope scope(backend);
+      const std::string what =
+          std::string(c.name) + " / " + gemm::to_string(backend);
+      expect_bitwise(sparse::matmul(a, b), gemm::matmul(dense, b),
+                     what + " forward");
+      Tensor acc_sparse = acc0, acc_dense = acc0;
+      sparse::matmul_transA_acc(a, dy, acc_sparse);
+      gemm::matmul_transA_acc(dense, dy, acc_dense);
+      expect_bitwise(acc_sparse, acc_dense, what + " transA_acc");
+
+      // The autodiff node: forward and db bitwise equal to the dense op.
+      Var bs = parameter(b), bd = parameter(b);
+      Var ws = constant(dy);
+      backward(sum_all(mul(matmul(a, bs), ws)));
+      backward(sum_all(mul(matmul(constant(dense), bd), ws)));
+      expect_bitwise(bs->grad(), bd->grad(), what + " autodiff db");
+    }
+  }
+}
+
+TEST(Sparse, ProductGradientsMatchFiniteDifferences) {
+  const Tensor dense = random_sparse(8, 6, 0.35, 7, {4});
+  const CsrMatrix a(dense);
+  Var b = parameter(random_dense(6, 3, 8));
+  expect_gradients_match(b, [&] { return sum_all(square(matmul(a, b))); });
 }
 
 TEST(Autodiff, GradientAccumulatesAcrossBackwardCalls) {

@@ -919,9 +919,10 @@ void expect_same_interpret(const core::InterpretResult& a,
 }
 
 // N concurrent same-key interpret jobs (per-job model clones, no lock)
-// must reproduce the sequential single-job result bit for bit — for a
-// built-in scenario and for the net-backed model whose weight gradients
-// used to force serialization.
+// must reproduce the sequential single-job result bit for bit — for
+// built-in scenarios (routing's clones share one read-only CSR
+// candidate incidence) and for the net-backed model whose weight
+// gradients used to force serialization.
 TEST(Service, ConcurrentSameKeyInterpretBitwiseIdenticalToSequential) {
   api::ScenarioRegistry reg;
   api::register_builtin_scenarios(reg);
@@ -929,13 +930,16 @@ TEST(Service, ConcurrentSameKeyInterpretBitwiseIdenticalToSequential) {
 
   api::InterpretOverrides io;
   io.steps = 40;
+  api::ScenarioOptions options;
+  options.scale = 0.05;
 
-  for (const char* key : {"cellular", "netmask"}) {
+  for (const char* key : {"cellular", "routing", "netmask"}) {
     core::InterpretResult reference;
     {
       serve::ServiceConfig cfg;
       cfg.workers = 1;
       cfg.registry = &reg;
+      cfg.options = options;
       serve::Service svc(cfg);
       reference = svc.submit_interpret(key, io).take_interpret_run().result;
     }
@@ -943,6 +947,7 @@ TEST(Service, ConcurrentSameKeyInterpretBitwiseIdenticalToSequential) {
     serve::ServiceConfig cfg;
     cfg.workers = 4;
     cfg.registry = &reg;
+    cfg.options = options;
     serve::Service svc(cfg);
     std::vector<serve::JobHandle> jobs;
     for (int i = 0; i < 4; ++i) jobs.push_back(svc.submit_interpret(key, io));
@@ -957,9 +962,8 @@ TEST(Service, ConcurrentSameKeyInterpretBitwiseIdenticalToSequential) {
 }
 
 // Models that cannot clone still work — same-key jobs serialize on the
-// slot lock — and the serialized A/B path (clone_interpret_models=false)
-// matches the cloned path bit for bit.
-TEST(Service, NonCloneableAndSerializedInterpretMatchClonedPath) {
+// slot lock — and match the cloned path bit for bit.
+TEST(Service, NonCloneableInterpretSerializesAndMatchesClonedPath) {
   api::ScenarioRegistry reg;
   reg.add(std::make_unique<NetMaskScenario>("netmask", /*cloneable=*/true));
   reg.add(std::make_unique<NetMaskScenario>("netmask-noclone",
@@ -968,11 +972,10 @@ TEST(Service, NonCloneableAndSerializedInterpretMatchClonedPath) {
   api::InterpretOverrides io;
   io.steps = 25;
 
-  auto run_four = [&](const char* key, bool clone_models) {
+  auto run_four = [&](const char* key) {
     serve::ServiceConfig cfg;
     cfg.workers = 4;
     cfg.registry = &reg;
-    cfg.clone_interpret_models = clone_models;
     serve::Service svc(cfg);
     std::vector<serve::JobHandle> jobs;
     for (int i = 0; i < 4; ++i) jobs.push_back(svc.submit_interpret(key, io));
@@ -985,12 +988,9 @@ TEST(Service, NonCloneableAndSerializedInterpretMatchClonedPath) {
     return results;
   };
 
-  const auto cloned = run_four("netmask", true);
-  const auto serialized = run_four("netmask", false);
-  const auto noclone = run_four("netmask-noclone", true);
+  const auto cloned = run_four("netmask");
+  const auto noclone = run_four("netmask-noclone");
   for (std::size_t i = 0; i < cloned.size(); ++i) {
-    expect_same_interpret(serialized[i], cloned[i],
-                          "serialized vs cloned " + std::to_string(i));
     expect_same_interpret(noclone[i], cloned[i],
                           "noclone vs cloned " + std::to_string(i));
   }
@@ -1109,10 +1109,12 @@ TEST(Registry, ConcurrentLookupsAndRegistrationsAreSafe) {
 
 // Same rule policy as RuleTeacher, but clone-aware: counts how many deep
 // copies the service takes, so tests can pin down the per-job clone
-// contract exactly.
+// contract exactly. With cloneable=false, clone() returns nullptr like a
+// teacher that cannot clone.
 class CountingCloneTeacher final : public core::Teacher {
  public:
-  explicit CountingCloneTeacher(std::atomic<int>* clones) : clones_(clones) {}
+  CountingCloneTeacher(std::atomic<int>* clones, bool cloneable)
+      : clones_(clones), cloneable_(cloneable) {}
   std::size_t action_count() const override { return 2; }
   std::size_t act(std::span<const double> state) const override {
     return state[0] > 0.5 ? 1 : 0;
@@ -1124,22 +1126,25 @@ class CountingCloneTeacher final : public core::Teacher {
                            : std::vector<double>{0.9, 0.1};
   }
   std::shared_ptr<core::Teacher> clone() const override {
+    if (!cloneable_) return nullptr;
     ++*clones_;
-    return std::make_shared<CountingCloneTeacher>(clones_);
+    return std::make_shared<CountingCloneTeacher>(clones_, cloneable_);
   }
 
  private:
   std::atomic<int>* clones_;
+  bool cloneable_;
 };
 
 class CloneProbeScenario final : public api::Scenario {
  public:
-  explicit CloneProbeScenario(std::atomic<int>* clones) : clones_(clones) {}
+  CloneProbeScenario(std::atomic<int>* clones, bool cloneable)
+      : clones_(clones), cloneable_(cloneable) {}
   std::string key() const override { return "clone-probe"; }
   std::string description() const override { return "clone-counting rule"; }
   api::LocalSystem make_local(const api::ScenarioOptions&) const override {
     api::LocalSystem sys;
-    sys.teacher = std::make_shared<CountingCloneTeacher>(clones_);
+    sys.teacher = std::make_shared<CountingCloneTeacher>(clones_, cloneable_);
     sys.env = std::make_shared<SplitLineEnv>(77);
     sys.distill_defaults.collect.episodes = 6;
     sys.distill_defaults.collect.max_steps = 25;
@@ -1151,20 +1156,20 @@ class CloneProbeScenario final : public api::Scenario {
 
  private:
   std::atomic<int>* clones_;
+  bool cloneable_;
 };
 
-TEST(Service, DistillClonesTeacherPerJobAndOffSwitchShares) {
+TEST(Service, DistillClonesTeacherPerJobAndNonCloneableShares) {
   constexpr int kJobs = 3;
   std::string cloned_tree;
-  // Default: one deep clone per job, and every run owns its copy.
+  // A cloneable teacher: one deep clone per job, every run owns its copy.
   {
     std::atomic<int> clones{0};
     api::ScenarioRegistry reg;
-    reg.add(std::make_unique<CloneProbeScenario>(&clones));
+    reg.add(std::make_unique<CloneProbeScenario>(&clones, /*cloneable=*/true));
     serve::ServiceConfig cfg;
     cfg.workers = 2;
     cfg.registry = &reg;
-    ASSERT_TRUE(cfg.clone_distill_teachers);  // the documented default
     serve::Service svc(cfg);
     std::vector<serve::JobHandle> jobs;
     for (int i = 0; i < kJobs; ++i) {
@@ -1185,15 +1190,16 @@ TEST(Service, DistillClonesTeacherPerJobAndOffSwitchShares) {
     EXPECT_EQ(clones.load(), kJobs);
     cloned_tree = tree::serialize(jobs[0].distill_run().result.tree);
   }
-  // A/B off switch: no clones, shared cached teacher, identical tree.
+  // The fallback for a teacher that cannot clone: the jobs share the
+  // cached teacher read-only and distill the identical tree.
   {
     std::atomic<int> clones{0};
     api::ScenarioRegistry reg;
-    reg.add(std::make_unique<CloneProbeScenario>(&clones));
+    reg.add(
+        std::make_unique<CloneProbeScenario>(&clones, /*cloneable=*/false));
     serve::ServiceConfig cfg;
     cfg.workers = 2;
     cfg.registry = &reg;
-    cfg.clone_distill_teachers = false;
     serve::Service svc(cfg);
     auto a = svc.submit_distill("clone-probe");
     auto b = svc.submit_distill("clone-probe");
@@ -1202,7 +1208,7 @@ TEST(Service, DistillClonesTeacherPerJobAndOffSwitchShares) {
     EXPECT_EQ(clones.load(), 0);
     EXPECT_EQ(a.distill_run().system.teacher.get(),
               b.distill_run().system.teacher.get());
-    // The clone is weight-identical, so both paths distill the same tree.
+    // A clone is weight-identical, so both paths distill the same tree.
     EXPECT_EQ(tree::serialize(a.distill_run().result.tree), cloned_tree);
   }
 }
