@@ -1,6 +1,5 @@
 // Interpretation-engine benchmark: single-job §4.2 mask-optimization
-// latency with the arena node pool on and off (masks must stay bitwise
-// identical), on NFV, cluster and routing hypergraphs up to the 182 x 42
+// latency on NFV, cluster and routing hypergraphs up to the 182 x 42
 // routing box — and wall clock for N concurrent same-key interpret jobs
 // through serve::Service, each on its own model clone.
 //
@@ -17,7 +16,6 @@
 
 #include "metis/api/registry.h"
 #include "metis/core/hypergraph_interpreter.h"
-#include "metis/nn/arena.h"
 #include "metis/scenarios/cluster.h"
 #include "metis/scenarios/nfv.h"
 #include "metis/serve/service.h"
@@ -60,44 +58,17 @@ class BenchClusterScenario final : public api::Scenario {
   scenarios::ClusterJob job_;
 };
 
-struct SingleResult {
-  std::size_t edges = 0, vertices = 0, connections = 0;
-  double pool_off_ms = 0.0;
-  double pool_on_ms = 0.0;
-  bool identical_pool_on_off = true;
-};
-
-SingleResult bench_single(const core::MaskableModel& model) {
+// Best-of-kReps wall clock of one kSteps-step search, in ms.
+double single_job_ms(const core::MaskableModel& model) {
   core::InterpretConfig cfg;
   cfg.steps = kSteps;
-  SingleResult r;
-  r.edges = model.graph().edge_count();
-  r.vertices = model.graph().vertex_count();
-  r.connections = model.graph().connection_count();
-
-  nn::Tensor pool_on_mask, pool_off_mask;
-  auto timed = [&](auto&& fn) {
-    double best = 1e100;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const double t0 = now_seconds();
-      fn();
-      best = std::min(best, now_seconds() - t0);
-    }
-    return best * 1e3;
-  };
-
-  nn::arena::set_node_pool_enabled(false);
-  r.pool_off_ms = timed(
-      [&] { pool_off_mask = core::find_critical_connections(model, cfg).mask; });
-  nn::arena::set_node_pool_enabled(true);
-  r.pool_on_ms = timed(
-      [&] { pool_on_mask = core::find_critical_connections(model, cfg).mask; });
-
-  r.identical_pool_on_off =
-      pool_on_mask.same_shape(pool_off_mask) &&
-      std::memcmp(pool_on_mask.data().data(), pool_off_mask.data().data(),
-                  pool_on_mask.size() * sizeof(double)) == 0;
-  return r;
+  double best = 1e100;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const double t0 = now_seconds();
+    (void)core::find_critical_connections(model, cfg);
+    best = std::min(best, now_seconds() - t0);
+  }
+  return best * 1e3;
 }
 
 // Wall-clock for `jobs` same-key interpret jobs on a `jobs`-worker
@@ -135,8 +106,8 @@ double concurrent_wall_seconds(const api::ScenarioRegistry& reg,
 int main(int argc, char** argv) {
   benchx::print_header(
       "bench_interpret",
-      "§4.2 mask-optimization latency (node pool on vs off) and concurrent "
-      "same-key interpret wall clock (one model clone per job)");
+      "§4.2 mask-optimization latency and concurrent same-key interpret "
+      "wall clock (one model clone per job)");
 
   // --threads N tops out the concurrent-job sweep (default: hardware
   // threads, min 8 so the queueing regime is visible even on one core).
@@ -165,30 +136,22 @@ int main(int argc, char** argv) {
                 {"cluster", &dag},
                 {"routing", routing.model.get()}};
 
-  metis::Table single({"model", "E x V", "connections", "pool-off (ms)",
-                       "pool-on (ms)"});
+  metis::Table single({"model", "E x V", "connections", "job (ms)"});
   benchx::JsonReport json("interpret");
   json.set("steps", kSteps);
   for (const auto& [name, model] : models) {
-    const SingleResult r = bench_single(*model);
-    if (!r.identical_pool_on_off) {
-      std::cerr << "ERROR: " << name
-                << " masks differ with the node pool on vs off\n";
-      return EXIT_FAILURE;
-    }
+    const hypergraph::Hypergraph& graph = model->graph();
+    const double ms = single_job_ms(*model);
     single.add_row({name,
-                    std::to_string(r.edges) + " x " +
-                        std::to_string(r.vertices),
-                    std::to_string(r.connections),
-                    metis::Table::num(r.pool_off_ms),
-                    metis::Table::num(r.pool_on_ms)});
-    json.set(name + "_connections", r.connections);
-    json.set(name + "_pool_off_ms", r.pool_off_ms);
-    json.set(name + "_pool_on_ms", r.pool_on_ms);
+                    std::to_string(graph.edge_count()) + " x " +
+                        std::to_string(graph.vertex_count()),
+                    std::to_string(graph.connection_count()),
+                    metis::Table::num(ms)});
+    json.set(name + "_connections", graph.connection_count());
+    json.set(name + "_ms", ms);
   }
   single.print(std::cout);
-  std::cout << "(masks bitwise identical, node pool on vs off; " << kSteps
-            << " steps per job, best of " << kReps << ")\n";
+  std::cout << "(" << kSteps << " steps per job, best of " << kReps << ")\n";
 
   // ---- concurrent jobs ------------------------------------------------------
   api::ScenarioRegistry reg;
@@ -216,7 +179,6 @@ int main(int argc, char** argv) {
   json.set("concurrent_jobs", jobs_d);
   json.set("concurrent_wall_ms", wall_ms);
   json.set("max_concurrent_jobs", max_jobs);
-  json.set("masks_identical_pool_on_off", std::string("true"));
   json.write();
   return 0;
 }

@@ -4,8 +4,7 @@
 // the round into one lockstep block per worker scales collection with
 // cores, on top of the block batching every step's policy/value queries
 // into ONE trunk forward (Teacher::act_and_values_multi). The sweep also
-// crosses the GEMM backend and the tensor arena. All modes produce a
-// bitwise-identical dataset.
+// crosses the GEMM backend. All modes produce a bitwise-identical dataset.
 //
 // Run:  ./bench/bench_parallel_collection [--threads N]
 //       (N = top of the shard sweep; default = hardware threads, min 4)
@@ -18,7 +17,6 @@
 #include "bench_common.h"
 #include "metis/core/teacher.h"
 #include "metis/core/trace_collector.h"
-#include "metis/nn/arena.h"
 #include "metis/nn/gemm.h"
 
 namespace {
@@ -50,7 +48,6 @@ bool identical(const std::vector<core::CollectedSample>& a,
 struct Mode {
   std::size_t workers;
   nn::gemm::Backend backend;
-  bool arena;  // per-thread tensor arena on/off for this mode
   std::string label;
 };
 
@@ -60,8 +57,8 @@ int main(int argc, char** argv) {
   using namespace metis;
   benchx::print_header(
       "bench_parallel_collection",
-      "collection at Pensieve scale across worker counts, GEMM backends "
-      "and arena on/off; dataset bitwise identical in every mode");
+      "collection at Pensieve scale across worker counts and GEMM "
+      "backends; dataset bitwise identical in every mode");
 
   // Paper-scale Pensieve teacher dimensions (25-dim state, 6 bitrates).
   // Untrained weights — collection cost does not depend on weight values.
@@ -99,16 +96,14 @@ int main(int argc, char** argv) {
   for (std::size_t w = 2; w < max_threads; w *= 2) sweep.push_back(w);
   if (max_threads > 1) sweep.push_back(max_threads);
 
-  std::vector<Mode> modes = {
-      {1, kNaive, false, "one block (naive gemm, no arena)"}};
+  std::vector<Mode> modes = {{1, kNaive, "one block (naive gemm)"}};
   for (std::size_t w : sweep) {
-    modes.push_back({w, kNaive, false, "sharded x" + std::to_string(w)});
+    modes.push_back({w, kNaive, "sharded x" + std::to_string(w)});
   }
-  modes.push_back({1, kBlocked, false, "one block + blocked gemm"});
-  modes.push_back({1, kBlocked, true, "one block + blocked + arena"});
+  modes.push_back({1, kBlocked, "one block + blocked gemm"});
   for (std::size_t w : sweep) {
-    modes.push_back({w, kBlocked, true,
-                     "sharded x" + std::to_string(w) + " + blocked + arena"});
+    modes.push_back(
+        {w, kBlocked, "sharded x" + std::to_string(w) + " + blocked gemm"});
   }
   std::vector<core::CollectedSample> reference;
   std::vector<double> best_seconds(modes.size(), 1e100);
@@ -116,7 +111,6 @@ int main(int argc, char** argv) {
   for (std::size_t m = 0; m < modes.size(); ++m) {
     cc.parallel.workers = modes[m].workers;
     nn::gemm::BackendScope backend(modes[m].backend);
-    nn::arena::set_enabled(modes[m].arena);
     for (int r = 0; r < kReps; ++r) {
       std::vector<core::CollectedSample> samples;
       const double s = collect_seconds(teacher, rollout, cc,
@@ -131,7 +125,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  nn::arena::set_enabled(true);
   if (!all_identical) {
     std::cout << "ERROR: collection diverged across modes\n";
     return EXIT_FAILURE;
@@ -155,16 +148,14 @@ int main(int argc, char** argv) {
   json.set("max_steps", cc.max_steps);
   json.set("samples", reference.size());
   {
-    std::vector<double> workers, blocked, arena, ms;
+    std::vector<double> workers, blocked, ms;
     for (const Mode& m : modes) {
       workers.push_back(static_cast<double>(m.workers));
       blocked.push_back(m.backend == kBlocked ? 1.0 : 0.0);
-      arena.push_back(m.arena ? 1.0 : 0.0);
     }
     for (double s : best_seconds) ms.push_back(s * 1e3);
     json.set("workers", workers);
     json.set("blocked_gemm", blocked);
-    json.set("arena", arena);
     json.set("best_ms", ms);
   }
   json.set("speedups", speedups);

@@ -15,7 +15,8 @@ namespace {
 
 // metis-lint: begin-deterministic — the §3.2/Eq. 1 collection pipeline:
 // datasets must be bitwise identical across worker counts, block cuts,
-// and pool on/off, so no nondeterminism source may enter here. All
+// and with or without buffer recycling, so no nondeterminism source may
+// enter here. All
 // randomness flows through the envs' Rng::derive(seed, episode) streams;
 // episode k's trajectory is a pure function of (seed, k).
 

@@ -1,33 +1,11 @@
 #include "metis/nn/arena.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <new>
 #include <unordered_map>
 #include <vector>
 
 namespace metis::nn::arena {
 namespace {
-
-bool env_enabled(const char* name) {
-  if (const char* env = std::getenv(name)) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::atomic<bool>& enabled_slot() {
-  static std::atomic<bool> slot{env_enabled("METIS_TENSOR_ARENA")};
-  return slot;
-}
-
-std::atomic<bool>& node_enabled_slot() {
-  static std::atomic<bool> slot{env_enabled("METIS_NODE_POOL")};
-  return slot;
-}
 
 // Set once the thread's pool has been destroyed (thread exit, or main's
 // thread_local teardown). A trivially destructible flag outlives the
@@ -104,12 +82,6 @@ void reset_stats() {
   s.pooled = pooled;
 }
 
-bool enabled() { return enabled_slot().load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) {
-  enabled_slot().store(on, std::memory_order_relaxed);
-}
-
 NodeStats node_stats() {
   return t_pool_destroyed ? NodeStats{} : pool().node_stats;
 }
@@ -120,14 +92,6 @@ void reset_node_stats() {
   const std::uint64_t pooled = s.pooled;  // parked blocks stay accounted
   s = NodeStats{};
   s.pooled = pooled;
-}
-
-bool node_pool_enabled() {
-  return node_enabled_slot().load(std::memory_order_relaxed);
-}
-
-void set_node_pool_enabled(bool on) {
-  node_enabled_slot().store(on, std::memory_order_relaxed);
 }
 
 void* node_allocate(std::size_t bytes) {
@@ -152,7 +116,7 @@ void node_deallocate(void* block, std::size_t bytes) noexcept {
   }
   ThreadPool& p = pool();
   if (p.node_block_size == 0) p.node_block_size = bytes;
-  if (p.depth > 0 && node_pool_enabled() && bytes == p.node_block_size &&
+  if (p.depth > 0 && bytes == p.node_block_size &&
       p.node_free.size() < kMaxPooledNodeBlocks) {
     // Parking can allocate (free-list growth); under memory pressure the
     // only correct fallback inside a noexcept free path is releasing the
@@ -167,8 +131,7 @@ void node_deallocate(void* block, std::size_t bytes) noexcept {
   ::operator delete(block);
 }
 
-Scope::Scope()
-    : active_((enabled() || node_pool_enabled()) && !t_pool_destroyed) {
+Scope::Scope() : active_(!t_pool_destroyed) {
   if (active_) ++pool().depth;
 }
 
@@ -204,10 +167,7 @@ void deallocate(void* block, std::size_t bytes) noexcept {
     return;
   }
   ThreadPool& p = pool();
-  // Parking is gated on the CURRENT tensor-arena flag (a scope may be
-  // active for the node pool alone); parked blocks still drain at
-  // outermost-scope exit whatever the flags do meanwhile.
-  if (p.depth > 0 && enabled() && p.pooled_bytes + bytes <= kMaxPooledBytes) {
+  if (p.depth > 0 && p.pooled_bytes + bytes <= kMaxPooledBytes) {
     // Parking can itself allocate (bucket-vector growth, map node); if
     // that throws under memory pressure, releasing the block outright is
     // the only correct fallback inside a noexcept free path.

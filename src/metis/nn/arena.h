@@ -21,17 +21,19 @@
 //    no locks, no sharing; each collection/serve worker recycles its own
 //    buffers. This is the arena's entire concurrency contract: there is
 //    deliberately nothing here for the clang thread-safety analysis to
-//    annotate (the only shared state is the atomic enable flags), and it
-//    must stay that way — a mutex in the allocator would sit on every
-//    tensor hot path.
+//    annotate (there is no shared state at all), and it must stay that
+//    way — a mutex in the allocator would sit on every tensor hot path.
 //  - Scopes nest: the cache drains only when the outermost scope exits
 //    (a test or bench can hold an outer scope to keep buffers warm
 //    across whole collection rounds). Parked bytes are capped per
 //    thread, so a long-lived scope cannot pin more than a bounded
 //    amount of cold buffers while hot shapes keep recycling.
 //  - Recycled memory is always fully overwritten by the tensor
-//    constructors before use, so results are bitwise identical with the
-//    arena on, off, or disabled (METIS_TENSOR_ARENA=0).
+//    constructors before use, so results are bitwise identical inside a
+//    scope or outside one (an unscoped thread never recycles; the
+//    collection and interpretation oracles in tests/ run unscoped and pin
+//    the pooled hot paths against them).
+//  - There is no opt-out: both pools are always on inside a Scope.
 #pragma once
 
 #include <cstddef>
@@ -52,17 +54,9 @@ struct Stats {
 [[nodiscard]] Stats stats();
 void reset_stats();
 
-// Process-wide opt-out: METIS_TENSOR_ARENA=0|off at startup, or
-// set_enabled(false) at runtime (the CI arena-off leg and the A/B bench
-// use these). With the arena disabled, Scope is a no-op and every
-// allocation goes straight to operator new/delete.
-[[nodiscard]] bool enabled();
-void set_enabled(bool on);
-
 // RAII opt-in: tensor buffers and tape-node blocks freed on this thread
-// while a Scope is active are recycled instead of released (each pool
-// under its own enable flag, so either can be disabled independently).
-// Nests; drains at outermost exit.
+// while a Scope is active are recycled instead of released. Nests;
+// drains at outermost exit.
 class Scope {
  public:
   Scope();
@@ -71,7 +65,9 @@ class Scope {
   Scope& operator=(const Scope&) = delete;
 
  private:
-  bool active_;  // captured at entry so flag flips mid-scope stay safe
+  // False only for a scope opened after the thread's pool was destroyed
+  // (thread_local teardown), which must not touch the dead pool on exit.
+  bool active_;
 };
 
 // Allocation hooks used by Allocator<T> below (and by tests).
@@ -98,13 +94,6 @@ struct NodeStats {
 // stats() above).
 [[nodiscard]] NodeStats node_stats();
 void reset_node_stats();
-
-// Process-wide opt-out: METIS_NODE_POOL=0|off at startup, or
-// set_node_pool_enabled(false) at runtime (the CI node-pool-off leg and
-// the pool on/off parity tests use these). Disabled, make_node falls back
-// to make_shared and gradients stay bitwise identical.
-[[nodiscard]] bool node_pool_enabled();
-void set_node_pool_enabled(bool on);
 
 // Allocation hooks used by NodeAllocator<T> below. Blocks whose size does
 // not match the pool's (first-seen) block size bypass the free list.

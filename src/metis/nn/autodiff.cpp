@@ -17,15 +17,10 @@ thread_local bool t_grad_enabled = true;
 // metis-lint: begin-hot-path
 // Allocates the node + control block as one fused block from the arena
 // node pool (all such blocks share one size, so inside an arena::Scope a
-// steady-state loop recycles them with zero mallocs). The opt-out falls
-// back to make_shared — same math, different allocator.
+// steady-state loop recycles them with zero mallocs).
 Var alloc_node(Tensor value, bool requires_grad) {
-  if (arena::node_pool_enabled()) {
-    return std::allocate_shared<Node>(arena::NodeAllocator<Node>{},
-                                      std::move(value), requires_grad);
-  }
-  // metis-lint: allow(the node-pool opt-out deliberately heap-allocates)
-  return std::make_shared<Node>(std::move(value), requires_grad);
+  return std::allocate_shared<Node>(arena::NodeAllocator<Node>{},
+                                    std::move(value), requires_grad);
 }
 
 // Builds an op node. With the tape off (NoGradGuard active) the node is a

@@ -19,8 +19,7 @@
 // parents live inline, and the backward closure sits in a fixed small
 // buffer — inside an arena::Scope a steady-state tape-building loop (the
 // §4.2 mask optimization) performs zero fresh allocations after warm-up,
-// graph metadata included (tests/alloc_test.cpp). METIS_NODE_POOL=0
-// falls back to make_shared with bitwise-identical gradients.
+// graph metadata included (tests/alloc_test.cpp).
 #pragma once
 
 #include <array>

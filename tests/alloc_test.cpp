@@ -4,16 +4,22 @@
 //  - NoGradGuard no-tape forwards (same values, no parents, no closures),
 //  - the per-thread tensor arena (buffers recycle inside a scope; the
 //    collection loop performs ZERO fresh tensor allocations after
-//    warm-up; datasets and training are bitwise identical with the arena
-//    on or off),
+//    warm-up; training is bitwise identical with or without a scope),
 //  - the autodiff node pool (tape nodes recycle inside a scope; a §4.2
 //    mask-optimization step performs ZERO fresh tensor AND node
-//    allocations after warm-up; gradients and masks are bitwise
-//    identical with METIS_NODE_POOL=0).
+//    allocations after warm-up; gradients are bitwise identical with or
+//    without a scope).
+// Both pools are always on inside a Scope. Whole-pipeline parity with a
+// thread that never recycles lives in the unscoped oracles:
+// Collection.EveryCaseBitwiseIdenticalToOracleAtEveryWorkerCount
+// (serve_test) and InterpretOracle.EveryModelBitwiseIdenticalToDenseLoop
+// (core_test).
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,31 +42,11 @@ namespace {
 void expect_bitwise(const Tensor& a, const Tensor& b, const std::string& what) {
   ASSERT_EQ(a.rows(), b.rows()) << what;
   ASSERT_EQ(a.cols(), b.cols()) << what;
-  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
-                        a.size() * sizeof(double)),
-            0)
+  // Byte-wise, not memcmp: an empty tensor's data() may be null.
+  EXPECT_TRUE(std::ranges::equal(std::as_bytes(a.data()),
+                                 std::as_bytes(b.data())))
       << what;
 }
-
-// Restores the arena enabled flag, whatever a test does to it.
-class ArenaEnabledRestore {
- public:
-  ArenaEnabledRestore() : saved_(arena::enabled()) {}
-  ~ArenaEnabledRestore() { arena::set_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-// Same for the node-pool flag.
-class NodePoolEnabledRestore {
- public:
-  NodePoolEnabledRestore() : saved_(arena::node_pool_enabled()) {}
-  ~NodePoolEnabledRestore() { arena::set_node_pool_enabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 // ---- lazy gradients ---------------------------------------------------------
 
@@ -176,8 +162,6 @@ TEST(NoGradGuardTest, InferenceEntryPointsLeaveParametersGradFree) {
 // ---- tensor arena -----------------------------------------------------------
 
 TEST(Arena, ScopeRecyclesFreedBuffers) {
-  ArenaEnabledRestore restore;
-  arena::set_enabled(true);
   arena::Scope scope;
   arena::reset_stats();  // counters zero, pooled blocks stay accounted
   const arena::Stats before = arena::stats();
@@ -195,22 +179,7 @@ TEST(Arena, ScopeRecyclesFreedBuffers) {
   EXPECT_EQ(after.reuses, mid.reuses + 1);
 }
 
-TEST(Arena, DisabledScopeIsANoop) {
-  ArenaEnabledRestore restore;
-  arena::set_enabled(false);
-  arena::Scope scope;
-  const arena::Stats before = arena::stats();
-  { Tensor t(16, 16, 1.0); }
-  { Tensor t(16, 16, 1.0); }
-  const arena::Stats after = arena::stats();
-  EXPECT_EQ(after.reuses, before.reuses);
-  EXPECT_EQ(after.pooled, before.pooled);
-  EXPECT_EQ(after.fresh_allocs, before.fresh_allocs + 2);
-}
-
 TEST(Arena, BuffersSurviveScopeExit) {
-  ArenaEnabledRestore restore;
-  arena::set_enabled(true);
   Tensor escaped;
   {
     arena::Scope scope;
@@ -293,8 +262,6 @@ core::CollectConfig collect_config() {
 // and blocks of size 1 on the caller's env (an env that cannot clone runs
 // on the calling thread at any worker count).
 TEST(Arena, CollectionZeroFreshAllocsAfterWarmup) {
-  ArenaEnabledRestore restore;
-  arena::set_enabled(true);
   metis::Rng rng(24);
   PolicyNet net(6, 32, 2, 3, rng);
   core::PolicyNetTeacher teacher(&net);
@@ -320,37 +287,9 @@ TEST(Arena, CollectionZeroFreshAllocsAfterWarmup) {
   }
 }
 
-TEST(Arena, CollectionDatasetBitwiseIdenticalOnOrOff) {
-  ArenaEnabledRestore restore;
-  metis::Rng rng(25);
-  PolicyNet net(6, 32, 2, 3, rng);
-  core::PolicyNetTeacher teacher(&net);
-  ToyRolloutEnv env;
-  const core::CollectConfig cc = collect_config();
-
-  arena::set_enabled(false);
-  const auto off = core::collect_traces(teacher, env, cc, nullptr, 0);
-  arena::set_enabled(true);
-  const auto on = core::collect_traces(teacher, env, cc, nullptr, 0);
-
-  ASSERT_EQ(off.size(), on.size());
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    EXPECT_EQ(off[i].action, on[i].action) << i;
-    EXPECT_EQ(std::memcmp(&off[i].weight, &on[i].weight, sizeof(double)), 0)
-        << i;
-    ASSERT_EQ(off[i].features.size(), on[i].features.size()) << i;
-    EXPECT_EQ(std::memcmp(off[i].features.data(), on[i].features.data(),
-                          off[i].features.size() * sizeof(double)),
-              0)
-        << i;
-  }
-}
-
 // ---- autodiff node pool -----------------------------------------------------
 
 TEST(NodePool, ScopeRecyclesTapeNodes) {
-  NodePoolEnabledRestore restore;
-  arena::set_node_pool_enabled(true);
   arena::Scope scope;
   arena::reset_node_stats();
   { Var v = add(constant(Tensor(2, 2, 1.0)), constant(Tensor(2, 2, 2.0))); }
@@ -363,21 +302,7 @@ TEST(NodePool, ScopeRecyclesTapeNodes) {
   EXPECT_EQ(second.reuses, first.reuses + 3);
 }
 
-TEST(NodePool, DisabledFallsBackToMakeShared) {
-  NodePoolEnabledRestore restore;
-  arena::set_node_pool_enabled(false);
-  arena::Scope scope;
-  arena::reset_node_stats();
-  { Var v = scale(constant(Tensor(2, 2, 1.0)), 2.0); }
-  { Var v = scale(constant(Tensor(2, 2, 1.0)), 2.0); }
-  const arena::NodeStats stats = arena::node_stats();
-  EXPECT_EQ(stats.fresh_allocs, 0u);  // pool bypassed entirely
-  EXPECT_EQ(stats.reuses, 0u);
-}
-
 TEST(NodePool, PooledNodesSurviveScopeExit) {
-  NodePoolEnabledRestore restore;
-  arena::set_node_pool_enabled(true);
   Var escaped;
   {
     arena::Scope scope;
@@ -386,11 +311,12 @@ TEST(NodePool, PooledNodesSurviveScopeExit) {
   EXPECT_DOUBLE_EQ(escaped->value()(2, 2), 8.0);  // block outlives the drain
 }
 
-TEST(NodePool, BackwardBitwiseIdenticalPoolOnOrOff) {
-  auto run = [](bool pooled) {
-    NodePoolEnabledRestore restore;
-    arena::set_node_pool_enabled(pooled);
-    arena::Scope scope;
+// An unscoped thread never recycles, so the unscoped run is the
+// plain-operator-new baseline for the pooled one.
+TEST(NodePool, BackwardBitwiseIdenticalUnderArenaScope) {
+  auto run = [](bool scoped) {
+    std::unique_ptr<arena::Scope> scope;
+    if (scoped) scope = std::make_unique<arena::Scope>();
     metis::Rng rng(31);
     Mlp net({5, 16, 3}, Activation::kTanh, rng);
     Tensor xv(6, 5);
@@ -403,11 +329,11 @@ TEST(NodePool, BackwardBitwiseIdenticalPoolOnOrOff) {
     for (const auto& p : net.parameters()) grads.push_back(p->grad());
     return grads;
   };
-  const auto on = run(true);
-  const auto off = run(false);
-  ASSERT_EQ(on.size(), off.size());
-  for (std::size_t i = 0; i < on.size(); ++i) {
-    expect_bitwise(on[i], off[i], "grad " + std::to_string(i));
+  const auto without = run(false);
+  const auto with = run(true);
+  ASSERT_EQ(without.size(), with.size());
+  for (std::size_t i = 0; i < without.size(); ++i) {
+    expect_bitwise(without[i], with[i], "grad " + std::to_string(i));
   }
 }
 
@@ -418,11 +344,6 @@ TEST(NodePool, BackwardBitwiseIdenticalPoolOnOrOff) {
 // dense model ops; routing adds the CSR candidate-path product, whose
 // backward scratch must come from the arena too.
 TEST(NodePool, MaskOptimizationStepsAreAllocationFreeAfterWarmup) {
-  ArenaEnabledRestore arena_restore;
-  NodePoolEnabledRestore restore;
-  arena::set_enabled(true);
-  arena::set_node_pool_enabled(true);
-
   api::ScenarioOptions options;
   options.scale = 0.05;
   const api::GlobalSystem routing =
@@ -465,28 +386,8 @@ TEST(NodePool, MaskOptimizationStepsAreAllocationFreeAfterWarmup) {
   }
 }
 
-// Full-pipeline parity: the interpretation masks are bitwise identical
-// with the node pool on and off (METIS_NODE_POOL=0's runtime twin).
-TEST(NodePool, InterpretationMaskBitwiseIdenticalPoolOnOrOff) {
-  auto run = [](bool pooled) {
-    NodePoolEnabledRestore restore;
-    arena::set_node_pool_enabled(pooled);
-    scenarios::NfvPlacementModel model(scenarios::figure21_nfv());
-    core::InterpretConfig cfg;
-    cfg.steps = 40;
-    return core::find_critical_connections(model, cfg);
-  };
-  const auto on = run(true);
-  const auto off = run(false);
-  expect_bitwise(on.mask, off.mask, "mask");
-  EXPECT_EQ(std::memcmp(&on.divergence, &off.divergence, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&on.entropy, &off.entropy, sizeof(double)), 0);
-}
-
 TEST(Arena, TrainingBitwiseIdenticalUnderArenaScope) {
   auto train = [](bool scoped) {
-    ArenaEnabledRestore restore;
-    arena::set_enabled(true);
     std::unique_ptr<arena::Scope> scope;
     if (scoped) scope = std::make_unique<arena::Scope>();
     metis::Rng rng(26);

@@ -20,9 +20,9 @@ namespace {
 void expect_bitwise(const Tensor& a, const Tensor& b, const std::string& what) {
   ASSERT_EQ(a.rows(), b.rows()) << what;
   ASSERT_EQ(a.cols(), b.cols()) << what;
-  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
-                        a.size() * sizeof(double)),
-            0)
+  // Byte-wise, not memcmp: an empty tensor's data() may be null.
+  EXPECT_TRUE(std::ranges::equal(std::as_bytes(a.data()),
+                                 std::as_bytes(b.data())))
       << what;
 }
 

@@ -2,8 +2,10 @@
 // the dense |E| x |V| box, as it ran before the search went sparse. The
 // logits and the Adam state cover every cell, the gating scans the dense
 // incidence matrix, and the regularizer below scans it again; the naive
-// GEMM kernels run underneath. find_critical_connections, which optimises
-// one logit per connection, must reproduce its mask, ranking and loss
+// GEMM kernels run underneath, and no arena::Scope is open, so every
+// tensor buffer and tape node comes from plain operator new.
+// find_critical_connections, which optimises one logit per connection
+// with both pools recycling, must reproduce its mask, ranking and loss
 // diagnostics bit for bit.
 #pragma once
 
@@ -13,7 +15,6 @@
 #include <utility>
 
 #include "metis/core/hypergraph_interpreter.h"
-#include "metis/nn/arena.h"
 #include "metis/nn/gemm.h"
 #include "metis/nn/optim.h"
 
@@ -87,7 +88,6 @@ inline core::InterpretResult find_critical_connections(
   const double n_conn =
       std::max<double>(1.0, static_cast<double>(graph.connection_count()));
   double last_div = 0.0, last_l1 = 0.0, last_entropy = 0.0;
-  nn::arena::Scope arena;
   for (std::size_t step = 0; step < cfg.steps; ++step) {
     const nn::Var w = nn::gated_sigmoid(logits, incidence_const);
     const nn::Var y = model.decisions(w);

@@ -288,8 +288,9 @@ TEST(Autodiff, MaskRegularizerMatchesCompositeAndDifferentiates) {
 
 void expect_bitwise(const Tensor& a, const Tensor& b, const std::string& what) {
   ASSERT_TRUE(a.same_shape(b)) << what;
-  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
-                        a.size() * sizeof(double)), 0)
+  // Byte-wise, not memcmp: an empty tensor's data() may be null.
+  EXPECT_TRUE(std::ranges::equal(std::as_bytes(a.data()),
+                                 std::as_bytes(b.data())))
       << what;
 }
 

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "metis/core/hypergraph_interpreter.h"
 #include "metis/routing/latency_model.h"
@@ -250,6 +252,49 @@ TEST(RoutingMaskModel, InterpreterProducesPolarizedMasks) {
   const double mid =
       metis::fraction_below(values, 0.8) - metis::fraction_below(values, 0.2);
   EXPECT_LT(mid, 0.6);
+}
+
+// Paper-result gate for Fig. 9a: the mask CDF is bimodal. Runs the
+// bench_fig09_mask_cdf configuration (near-saturation traffic, sharper
+// decision softmax, lambda2 = 1.5, 300 steps) on a few traffic samples
+// per seed. Measured shares (<= 0.05, (0.2, 0.8], > 0.95) at seeds
+// 11..16: 0.475/0.130/0.290, 0.396/0.126/0.366, 0.486/0.125/0.263,
+// 0.532/0.128/0.216, 0.566/0.082/0.283, 0.448/0.086/0.380. The bounds
+// below are thresholds with a margin, not goldens.
+TEST(RoutingMaskModel, MaskCdfIsBimodal) {
+  constexpr double kMidCeiling = 0.20;
+  constexpr double kLowFloor = 0.30;
+  constexpr double kHighFloor = 0.18;
+  const Topology topo = nsfnet();
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    RouteNetConfig cfg;
+    cfg.seed = seed;
+    cfg.softmax_beta = 2.0;
+    RouteNetStar model(&topo, cfg);
+    model.train(1024, 300);
+    TrafficGenConfig tcfg;
+    tcfg.intensity = 0.95;
+    const auto traffic = generate_traffic_set(topo, tcfg, 4, seed + 1000);
+
+    core::InterpretConfig icfg;
+    icfg.lambda2 = 1.5;
+    icfg.steps = 300;
+    std::vector<double> masks;
+    for (std::size_t i = 0; i < traffic.size(); ++i) {
+      const auto result = model.route(traffic[i]);
+      const RoutingMaskModel mask_model(&model, result);
+      icfg.seed = 3 + i;
+      const auto interp = core::find_critical_connections(mask_model, icfg);
+      for (double m : interp.mask_values()) masks.push_back(m);
+    }
+    const double low = metis::fraction_below(masks, 0.05);
+    const double mid =
+        metis::fraction_below(masks, 0.8) - metis::fraction_below(masks, 0.2);
+    const double high = 1.0 - metis::fraction_below(masks, 0.95);
+    EXPECT_LT(mid, kMidCeiling) << "seed " << seed;
+    EXPECT_GT(low, kLowFloor) << "seed " << seed;
+    EXPECT_GT(high, kHighFloor) << "seed " << seed;
+  }
 }
 
 }  // namespace
