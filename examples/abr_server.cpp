@@ -108,9 +108,9 @@ int main(int argc, char** argv) {
   cfg.tcp_port = tcp_port;
   cfg.service.workers = workers;
   cfg.service.options.scale = scale;
-  // Distilled trees hot-swap into the query plane automatically: the
-  // server watches its own control plane for completed distill jobs and
-  // add_tree()s them under the scenario key — no caller-side wiring.
+  // Distilled trees hot-swap into the query plane automatically: each
+  // distill job's worker add_tree()s its tree under the scenario key as
+  // the job completes — no caller-side wiring.
   cfg.auto_deploy_distilled = true;
   // With --store-dir, the server opens (and crash-recovers) a versioned
   // snapshot store there: previously published trees warm-boot into the
@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-  // Started before the tree exists: auto-deploy runs on the loop thread,
-  // and queries for "abr" get a clean unknown-tree error until it lands.
+  // Started before the tree exists: queries for "abr" get a clean
+  // unknown-tree error until the distill job deploys it.
   server.start();
 
   if (distill) {
@@ -137,9 +137,10 @@ int main(int argc, char** argv) {
     const tree::DecisionTree& dtree = job.distill_run().result.tree;
     std::cout << "tree ready: " << dtree.leaf_count() << " leaves\n";
     tree::save(dtree, tree_out);  // crash-safe: old file or new, never torn
-    while (!server.has_tree("abr")) {  // auto-deploy lands within one
-      std::this_thread::sleep_for(      // housekeeping tick
-          std::chrono::milliseconds(5));
+    // A finished job is already deployed — unless the store refused it.
+    if (!server.has_tree("abr")) {
+      std::cerr << "the snapshot store rejected the tree; not serving it\n";
+      return 1;
     }
   } else {
     const tree::DecisionTree dtree = fit_demo_tree(/*seed=*/7);

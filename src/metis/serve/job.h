@@ -3,8 +3,8 @@
 // submit_*() returns a JobHandle immediately; the caller polls status(),
 // blocks on wait(), or cancels a job that has not started. Handles are
 // cheap shared references into the service's job table — copying one does
-// not copy results, and a handle stays valid after the run completes (the
-// table keeps finished jobs until the service is destroyed).
+// not copy results, and a handle stays valid after the run completes, even
+// once the table has evicted the job (see Service::kMaxFinishedJobs).
 #pragma once
 
 #include <atomic>

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <functional>
 #include <utility>
 
 #include "metis/net/io.h"
@@ -15,7 +16,12 @@
 namespace metis::serve {
 
 Server::Server(ServerConfig config)
-    : config_(std::move(config)), service_(config_.service) {
+    : config_(std::move(config)),
+      service_(config_.service,
+               config_.auto_deploy_distilled
+                   ? Service::DistillDoneHook(std::bind_front(&Server::deploy,
+                                                              this))
+                   : nullptr) {
   if (!config_.store_dir.empty()) {
     // Constructing the store IS crash recovery: checksum scan, temp
     // sweep, quarantine, manifest reconcile (store/snapshot_store.h).
@@ -79,11 +85,10 @@ void Server::start() {
     throw std::runtime_error(
         "Server::start: no listener configured (set unix_path and/or tcp)");
   }
-  // Housekeeping timer: armed before the loop thread exists (add_timer is
-  // legal off-thread only until run()), fires on the loop thread forever
-  // after. Skipped entirely when nothing needs periodic work.
-  if (config_.idle_timeout_ms > 0 || config_.write_stall_timeout_ms > 0 ||
-      config_.auto_deploy_distilled) {
+  // Reaper timer: armed before the loop thread exists (add_timer is legal
+  // off-thread only until run()), fires on the loop thread forever after.
+  // Skipped entirely when no reaping is configured.
+  if (config_.idle_timeout_ms > 0 || config_.write_stall_timeout_ms > 0) {
     const auto period =
         std::chrono::milliseconds(std::max<std::uint64_t>(
             1, config_.housekeeping_interval_ms));
@@ -158,60 +163,45 @@ void Server::begin_drain() {
 
 void Server::housekeeping() {
   const auto now = std::chrono::steady_clock::now();
-  if (config_.idle_timeout_ms > 0 || config_.write_stall_timeout_ms > 0) {
-    const auto idle = std::chrono::milliseconds(config_.idle_timeout_ms);
-    const auto stall =
-        std::chrono::milliseconds(config_.write_stall_timeout_ms);
-    std::vector<int> reap;
-    for (const auto& [fd, conn] : conns_) {
-      if (config_.idle_timeout_ms > 0 && now - conn->last_activity >= idle) {
-        reap.push_back(fd);
-        continue;
-      }
-      if (config_.write_stall_timeout_ms > 0 && conn->want_write &&
-          now - conn->stall_since >= stall) {
-        reap.push_back(fd);
-      }
+  const auto idle = std::chrono::milliseconds(config_.idle_timeout_ms);
+  const auto stall = std::chrono::milliseconds(config_.write_stall_timeout_ms);
+  std::vector<int> reap;
+  for (const auto& [fd, conn] : conns_) {
+    if (config_.idle_timeout_ms > 0 && now - conn->last_activity >= idle) {
+      reap.push_back(fd);
+      continue;
     }
-    for (const int fd : reap) {
-      stats_.connections_reaped.fetch_add(1, std::memory_order_relaxed);
-      close_connection(fd);
+    if (config_.write_stall_timeout_ms > 0 && conn->want_write &&
+        now - conn->stall_since >= stall) {
+      reap.push_back(fd);
     }
   }
-  if (config_.auto_deploy_distilled) {
-    for (const JobHandle& job : service_.jobs()) {
-      if (job.kind() != JobKind::kDistill) continue;
-      if (job.status() != JobStatus::kDone) continue;
-      if (!deployed_jobs_.insert(job.id()).second) continue;
-      try {
-        // distill_run() returns without blocking (status is kDone) unless
-        // a caller already took the result — then skip, don't crash.
-        const api::DistillRun& run = job.distill_run();
-        std::uint64_t version = 0;
-        if (store_) {
-          // Durable before visible: the artifact must be fsync'd into
-          // the store BEFORE the query plane can answer with it. A
-          // publish the disk rejected (ENOSPC, I/O error) defers the
-          // deploy to the next housekeeping tick — un-marking the job so
-          // it is retried — rather than serving an artifact that would
-          // not survive a restart.
-          try {
-            version = store_->publish_tree(job.scenario(), run.result.tree);
-          } catch (const std::runtime_error&) {
-            deployed_jobs_.erase(job.id());
-            stats_.store_publish_failures.fetch_add(
-                1, std::memory_order_relaxed);
-            continue;
-          }
-        }
-        add_tree(job.scenario(), tree::FlatTree::compile(run.result.tree),
-                 version);
-        stats_.trees_auto_deployed.fetch_add(1, std::memory_order_relaxed);
-      } catch (const std::logic_error&) {
-        // Result taken out from under us; the job stays marked deployed.
-      }
+  for (const int fd : reap) {
+    stats_.connections_reaped.fetch_add(1, std::memory_order_relaxed);
+    close_connection(fd);
+  }
+}
+
+void Server::deploy(const std::string& key, const api::DistillRun& run) {
+  tree::FlatTree compiled = tree::FlatTree::compile(run.result.tree);
+  // One deploy at a time, so the query plane swaps trees in the order the
+  // store versioned them: a job that published first can never overwrite
+  // a newer tree. The store serializes publishes anyway.
+  util::MutexLock lock(deploy_mu_);
+  std::uint64_t version = 0;
+  if (store_) {
+    // Durable before visible: the artifact is fsync'd into the store
+    // BEFORE the query plane can answer with it. A publish the disk
+    // rejects (ENOSPC, I/O error) is counted, and the tree is not served.
+    try {
+      version = store_->publish_tree(key, run.result.tree);
+    } catch (const std::runtime_error&) {
+      stats_.store_publish_failures.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
   }
+  add_tree(key, std::move(compiled), version);
+  stats_.trees_auto_deployed.fetch_add(1, std::memory_order_relaxed);
 }
 
 Server::Stats Server::stats() const {

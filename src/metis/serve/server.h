@@ -32,7 +32,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,7 +70,7 @@ struct ServerConfig {
   // long (slow-loris readers that accept a byte an hour — the bounded
   // write buffer alone cannot catch those).
   std::uint64_t write_stall_timeout_ms = 0;
-  // Cadence of the reaper/auto-deploy timer on the loop thread.
+  // Cadence of the reaper timer on the loop thread.
   std::uint64_t housekeeping_interval_ms = 50;
   // Upper bound on graceful stop(): pending replies get this long to
   // drain before remaining connections are cut. Always > 0.
@@ -79,10 +78,11 @@ struct ServerConfig {
   // Hot-swap every completed distill job's tree into the query plane
   // under its scenario key (via add_tree), so clients can open sessions
   // against what the control plane just trained without any caller-side
-  // wiring. Jobs whose result was already taken are skipped. With a
-  // store configured, the tree is published durably FIRST — a deploy the
-  // store rejected (disk full) is retried at the next housekeeping tick
-  // and never becomes visible undurable.
+  // wiring. The deploy runs on the job's worker as the job completes,
+  // before its status reads kDone: "done" implies "deployed". With a
+  // store configured, the tree is published durably FIRST — a publish
+  // the store rejects (disk full) is counted in store_publish_failures,
+  // never served and not retried; the job still ends kDone.
   bool auto_deploy_distilled = false;
 
   // --- durability (empty = no store) ----------------------------------------
@@ -102,7 +102,7 @@ struct ServerConfig {
 class Server {
  public:
   explicit Server(ServerConfig config);
-  ~Server();  // stop() + drains in-flight jobs via the Service dtor
+  ~Server();  // stop(), then the Service dtor drains in-flight jobs
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -113,8 +113,9 @@ class Server {
   // not store-backed), reported by kListTrees.
   void add_tree(const std::string& name, tree::FlatTree tree,
                 std::uint64_t version = 0);
-  // True once a tree is deployed under `name` (thread-safe; the poll
-  // clients use to wait for auto_deploy_distilled to land).
+  // True once a tree is deployed under `name` (thread-safe). With
+  // auto_deploy_distilled this already holds when a distill job for
+  // `name` reports kDone.
   [[nodiscard]] bool has_tree(const std::string& name) const;
 
   // Binds the configured listeners and spawns the loop thread.
@@ -149,7 +150,7 @@ class Server {
     std::uint64_t connections_reaped = 0;   // idle/write-stall timeouts
     std::uint64_t trees_auto_deployed = 0;  // auto_deploy_distilled swaps
     std::uint64_t trees_warm_booted = 0;    // store recoveries deployed
-    std::uint64_t store_publish_failures = 0;  // deploys deferred by the store
+    std::uint64_t store_publish_failures = 0;  // auto-deploys the store refused
   };
   [[nodiscard]] Stats stats() const;
 
@@ -187,15 +188,16 @@ class Server {
   void flush(Connection& conn) REQUIRES(loop_role_);
   void close_connection(int fd) REQUIRES(loop_role_);
   [[nodiscard]] std::size_t inflight_jobs() REQUIRES(loop_role_);
-  // Periodic loop-thread maintenance: idle/write-stall reaping and
-  // auto_deploy_distilled hot swaps.
+  // Periodic loop-thread maintenance: idle/write-stall reaping.
   void housekeeping() REQUIRES(loop_role_);
+  // The auto_deploy_distilled hook, run on the finished job's worker.
+  void deploy(const std::string& key, const api::DistillRun& run)
+      EXCLUDES(deploy_mu_);
   // Begins the graceful shutdown on the loop thread: unregisters the
   // listeners, flushes/closes connections, arms the stop deadline.
   void begin_drain() REQUIRES(loop_role_);
 
   ServerConfig config_;
-  Service service_;
   net::EventLoop loop_;
   std::optional<net::Listener> unix_listener_;
   std::optional<net::Listener> tcp_listener_;
@@ -217,6 +219,8 @@ class Server {
   // Constructed (and crash-recovered) in the Server constructor; the
   // query plane is warm-booted from it in start() before listeners bind.
   std::optional<store::SnapshotStore> store_;
+  // Held by deploy() from publish to add_tree (see deploy()).
+  util::Mutex deploy_mu_;
 
   // "Loop thread only" as a compile-time capability: a zero-cost
   // util::ThreadRole acquired by the loop callbacks (and by stop()'s
@@ -232,10 +236,9 @@ class Server {
   // flushed connection closes instead of idling, and the last close (or
   // the stop deadline) stops the loop.
   bool draining_ GUARDED_BY(loop_role_) = false;
-  // Distill jobs already hot-swapped by auto_deploy_distilled.
-  std::set<JobId> deployed_jobs_ GUARDED_BY(loop_role_);
 
-  // Written by the loop thread, read by stats() from any thread. Every
+  // Written by the loop thread (the auto-deploy counters by Service
+  // workers, in deploy()), read by stats() from any thread. Every
   // counter is monotonic and independently atomic (relaxed): stats() is a
   // monitoring snapshot, not a transaction, so no cross-counter ordering
   // is promised — a snapshot may be mid-update but never torn. Audited
@@ -254,6 +257,10 @@ class Server {
     std::atomic<std::uint64_t> store_publish_failures{0};
   };
   AtomicStats stats_;
+
+  // Last member, so it is destroyed first: ~Service drains running jobs,
+  // whose deploy hook still touches store_, trees_ and stats_ above.
+  Service service_;
 };
 
 }  // namespace metis::serve

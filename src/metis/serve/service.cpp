@@ -10,8 +10,9 @@
 
 namespace metis::serve {
 
-Service::Service(ServiceConfig config)
+Service::Service(ServiceConfig config, DistillDoneHook on_distilled)
     : config_(std::move(config)),
+      on_distilled_(std::move(on_distilled)),
       pool_(std::max<std::size_t>(config_.workers, 1)) {}
 
 Service::~Service() {
@@ -35,6 +36,16 @@ JobHandle Service::enqueue(std::shared_ptr<detail::JobState> state) {
   JobHandle handle(state);
   pool_.submit([this, state = std::move(state)] { run_job(state); });
   return handle;
+}
+
+void Service::retire(JobId id) {
+  util::MutexLock lock(table_mu_);
+  if (!table_.contains(id)) return;  // forgotten already
+  finished_.push_back(id);
+  while (finished_.size() > kMaxFinishedJobs) {
+    table_.erase(finished_.front());
+    finished_.pop_front();
+  }
 }
 
 namespace {
@@ -107,26 +118,8 @@ bool Service::forget(JobId id) {
     if (!is_terminal(it->second->status)) return false;
   }
   table_.erase(it);
+  std::erase(finished_, id);
   return true;
-}
-
-std::size_t Service::prune_finished() {
-  util::MutexLock lock(table_mu_);
-  std::size_t evicted = 0;
-  for (auto it = table_.begin(); it != table_.end();) {
-    bool terminal;
-    {
-      util::MutexLock state_lock(it->second->mu);
-      terminal = is_terminal(it->second->status);
-    }
-    if (terminal) {
-      it = table_.erase(it);
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  return evicted;
 }
 
 void Service::clear_cache() {
@@ -186,25 +179,38 @@ std::shared_ptr<Service::GlobalSlot> Service::global_slot(
   return out;
 }
 
+namespace {
+
+// Moves a dequeued job to kRunning; false, with the job left terminal,
+// when it must not start.
+bool start_job(detail::JobState& state, const util::CancelToken& token,
+               const std::atomic<bool>& stopping) {
+  util::MutexLock lock(state.mu);
+  if (state.status != JobStatus::kQueued) return false;  // cancelled
+  if (stopping.load()) {
+    state.status = JobStatus::kCancelled;
+    state.cv.notify_all();
+    return false;
+  }
+  if (token.cancelled()) {
+    // The deadline expired (or cancel() raced the dequeue) while the
+    // job sat in the queue: never start the pipeline.
+    state.status =
+        token.timed_out() ? JobStatus::kTimedOut : JobStatus::kCancelled;
+    state.cv.notify_all();
+    return false;
+  }
+  state.status = JobStatus::kRunning;
+  return true;
+}
+
+}  // namespace
+
 void Service::run_job(const std::shared_ptr<detail::JobState>& state) {
   const util::CancelToken token = state->cancel_source.token();
-  {
-    util::MutexLock lock(state->mu);
-    if (state->status != JobStatus::kQueued) return;  // cancelled
-    if (stopping_.load()) {
-      state->status = JobStatus::kCancelled;
-      state->cv.notify_all();
-      return;
-    }
-    if (token.cancelled()) {
-      // The deadline expired (or cancel() raced the dequeue) while the
-      // job sat in the queue: never start the pipeline.
-      state->status =
-          token.timed_out() ? JobStatus::kTimedOut : JobStatus::kCancelled;
-      state->cv.notify_all();
-      return;
-    }
-    state->status = JobStatus::kRunning;
+  if (!start_job(*state, token, stopping_)) {
+    retire(state->id);
+    return;
   }
 
   JobStatus final_status = JobStatus::kDone;
@@ -220,6 +226,7 @@ void Service::run_job(const std::shared_ptr<detail::JobState>& state) {
   try {
     if (state->kind == JobKind::kDistill) {
       run_distill(*state, distill_run);
+      if (on_distilled_) on_distilled_(state->scenario, distill_run);
     } else {
       run_interpret(*state, interpret_run);
     }
@@ -239,6 +246,9 @@ void Service::run_job(const std::shared_ptr<detail::JobState>& state) {
     exception = std::current_exception();
   }
 
+  // Retired before its status flips, so whoever sees a job that ran
+  // finish also sees the retention rule applied.
+  retire(state->id);
   {
     util::MutexLock lock(state->mu);
     if (final_status == JobStatus::kDone) {

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -68,7 +69,20 @@ struct ServiceConfig {
 
 class Service {
  public:
-  explicit Service(ServiceConfig config = {});
+  // Runs on the worker for each distill job that succeeds, with its
+  // submitted key and run, BEFORE the status reads kDone: what the hook
+  // does has happened once anyone sees the job done. No lock is held; an
+  // exception fails the job.
+  using DistillDoneHook =
+      std::function<void(const std::string& key, const api::DistillRun& run)>;
+
+  // Finished jobs the table retains. Past this many, the job that
+  // finished longest ago is evicted (queued and running jobs never are);
+  // handles already held stay valid, find() just stops returning it.
+  static constexpr std::size_t kMaxFinishedJobs = 1024;
+
+  explicit Service(ServiceConfig config = {},
+                   DistillDoneHook on_distilled = nullptr);
   // Cancels every queued job, waits for running jobs, joins the pool.
   ~Service();
 
@@ -91,13 +105,10 @@ class Service {
   // Blocks until every submitted job has reached a terminal state.
   void wait_all();
 
-  // Evicts a terminal job from the table so a long-lived service does not
-  // pin every result forever; returns false for unknown ids and jobs
-  // still queued/running. Live handles keep their state (and result, if
-  // untaken) alive; find() just stops returning the id.
+  // Evicts a terminal job from the table ahead of the kMaxFinishedJobs
+  // rule; returns false for unknown ids and jobs still queued/running.
+  // Live handles keep their state (and result, if untaken) alive.
   bool forget(JobId id);
-  // forget() for every terminal job; returns how many were evicted.
-  std::size_t prune_finished();
 
   // Drops cached built systems (e.g. to rebuild teachers under new
   // options). Running jobs keep their already-resolved systems alive.
@@ -151,17 +162,22 @@ class Service {
 
   JobHandle enqueue(std::shared_ptr<detail::JobState> state);
   void run_job(const std::shared_ptr<detail::JobState>& state);
+  // Queues a finishing job for kMaxFinishedJobs eviction.
+  void retire(JobId id);
   void run_distill(const detail::JobState& state, api::DistillRun& out);
   void run_interpret(const detail::JobState& state, api::InterpretRun& out);
   [[nodiscard]] std::shared_ptr<LocalSlot> local_slot(const std::string& key);
   [[nodiscard]] std::shared_ptr<GlobalSlot> global_slot(const std::string& key);
 
   ServiceConfig config_;
+  const DistillDoneHook on_distilled_;
 
   mutable util::Mutex table_mu_;
   std::map<JobId, std::shared_ptr<detail::JobState>> table_
       GUARDED_BY(table_mu_);
   JobId next_id_ GUARDED_BY(table_mu_) = 1;
+  // Retired jobs still in table_, oldest first.
+  std::deque<JobId> finished_ GUARDED_BY(table_mu_);
 
   // Guards the slot maps and their LRU bookkeeping; never held while
   // building (builds serialize on the slot's own build_mu).

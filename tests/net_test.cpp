@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -37,6 +38,7 @@
 #include "metis/net/io.h"
 #include "metis/net/wire.h"
 #include "metis/serve/server.h"
+#include "metis/store/snapshot_store.h"
 #include "metis/tree/flat_tree.h"
 #include "metis/tree/tree_io.h"
 #include "metis/util/fault.h"
@@ -105,6 +107,10 @@ struct Gate {
       open = true;
     }
     cv.notify_all();
+  }
+  void close() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = false;
   }
   void wait() {
     std::unique_lock<std::mutex> lock(mu);
@@ -1017,7 +1023,6 @@ TEST(Server, AutoDeployPublishesDistilledTreeToQueryPlane) {
   cfg.service.workers = 1;
   cfg.service.registry = &registry;
   cfg.auto_deploy_distilled = true;
-  cfg.housekeeping_interval_ms = 10;
   serve::Server server(cfg);
   server.start();
   EXPECT_FALSE(server.has_tree("gated"));
@@ -1034,16 +1039,15 @@ TEST(Server, AutoDeployPublishesDistilledTreeToQueryPlane) {
             serve::JobStatus::kDone)
       << status.error;
 
-  // The housekeeping tick hot-swaps the finished tree into the query
-  // plane under the scenario key — no caller-side add_tree.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!server.has_tree("gated") &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  // Done implies deployed: the worker hot-swapped the finished tree into
+  // the query plane under the scenario key before the job read kDone —
+  // no caller-side add_tree, no waiting.
   ASSERT_TRUE(server.has_tree("gated"));
   EXPECT_EQ(server.stats().trees_auto_deployed, 1u);
+  const auto listed = client.list_trees();
+  ASSERT_EQ(listed.names.size(), 1u);
+  EXPECT_EQ(listed.names[0], "gated");
+  EXPECT_EQ(listed.versions[0], 0u);  // no store: not store-backed
 
   // Served decisions match a FlatTree compiled from the wire-returned
   // serialization, bitwise.
@@ -1057,6 +1061,99 @@ TEST(Server, AutoDeployPublishesDistilledTreeToQueryPlane) {
     EXPECT_TRUE(bit_equal(client.query(sid, i, x), flat.predict(x)));
   }
   server.stop();
+}
+
+// ~Server while a distill job is mid-run: the Service drains the job
+// before the members its deploy hook touches (store, trees, stats) die,
+// so the hook publishes durably during teardown instead of writing into
+// freed memory (the ASan and TSan legs run this).
+TEST(Server, DestroyedMidJobDrainsBeforeDeployStateDies) {
+  auto gate = std::make_shared<Gate>();
+  api::ScenarioRegistry registry;
+  registry.add(std::make_unique<GatedScenario>(gate));
+
+  serve::ServerConfig cfg;
+  cfg.unix_path = unique_socket_path();
+  cfg.store_dir = cfg.unix_path + ".store";
+  cfg.service.workers = 1;
+  cfg.service.registry = &registry;
+  cfg.auto_deploy_distilled = true;
+  auto server = std::make_unique<serve::Server>(cfg);
+  server->start();
+  const serve::JobHandle job = server->service().submit_distill("gated");
+  while (job.status() == serve::JobStatus::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(job.status(), serve::JobStatus::kRunning);  // parked on the gate
+
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gate->release();
+  });
+  server.reset();  // blocks until the gated job has finished and deployed
+  releaser.join();
+
+  EXPECT_EQ(job.status(), serve::JobStatus::kDone);
+  store::SnapshotStore reopened({.dir = cfg.store_dir});
+  EXPECT_EQ(reopened.latest_version(store::ArtifactKind::kTree, "gated"), 1u);
+  std::filesystem::remove_all(cfg.store_dir);
+}
+
+// Two same-key distill jobs finishing together on two workers: the query
+// plane swaps their trees in the order the store versioned them, so the
+// served tree is always the store's latest — never an older job's tree
+// landing on top of a newer one.
+TEST(Server, ConcurrentSameKeyDeploysServeTheStoresLatestVersion) {
+  auto gate = std::make_shared<Gate>();
+  api::ScenarioRegistry registry;
+  registry.add(std::make_unique<GatedScenario>(gate));
+
+  serve::ServerConfig cfg;
+  cfg.unix_path = unique_socket_path();
+  cfg.store_dir = cfg.unix_path + ".store";
+  cfg.service.workers = 2;
+  cfg.service.registry = &registry;
+  cfg.auto_deploy_distilled = true;
+  serve::Server server(cfg);
+  server.start();
+  net::Client client = net::Client::connect_unix(cfg.unix_path);
+  // Different collection budgets, so the two jobs' trees can differ.
+  api::DistillOverrides shorter;
+  shorter.max_steps = 3;
+
+  Rng rng(515);
+  for (std::uint64_t round = 1; round <= 8; ++round) {
+    gate->close();
+    const serve::JobHandle a = server.service().submit_distill("gated");
+    const serve::JobHandle b =
+        server.service().submit_distill("gated", shorter);
+    while (a.status() == serve::JobStatus::kQueued ||
+           b.status() == serve::JobStatus::kQueued) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    gate->release();  // both parked on the gate: let them finish together
+    a.wait();
+    b.wait();
+    ASSERT_EQ(a.status(), serve::JobStatus::kDone);
+    ASSERT_EQ(b.status(), serve::JobStatus::kDone);
+
+    const std::uint64_t latest = server.snapshot_store()->latest_version(
+        store::ArtifactKind::kTree, "gated");
+    ASSERT_EQ(latest, 2 * round);
+    const auto listed = client.list_trees();
+    ASSERT_EQ(listed.names.size(), 1u);
+    EXPECT_EQ(listed.versions[0], latest);
+    const tree::FlatTree stored = tree::FlatTree::compile(
+        server.snapshot_store()->load_tree("gated"));
+    const std::uint64_t sid = client.open_session("gated");
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      const std::vector<double> x = {rng.uniform()};
+      EXPECT_TRUE(bit_equal(client.query(sid, i, x), stored.predict(x)));
+    }
+  }
+  EXPECT_EQ(server.stats().trees_auto_deployed, 16u);
+  server.stop();
+  std::filesystem::remove_all(cfg.store_dir);
 }
 
 // ---- client: timeouts, retry, reconnect -------------------------------------

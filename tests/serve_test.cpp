@@ -4,6 +4,8 @@
 // path, and thread-safe ScenarioRegistry access.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -22,7 +24,9 @@
 #include "metis/api/registry.h"
 #include "metis/core/lime.h"
 #include "metis/core/trace_collector.h"
+#include "metis/net/client.h"
 #include "metis/nn/mlp.h"
+#include "metis/serve/server.h"
 #include "metis/serve/service.h"
 #include "metis/tree/tree_io.h"
 #include "metis/util/parallel_for.h"
@@ -639,7 +643,7 @@ TEST(Service, ForgetEvictsOnlyTerminalJobs) {
   auto queued = svc.submit_distill("line");
   EXPECT_FALSE(svc.forget(blocked.id()));  // running (or about to): kept
   EXPECT_FALSE(svc.forget(queued.id()));   // queued: kept
-  EXPECT_EQ(svc.prune_finished(), 0u);
+  EXPECT_EQ(svc.jobs().size(), 2u);
 
   release.set_value();
   svc.wait_all();
@@ -650,8 +654,76 @@ TEST(Service, ForgetEvictsOnlyTerminalJobs) {
   EXPECT_EQ(blocked.status(), serve::JobStatus::kDone);
   EXPECT_GT(blocked.distill_run().result.samples_collected, 0u);
 
-  EXPECT_EQ(svc.prune_finished(), 1u);  // the remaining 'line' job
+  EXPECT_TRUE(svc.forget(queued.id()));  // the remaining 'line' job
   EXPECT_TRUE(svc.jobs().empty());
+}
+
+// The job table is bounded: thousands of tiny jobs, submitted over the
+// wire by clients that connect, run one batch and hang up, leave at most
+// Service::kMaxFinishedJobs finished jobs behind, the oldest evicted
+// first. A job still running is never evicted, and handles already held
+// stay valid.
+TEST(Service, JobTableStaysBoundedUnderConnectionChurn) {
+  std::promise<void> release;
+  api::ScenarioRegistry reg;
+  reg.add(std::make_unique<GatedScenario>("gated",
+                                          release.get_future().share()));
+  reg.add(std::make_unique<LineScenario>("line"));
+
+  serve::ServerConfig cfg;
+  cfg.unix_path =
+      "/tmp/metis_serve_test_" + std::to_string(::getpid()) + ".sock";
+  cfg.service.workers = 2;
+  cfg.service.registry = &reg;
+  cfg.auto_deploy_distilled = true;
+  serve::Server server(cfg);
+  server.start();
+  serve::Service& svc = server.service();
+  // Pins one worker for the whole soak; the other runs every tiny job.
+  const serve::JobHandle pinned = svc.submit_distill("gated");
+
+  constexpr std::size_t kCap = serve::Service::kMaxFinishedJobs;
+  constexpr std::size_t kJobs = 3 * kCap;
+  api::DistillOverrides tiny;
+  tiny.episodes = 1;
+  tiny.max_steps = 2;
+  tiny.dagger_iterations = 1;
+  tiny.max_leaves = 2;
+  std::vector<serve::JobHandle> first_batch;
+  std::size_t distilled = 0;
+  for (std::size_t submitted = 0; submitted < kJobs;) {
+    net::Client client = net::Client::connect_unix(cfg.unix_path);
+    std::vector<serve::JobHandle> batch;
+    // One connection's quota (max_jobs_per_connection) in flight at once.
+    for (std::size_t i = 0; i < cfg.max_jobs_per_connection; ++i) {
+      // Every third job names no scenario and fails: terminal all the same.
+      const bool fails = submitted++ % 3 == 2;
+      const auto id = client.submit_distill(fails ? "missing" : "line", tiny);
+      ASSERT_TRUE(id.has_value());
+      batch.push_back(svc.find(*id));
+      ASSERT_TRUE(batch.back().valid());
+      distilled += fails ? 0 : 1;
+    }
+    for (const serve::JobHandle& job : batch) job.wait();
+    if (first_batch.empty()) first_batch = batch;
+    ASSERT_LE(svc.jobs().size(), kCap + 1);  // + the pinned running job
+  }
+
+  EXPECT_EQ(svc.jobs().size(), kCap + 1);
+  EXPECT_TRUE(svc.find(pinned.id()).valid());
+  EXPECT_EQ(pinned.status(), serve::JobStatus::kRunning);
+  for (const serve::JobHandle& job : first_batch) {
+    EXPECT_FALSE(svc.find(job.id()).valid());  // the oldest went first
+    EXPECT_TRUE(job.finished());
+  }
+  EXPECT_GT(first_batch.front().distill_run().result.samples_collected, 0u);
+  EXPECT_EQ(server.stats().trees_auto_deployed, distilled);
+
+  release.set_value();
+  pinned.wait();
+  EXPECT_EQ(pinned.status(), serve::JobStatus::kDone);
+  EXPECT_EQ(svc.jobs().size(), kCap);
+  server.stop();
 }
 
 TEST(Service, UnknownScenarioFailsThroughTheHandle) {

@@ -18,8 +18,9 @@
 //    fault noise on top) and asserts reboot always lands on a complete,
 //    bitwise-identical version;
 //  * server integration — warm boot before listeners, kListTrees
-//    versions over the wire, durable-first auto-deploy, and a
-//    restart-under-traffic run with zero wrong decisions.
+//    versions over the wire, durable-first auto-deploy (a rejected
+//    publish is counted, never served), and a restart-under-traffic run
+//    with zero wrong decisions.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -694,7 +695,6 @@ TEST(ServerStore, AutoDeployPublishesDurablyBeforeVisibility) {
   cfg.service.workers = 1;
   cfg.service.registry = &registry;
   cfg.auto_deploy_distilled = true;
-  cfg.housekeeping_interval_ms = 10;
   cfg.store_dir = dir;
   std::string tree_text;
   {
@@ -712,16 +712,10 @@ TEST(ServerStore, AutoDeployPublishesDurablyBeforeVisibility) {
     ASSERT_EQ(static_cast<serve::JobStatus>(status.status),
               serve::JobStatus::kDone)
         << status.error;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!server.has_tree("tiny") &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
+    // Done implies deployed, and visible implies durable: the store
+    // already holds version 1, and the wire reports the deployment as
+    // store-backed.
     ASSERT_TRUE(server.has_tree("tiny"));
-
-    // Visible implies durable: the store already holds version 1, and
-    // the wire reports the deployment as store-backed.
     ASSERT_NE(server.snapshot_store(), nullptr);
     EXPECT_EQ(server.snapshot_store()->latest_version(
                   store::ArtifactKind::kTree, "tiny"),
@@ -739,6 +733,69 @@ TEST(ServerStore, AutoDeployPublishesDurablyBeforeVisibility) {
   store::SnapshotStore reopened({.dir = dir});
   EXPECT_EQ(reopened.load_payload(store::ArtifactKind::kTree, "tiny"),
             tree_text);
+}
+
+// A publish the store rejects (disk full) is counted, not served and not
+// retried: the job still ends kDone with its result fetchable, the tree
+// stays invisible, and the next job for the key deploys normally.
+TEST(Chaos, AutoDeployRejectedPublishIsCountedNotServed) {
+  const std::string dir = unique_store_dir();
+  api::ScenarioRegistry registry;
+  registry.add(std::make_unique<TinyScenario>());
+
+  serve::ServerConfig cfg;
+  cfg.unix_path = unique_socket_path();
+  cfg.service.workers = 1;
+  cfg.service.registry = &registry;
+  cfg.auto_deploy_distilled = true;
+  cfg.store_dir = dir;
+  serve::Server server(cfg);
+  server.start();
+  net::Client client = net::Client::connect_unix(cfg.unix_path);
+  const auto run_job = [&] {
+    const auto job = client.submit_distill("tiny", {});
+    EXPECT_TRUE(job.has_value());
+    serve::JobHandle handle = server.service().find(job.value_or(0));
+    EXPECT_TRUE(handle.valid());
+    if (handle.valid()) handle.wait();
+    return job.value_or(0);
+  };
+
+  // Every space-consuming fs call fails with ENOSPC; socket sites are
+  // untouched (ENOSPC is not applicable there).
+  util::FaultSpec spec;
+  spec.seed = chaos_seed();
+  spec.enospc = 1.0;
+  util::FaultPlan plan(spec);
+  util::set_fault_plan(&plan);
+  const std::uint64_t rejected = run_job();
+  util::set_fault_plan(nullptr);
+  EXPECT_GT(plan.faults_injected(), 0u);
+
+  const auto status = client.poll(rejected);
+  EXPECT_EQ(static_cast<serve::JobStatus>(status.status),
+            serve::JobStatus::kDone)
+      << status.error;
+  EXPECT_FALSE(client.distill_result(rejected).tree_text.empty());
+  EXPECT_FALSE(server.has_tree("tiny"));
+  EXPECT_EQ(server.stats().store_publish_failures, 1u);
+  EXPECT_EQ(server.stats().trees_auto_deployed, 0u);
+  EXPECT_EQ(server.snapshot_store()->latest_version(
+                store::ArtifactKind::kTree, "tiny"),
+            0u);
+
+  // With the disk healthy again the next job deploys; the rejected one
+  // was never retried behind it.
+  const std::uint64_t accepted = run_job();
+  EXPECT_EQ(static_cast<serve::JobStatus>(client.poll(accepted).status),
+            serve::JobStatus::kDone);
+  EXPECT_TRUE(server.has_tree("tiny"));
+  EXPECT_EQ(server.stats().store_publish_failures, 1u);
+  EXPECT_EQ(server.stats().trees_auto_deployed, 1u);
+  const auto listed = client.list_trees();
+  ASSERT_EQ(listed.names.size(), 1u);
+  EXPECT_EQ(listed.versions[0], 1u);
+  server.stop();
 }
 
 // ---- restart under traffic --------------------------------------------------
