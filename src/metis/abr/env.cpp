@@ -1,7 +1,10 @@
 #include "metis/abr/env.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
+#include <type_traits>
 
 #include "metis/util/check.h"
 #include "metis/util/stats.h"
@@ -46,6 +49,44 @@ std::vector<double> EpisodeResult::level_frequencies(
   return freq;
 }
 
+namespace {
+
+// featurize() over the observation's parts, so AbrSession::features can
+// share it without building an AbrObservation.
+std::vector<double> state_vector(double last_bitrate_kbps,
+                                 double buffer_seconds,
+                                 std::span<const double> throughput_kbps,
+                                 std::span<const double> download_seconds,
+                                 std::span<const double> next_chunk_sizes_kbits,
+                                 std::size_t chunks_remaining,
+                                 const Video& video) {
+  const double max_rate = bitrate_ladder_kbps().back();
+  std::vector<double> s;
+  s.reserve(kStateDim);
+  s.push_back(last_bitrate_kbps / max_rate);
+  s.push_back(buffer_seconds / 10.0);
+  for (std::size_t i = 0; i < kHistoryLen; ++i) {
+    const std::size_t n = throughput_kbps.size();
+    s.push_back(i < n ? throughput_kbps[n - 1 - i] / max_rate : 0.0);
+  }
+  for (std::size_t i = 0; i < kHistoryLen; ++i) {
+    const std::size_t n = download_seconds.size();
+    s.push_back(i < n ? download_seconds[n - 1 - i] / 10.0 : 0.0);
+  }
+  const double max_chunk = max_rate * video.chunk_seconds();
+  for (std::size_t l = 0; l < video.level_count(); ++l) {
+    s.push_back(l < next_chunk_sizes_kbits.size()
+                    ? next_chunk_sizes_kbits[l] / max_chunk
+                    : 0.0);
+  }
+  s.push_back(static_cast<double>(chunks_remaining) /
+              static_cast<double>(video.chunk_count()));
+  MET_CHECK(s.size() == kStateDim);
+  return s;
+}
+
+}  // namespace
+
 AbrSession::AbrSession(const Video* video, const NetworkTrace* trace,
                        double start_offset_seconds)
     : video_(video), trace_(trace), clock_(start_offset_seconds) {
@@ -60,8 +101,10 @@ AbrObservation AbrSession::observe() const {
   obs.buffer_seconds = buffer_;
   obs.last_level = last_level_;
   obs.last_bitrate_kbps = first_chunk_ ? 0.0 : video_->bitrate_kbps(last_level_);
-  obs.throughput_kbps = throughput_hist_;
-  obs.download_seconds = download_hist_;
+  obs.throughput_kbps.assign(throughput_hist_.begin(),
+                             throughput_hist_.begin() + hist_len_);
+  obs.download_seconds.assign(download_hist_.begin(),
+                              download_hist_.begin() + hist_len_);
   if (!done()) {
     obs.next_chunk_sizes_kbits = video_->next_chunk_sizes_kbits(next_chunk_);
   } else {
@@ -70,6 +113,19 @@ AbrObservation AbrSession::observe() const {
   obs.next_chunk = next_chunk_;
   obs.chunks_remaining = video_->chunk_count() - next_chunk_;
   return obs;
+}
+
+std::vector<double> AbrSession::features() const {
+  std::array<double, kLevels> next_sizes{};  // zeros once done()
+  if (!done()) {
+    for (std::size_t l = 0; l < kLevels; ++l) {
+      next_sizes[l] = video_->chunk_size_kbits(next_chunk_, l);
+    }
+  }
+  return state_vector(
+      first_chunk_ ? 0.0 : video_->bitrate_kbps(last_level_), buffer_,
+      {throughput_hist_.data(), hist_len_}, {download_hist_.data(), hist_len_},
+      next_sizes, video_->chunk_count() - next_chunk_, *video_);
 }
 
 ChunkRecord AbrSession::step(std::size_t level) {
@@ -126,12 +182,14 @@ ChunkRecord AbrSession::step(std::size_t level) {
   rec.qoe = chunk_qoe(bitrate, prev_bitrate, rebuffer);
   rec.wall_time = clock_;
 
-  throughput_hist_.push_back(rec.throughput_kbps);
-  download_hist_.push_back(rec.download_seconds);
-  if (throughput_hist_.size() > kHistoryLen) {
-    throughput_hist_.erase(throughput_hist_.begin());
-    download_hist_.erase(download_hist_.begin());
+  if (hist_len_ == kHistoryLen) {  // drop the oldest entry
+    std::shift_left(throughput_hist_.begin(), throughput_hist_.end(), 1);
+    std::shift_left(download_hist_.begin(), download_hist_.end(), 1);
+    --hist_len_;
   }
+  throughput_hist_[hist_len_] = rec.throughput_kbps;
+  download_hist_[hist_len_] = rec.download_seconds;
+  ++hist_len_;
   last_level_ = level;
   first_chunk_ = false;
   ++next_chunk_;
@@ -153,29 +211,9 @@ EpisodeResult run_abr_episode(const Video& video, const NetworkTrace& trace,
 }
 
 std::vector<double> featurize(const AbrObservation& obs, const Video& video) {
-  const double max_rate = bitrate_ladder_kbps().back();
-  std::vector<double> s;
-  s.reserve(kStateDim);
-  s.push_back(obs.last_bitrate_kbps / max_rate);
-  s.push_back(obs.buffer_seconds / 10.0);
-  for (std::size_t i = 0; i < kHistoryLen; ++i) {
-    const std::size_t n = obs.throughput_kbps.size();
-    s.push_back(i < n ? obs.throughput_kbps[n - 1 - i] / max_rate : 0.0);
-  }
-  for (std::size_t i = 0; i < kHistoryLen; ++i) {
-    const std::size_t n = obs.download_seconds.size();
-    s.push_back(i < n ? obs.download_seconds[n - 1 - i] / 10.0 : 0.0);
-  }
-  const double max_chunk = max_rate * video.chunk_seconds();
-  for (std::size_t l = 0; l < video.level_count(); ++l) {
-    s.push_back(l < obs.next_chunk_sizes_kbits.size()
-                    ? obs.next_chunk_sizes_kbits[l] / max_chunk
-                    : 0.0);
-  }
-  s.push_back(static_cast<double>(obs.chunks_remaining) /
-              static_cast<double>(video.chunk_count()));
-  MET_CHECK(s.size() == kStateDim);
-  return s;
+  return state_vector(obs.last_bitrate_kbps, obs.buffer_seconds,
+                      obs.throughput_kbps, obs.download_seconds,
+                      obs.next_chunk_sizes_kbits, obs.chunks_remaining, video);
 }
 
 std::vector<double> tree_features(const AbrObservation& obs) {
@@ -236,7 +274,7 @@ std::vector<double> AbrEnv::reset(std::size_t episode_index) {
   const double offset = offset_rng.uniform(0.0, max_offset);
   session_ = std::make_unique<AbrSession>(
       video_.get(), &(*corpus_)[active_trace_], offset);
-  return featurize(session_->observe(), *video_);
+  return session_->features();
 }
 
 nn::StepResult AbrEnv::step(std::size_t action) {
@@ -245,7 +283,7 @@ nn::StepResult AbrEnv::step(std::size_t action) {
   nn::StepResult sr;
   sr.reward = rec.qoe;
   sr.done = session_->done();
-  sr.next_state = featurize(session_->observe(), *video_);
+  sr.next_state = session_->features();
   return sr;
 }
 
@@ -257,9 +295,10 @@ AbrObservation AbrEnv::current_observation() const {
 std::pair<double, std::vector<double>> AbrEnv::peek_step(
     std::size_t action) const {
   MET_CHECK(session_ != nullptr);
-  AbrSession copy = *session_;  // value semantics: cheap, deterministic
+  static_assert(std::is_trivially_copyable_v<AbrSession>);
+  AbrSession copy = *session_;  // no heap traffic
   const ChunkRecord rec = copy.step(action);
-  return {rec.qoe, featurize(copy.observe(), *video_)};
+  return {rec.qoe, copy.features()};
 }
 
 }  // namespace metis::abr

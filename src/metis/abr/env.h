@@ -11,6 +11,7 @@
 //  * PensieveTeacher::q_values      — model-based Q estimates for Eq. 1
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -31,7 +32,8 @@ struct AbrObservation {
   double buffer_seconds = 0.0;
   std::size_t last_level = 0;
   double last_bitrate_kbps = 0.0;
-  // Most-recent-last histories (kHistoryLen entries, zero-padded at start).
+  // Most-recent-last histories (at most kHistoryLen entries; shorter
+  // before the kHistoryLen-th download).
   std::vector<double> throughput_kbps;
   std::vector<double> download_seconds;
   std::vector<double> next_chunk_sizes_kbits;
@@ -84,6 +86,10 @@ class AbrSession {
 
   [[nodiscard]] bool done() const;
   [[nodiscard]] AbrObservation observe() const;
+  // Pensieve's state vector (see featurize) of the current session,
+  // bitwise equal to featurize(observe(), video) without building the
+  // observation — the per-step path of AbrEnv and its lookahead.
+  [[nodiscard]] std::vector<double> features() const;
   // Downloads the next chunk at `level`; returns the record (including the
   // per-chunk QoE used as RL reward).
   ChunkRecord step(std::size_t level);
@@ -96,8 +102,11 @@ class AbrSession {
   std::size_t next_chunk_ = 0;
   std::size_t last_level_ = 0;
   bool first_chunk_ = true;
-  std::vector<double> throughput_hist_;
-  std::vector<double> download_hist_;
+  // Most-recent-last; the first hist_len_ entries are valid. Inline, so
+  // copying a session (AbrEnv::peek_step) touches no heap.
+  std::array<double, kHistoryLen> throughput_hist_{};
+  std::array<double, kHistoryLen> download_hist_{};
+  std::size_t hist_len_ = 0;
 };
 
 // Runs a full episode of `policy` on (video, trace).

@@ -61,7 +61,9 @@ class Teacher {
   // must match act_and_values(rows of group i) element-for-element — the
   // default slices and loops, while DNN-backed teachers override with ONE
   // trunk forward over all rows, collapsing a collection round's trunk
-  // forwards from episodes x steps to ~steps.
+  // forwards from episodes x steps to ~steps. Only each group's first row
+  // is acted on, so PolicyNetTeacher runs its policy head and softmax on
+  // those rows alone; the value head reads every row.
   [[nodiscard]] virtual std::vector<ActValues> act_and_values_multi(
       const std::vector<std::vector<double>>& states,
       std::span<const std::size_t> group_sizes) const;

@@ -22,7 +22,11 @@ namespace metis::core {
 // Eq. 1 groups ([s, s'_1..s'_A] per episode) into one
 // Teacher::act_and_values_multi call, plain policy rows into one
 // act_batch call — so a DNN teacher runs ~steps trunk forwards per block
-// instead of episodes x steps. How the round is cut into blocks:
+// instead of episodes x steps. In a fused call the trunk and value head
+// run on all (A + 1) rows of a group and the policy head on its first row
+// only. For ABR the A successor states come from AbrEnv::peek_step, which
+// steps a copy of the session (its histories are inline arrays) and
+// featurizes it directly. How the round is cut into blocks:
 //
 //  - cloneable env, workers <= 1: the whole round is one block, each
 //    episode on its own env clone;

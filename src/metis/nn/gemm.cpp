@@ -74,97 +74,109 @@ void naive_matmul_transA(std::size_t m, std::size_t k, std::size_t n,
 }
 
 // ---- blocked kernels --------------------------------------------------------
-// Register tiling: an kMR x kNR accumulator tile lives in registers across
-// the full k loop (one store per output element instead of a load+store
-// per k iteration), and the j loop over the tile's columns vectorizes —
-// it has constant bounds, contiguous b rows, and no reassociation (each
-// acc[i][j] is still a strictly k-ascending scalar chain, which keeps the
-// bitwise contract; only the naive zero-skip is dropped, see gemm.h).
+// Register tiling: a kMR x 2L accumulator tile (L = vector lanes) lives in
+// registers across the full k loop (one store per output element instead
+// of a load+store per k iteration), and the tile's columns are explicit
+// vector lanes. Each lane is still a strictly k-ascending scalar mul+add
+// chain — nothing is reassociated, and gemm.cpp is compiled with
+// -ffp-contract=off so no mul+add pair is fused into an FMA (AVX-512F
+// implies FMA) — which keeps the bitwise contract; only the naive
+// zero-skip is dropped, see gemm.h.
 
 constexpr std::size_t kMR = 4;  // rows per register tile
-constexpr std::size_t kNR = 8;  // columns per register tile
+constexpr std::size_t kNR = 8;  // narrowest tile: 2 x 4 lanes
 
-// Function multi-versioning: emit an AVX2 clone of each blocked kernel
-// next to the baseline one and let the dynamic linker pick per-CPU.
-// Note -mavx2 deliberately does NOT enable FMA: contracting the mul+add
-// chains would change rounding and break the bitwise contract with the
-// naive loop.
-//
-// ThreadSanitizer cannot run ifunc resolvers (they execute before the
-// runtime initializes), so sanitized builds fall back to the un-cloned
-// kernels — same results, baseline ISA.
-#if defined(__SANITIZE_THREAD__)
-#define METIS_GEMM_NO_CLONES 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define METIS_GEMM_NO_CLONES 1
-#endif
-#endif
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define METIS_GEMM_VEC 1
-#endif
-#if defined(METIS_GEMM_VEC) && !defined(METIS_GEMM_NO_CLONES)
-#define METIS_GEMM_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define METIS_GEMM_CLONES
-#endif
-
-#ifdef METIS_GEMM_VEC
-// Explicit 4-double lane group (GCC/Clang vector extension) so the
-// accumulator tile provably stays in registers: the avx2 clone lowers
-// each op to one ymm instruction, the default clone to two SSE2 xmm ops.
-// Every lane is still an independent scalar mul+add chain over ascending
-// k, so vectorizing this way cannot change a single bit.
-// (-Wpsabi notes that passing 32-byte vectors without AVX would change
-// the ABI; these helpers always inline, so no cross-TU call exists.)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
+// Explicit lane groups (GCC/Clang vector extension): a v4df op is one
+// ymm instruction in the avx2 kernels and two SSE2 ops in the generic
+// ones; a v8df op is one zmm instruction in the avx512f kernels. The
+// helpers always inline into the ISA-specific entry points below, so no
+// call with a vector argument crosses a function boundary (-Wpsabi is
+// silenced for this file in CMakeLists.txt for the same reason). A lane
+// group times a scalar (`v * x`, the same product as x * v) broadcasts x
+// with one instruction; GCC builds a braced {x, ..., x} of 8 lanes inside
+// a loop one masked lane at a time.
 typedef double v4df __attribute__((vector_size(32), aligned(8)));
+typedef double v8df __attribute__((vector_size(64), aligned(8)));
 
-__attribute__((always_inline)) inline v4df loadu4(const double* p) {
-  v4df v;
+template <class V>
+constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+
+template <class V>
+__attribute__((always_inline)) inline V loadu(const double* p) {
+  V v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
 }
-__attribute__((always_inline)) inline void storeu4(double* p, v4df v) {
+template <class V>
+__attribute__((always_inline)) inline void storeu(double* p, V v) {
   __builtin_memcpy(p, &v, sizeof(v));
 }
-__attribute__((always_inline)) inline v4df broadcast4(double x) {
-  return v4df{x, x, x, x};
-}
-#pragma GCC diagnostic pop
-#endif
 
-template <bool Add>
-inline void apply_tile(const double (&acc)[kMR][kNR], const double* bias,
-                       std::size_t r, std::size_t c, std::size_t n,
-                       double* out) {
-  for (std::size_t i = 0; i < kMR; ++i) {
-    double* out_row = out + (r + i) * n + c;
-    if (Add) {
-      for (std::size_t j = 0; j < kNR; ++j) out_row[j] += acc[i][j];
-    } else if (bias != nullptr) {
-      for (std::size_t j = 0; j < kNR; ++j) out_row[j] = acc[i][j] + bias[c + j];
-    } else {
-      for (std::size_t j = 0; j < kNR; ++j) out_row[j] = acc[i][j];
+// Covers columns [c, n) of one block of kMR output rows (`out` points at
+// its first row) with kMR x 2L tiles while a whole tile fits, and returns
+// the first column left over. Element (i, kk) of the block's left operand
+// is a[i * a_row + kk * a_k], which addresses both A (row-major, m x k)
+// and A^T (stored k x m). Acc selects the epilogue: out += tile (the _acc
+// kernels) or out = tile (+ bias).
+template <class V, bool Acc>
+__attribute__((always_inline)) inline std::size_t tile_columns(
+    std::size_t c, std::size_t k, std::size_t n, const double* __restrict a,
+    std::size_t a_row, std::size_t a_k, const double* __restrict b,
+    const double* __restrict bias, double* __restrict out) {
+  constexpr std::size_t L = kLanes<V>;
+  for (; c + 2 * L <= n; c += 2 * L) {
+    V acc[kMR][2] = {};
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const double* b_row = b + kk * n + c;
+      const V b0 = loadu<V>(b_row);
+      const V b1 = loadu<V>(b_row + L);
+      for (std::size_t i = 0; i < kMR; ++i) {
+        const double av = a[i * a_row + kk * a_k];
+        acc[i][0] += b0 * av;
+        acc[i][1] += b1 * av;
+      }
+    }
+    for (std::size_t i = 0; i < kMR; ++i) {
+      double* out_row = out + i * n + c;
+      if (Acc) {
+        storeu(out_row, loadu<V>(out_row) + acc[i][0]);
+        storeu(out_row + L, loadu<V>(out_row + L) + acc[i][1]);
+      } else if (bias != nullptr) {
+        storeu(out_row, acc[i][0] + loadu<V>(bias + c));
+        storeu(out_row + L, acc[i][1] + loadu<V>(bias + c + L));
+      } else {
+        storeu(out_row, acc[i][0]);
+        storeu(out_row + L, acc[i][1]);
+      }
     }
   }
+  return c;
 }
 
-// Tail regions of the product tiling (row/column leftovers, and every
-// matrix with fewer than kMR rows): the naive streaming order (r, k, c)
-// accumulating straight into the zero-initialized out, with vector
-// c-lanes where they fit. Each output element is still one k-ascending
-// add chain (accumulating in memory or in a register makes no bitwise
-// difference), and the bias lands as one add after the sums complete.
+// The wide tile first, then the 4-lane tile for what it leaves of [c, n).
+template <class V, bool Acc>
+__attribute__((always_inline)) inline std::size_t tile_row_block(
+    std::size_t k, std::size_t n, const double* __restrict a,
+    std::size_t a_row, std::size_t a_k, const double* __restrict b,
+    const double* __restrict bias, double* __restrict out) {
+  std::size_t c = tile_columns<V, Acc>(0, k, n, a, a_row, a_k, b, bias, out);
+  if constexpr (kLanes<V> > 4) {
+    c = tile_columns<v4df, Acc>(c, k, n, a, a_row, a_k, b, bias, out);
+  }
+  return c;
+}
+
+// Tail regions of the product tiling (row/column leftovers): the naive
+// streaming order (r, k, c) accumulating straight into the
+// zero-initialized out, with vector c-lanes where they fit. Each output
+// element is still one k-ascending add chain (accumulating in memory or
+// in a register makes no bitwise difference), and the bias lands as one
+// add after the sums complete.
 __attribute__((always_inline)) inline void stream_region(
-    std::size_t r0, std::size_t r1, std::size_t c0,
-    std::size_t c1, std::size_t k, std::size_t n,
-                          const double* __restrict a,
-                          const double* __restrict b,
-                          const double* __restrict bias,
-                          double* __restrict out) {
+    std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1,
+    std::size_t k, std::size_t n, const double* __restrict a,
+    const double* __restrict b, const double* __restrict bias,
+    double* __restrict out) {
   for (std::size_t r = r0; r < r1; ++r) {
     const double* a_row = a + r * k;
     double* out_row = out + r * n;
@@ -172,12 +184,10 @@ __attribute__((always_inline)) inline void stream_region(
       const double av = a_row[kk];
       const double* b_row = b + kk * n;
       std::size_t c = c0;
-#ifdef METIS_GEMM_VEC
-      const v4df avv = broadcast4(av);
       for (; c + 4 <= c1; c += 4) {
-        storeu4(out_row + c, loadu4(out_row + c) + avv * loadu4(b_row + c));
+        storeu(out_row + c,
+               loadu<v4df>(out_row + c) + loadu<v4df>(b_row + c) * av);
       }
-#endif
       for (; c < c1; ++c) out_row[c] += av * b_row[c];
     }
     if (bias != nullptr) {
@@ -195,24 +205,22 @@ __attribute__((always_inline)) inline void stream_region(
 // scalar tail after), with the bias landing as a single add once the
 // k-sum completes. Every element is still the same strictly k-ascending
 // chain, so the bitwise contract with the other kernels holds.
-METIS_GEMM_CLONES
-void skinny_matmul(std::size_t m, std::size_t k, std::size_t n,
-                   const double* __restrict a, const double* __restrict b,
-                   const double* __restrict bias, double* __restrict out) {
+__attribute__((always_inline)) inline void skinny_matmul(
+    std::size_t m, std::size_t k, std::size_t n, const double* __restrict a,
+    const double* __restrict b, const double* __restrict bias,
+    double* __restrict out) {
   for (std::size_t r = 0; r < m; ++r) {
     const double* a_row = a + r * k;
     double* out_row = out + r * n;
     std::size_t c = 0;
-#ifdef METIS_GEMM_VEC
     for (; c + 4 <= n; c += 4) {
       v4df acc = {0.0, 0.0, 0.0, 0.0};
       for (std::size_t kk = 0; kk < k; ++kk) {
-        acc += broadcast4(a_row[kk]) * loadu4(b + kk * n + c);
+        acc += loadu<v4df>(b + kk * n + c) * a_row[kk];
       }
-      if (bias != nullptr) acc += loadu4(bias + c);
-      storeu4(out_row + c, acc);
+      if (bias != nullptr) acc += loadu<v4df>(bias + c);
+      storeu(out_row + c, acc);
     }
-#endif
     for (; c < n; ++c) {
       double s = 0.0;
       for (std::size_t kk = 0; kk < k; ++kk) s += a_row[kk] * b[kk * n + c];
@@ -222,65 +230,61 @@ void skinny_matmul(std::size_t m, std::size_t k, std::size_t n,
 }
 
 // C = A * B, with an optional 1 x n bias row added to every output row.
-METIS_GEMM_CLONES
-void blocked_matmul(std::size_t m, std::size_t k, std::size_t n,
-                    const double* __restrict a, const double* __restrict b,
-                    const double* __restrict bias, double* __restrict out) {
+// Shapes that cannot fill a register tile go to the skinny kernel.
+template <class V>
+__attribute__((always_inline)) inline void matmul_kernel(
+    std::size_t m, std::size_t k, std::size_t n, const double* __restrict a,
+    const double* __restrict b, const double* __restrict bias,
+    double* __restrict out) {
+  if (m < kMR || n < kNR) {
+    skinny_matmul(m, k, n, a, b, bias, out);
+    return;
+  }
   std::size_t r = 0;
   for (; r + kMR <= m; r += kMR) {
-    const double* a_rows = a + r * k;
-    std::size_t c = 0;
-#ifdef METIS_GEMM_VEC
-    for (; c + kNR <= n; c += kNR) {
-      v4df acc[kMR][2] = {};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const double* b_row = b + kk * n + c;
-        const v4df b0 = loadu4(b_row);
-        const v4df b1 = loadu4(b_row + 4);
-        for (std::size_t i = 0; i < kMR; ++i) {
-          const v4df av = broadcast4(a_rows[i * k + kk]);
-          acc[i][0] += av * b0;
-          acc[i][1] += av * b1;
-        }
-      }
-      for (std::size_t i = 0; i < kMR; ++i) {
-        double* out_row = out + (r + i) * n + c;
-        if (bias != nullptr) {
-          storeu4(out_row, acc[i][0] + loadu4(bias + c));
-          storeu4(out_row + 4, acc[i][1] + loadu4(bias + c + 4));
-        } else {
-          storeu4(out_row, acc[i][0]);
-          storeu4(out_row + 4, acc[i][1]);
-        }
-      }
-    }
-#else
-    for (; c + kNR <= n; c += kNR) {
-      double acc[kMR][kNR] = {};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const double* b_row = b + kk * n + c;
-        for (std::size_t i = 0; i < kMR; ++i) {
-          const double av = a_rows[i * k + kk];
-          for (std::size_t j = 0; j < kNR; ++j) acc[i][j] += av * b_row[j];
-        }
-      }
-      apply_tile<false>(acc, bias, r, c, n, out);
-    }
-#endif
+    const std::size_t c =
+        tile_row_block<V, false>(k, n, a + r * k, k, 1, b, bias, out + r * n);
     if (c < n) stream_region(r, r + kMR, c, n, k, n, a, b, bias, out);
   }
   if (r < m) stream_region(r, m, 0, n, k, n, a, b, bias, out);
+}
+
+// C += A^T * B, a (k x m). b rows stay contiguous, so it tiles exactly
+// like matmul_kernel; leftovers are scalar k-chains finished by one add.
+template <class V>
+__attribute__((always_inline)) inline void transA_acc_kernel(
+    std::size_t m, std::size_t k, std::size_t n, const double* __restrict a,
+    const double* __restrict b, double* __restrict out) {
+  std::size_t r = 0;
+  for (; r + kMR <= m; r += kMR) {
+    for (std::size_t c = tile_row_block<V, true>(k, n, a + r, 1, m, b,
+                                                 nullptr, out + r * n);
+         c < n; ++c) {
+      for (std::size_t i = 0; i < kMR; ++i) {
+        double s = 0.0;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          s += a[kk * m + r + i] * b[kk * n + c];
+        }
+        out[(r + i) * n + c] += s;
+      }
+    }
+  }
+  for (; r < m; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      double s = 0.0;
+      for (std::size_t kk = 0; kk < k; ++kk) s += a[kk * m + r] * b[kk * n + c];
+      out[r * n + c] += s;
+    }
+  }
 }
 
 // C += A * B^T, b (n x k). Both operands are walked along k, so the j
 // lanes cannot share vector loads — a smaller 4 x 4 SCALAR accumulator
 // tile (16 independent k-chains, enough ILP to hide add latency) keeps
 // everything in registers without spills.
-METIS_GEMM_CLONES
-void blocked_matmul_transB_acc(std::size_t m, std::size_t k, std::size_t n,
-                               const double* __restrict a,
-                               const double* __restrict b,
-                               double* __restrict out) {
+__attribute__((always_inline)) inline void transB_acc_kernel(
+    std::size_t m, std::size_t k, std::size_t n, const double* __restrict a,
+    const double* __restrict b, double* __restrict out) {
   constexpr std::size_t kNRt = 4;
   std::size_t r = 0;
   for (; r + kMR <= m; r += kMR) {
@@ -322,79 +326,58 @@ void blocked_matmul_transB_acc(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
-// C += A^T * B, a (k x m). b rows stay contiguous, so the inner j loop
-// vectorizes exactly like blocked_matmul's.
-METIS_GEMM_CLONES
-void blocked_matmul_transA_acc(std::size_t m, std::size_t k, std::size_t n,
-                               const double* __restrict a,
-                               const double* __restrict b,
-                               double* __restrict out) {
-  std::size_t r = 0;
-  for (; r + kMR <= m; r += kMR) {
-    std::size_t c = 0;
-#ifdef METIS_GEMM_VEC
-    for (; c + kNR <= n; c += kNR) {
-      v4df acc[kMR][2] = {};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const double* a_col = a + kk * m + r;
-        const double* b_row = b + kk * n + c;
-        const v4df b0 = loadu4(b_row);
-        const v4df b1 = loadu4(b_row + 4);
-        for (std::size_t i = 0; i < kMR; ++i) {
-          const v4df av = broadcast4(a_col[i]);
-          acc[i][0] += av * b0;
-          acc[i][1] += av * b1;
-        }
-      }
-      for (std::size_t i = 0; i < kMR; ++i) {
-        double* out_row = out + (r + i) * n + c;
-        storeu4(out_row, loadu4(out_row) + acc[i][0]);
-        storeu4(out_row + 4, loadu4(out_row + 4) + acc[i][1]);
-      }
-    }
-#else
-    for (; c + kNR <= n; c += kNR) {
-      double acc[kMR][kNR] = {};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const double* a_col = a + kk * m + r;
-        const double* b_row = b + kk * n + c;
-        for (std::size_t i = 0; i < kMR; ++i) {
-          const double av = a_col[i];
-          for (std::size_t j = 0; j < kNR; ++j) acc[i][j] += av * b_row[j];
-        }
-      }
-      apply_tile<true>(acc, nullptr, r, c, n, out);
-    }
-#endif
-    for (; c < n; ++c) {
-      for (std::size_t i = 0; i < kMR; ++i) {
-        double s = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          s += a[kk * m + r + i] * b[kk * n + c];
-        }
-        out[(r + i) * n + c] += s;
-      }
-    }
-  }
-  for (; r < m; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      double s = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) s += a[kk * m + r] * b[kk * n + c];
-      out[r * n + c] += s;
-    }
-  }
-}
+// ---- ISA dispatch -----------------------------------------------------------
+// Each kernel set instantiates the templates above inside one entry point
+// per kernel, compiled for one instruction set; kernels() picks a set once
+// per process from the running CPU. A plain function-pointer table (not
+// target_clones/ifunc) keeps the choice out of the dynamic linker, so
+// sanitized builds run the same kernels as release builds.
+struct Kernels {
+  const char* isa;
+  void (*matmul)(std::size_t, std::size_t, std::size_t, const double*,
+                 const double*, const double*, double*);
+  void (*transB_acc)(std::size_t, std::size_t, std::size_t, const double*,
+                     const double*, double*);
+  void (*transA_acc)(std::size_t, std::size_t, std::size_t, const double*,
+                     const double*, double*);
+};
 
-// Blocked-backend entry: route shapes that cannot fill a register tile
-// to the skinny kernel, everything else to the tiled one.
-void blocked_dispatch(std::size_t m, std::size_t k, std::size_t n,
-                      const double* a, const double* b, const double* bias,
-                      double* out) {
-  if (m < kMR || n < kNR) {
-    skinny_matmul(m, k, n, a, b, bias, out);
-  } else {
-    blocked_matmul(m, k, n, a, b, bias, out);
-  }
+#define METIS_GEMM_KERNEL_SET(name, attr, V)                                  \
+  attr void name##_matmul(std::size_t m, std::size_t k, std::size_t n,        \
+                          const double* a, const double* b,                   \
+                          const double* bias, double* out) {                  \
+    matmul_kernel<V>(m, k, n, a, b, bias, out);                               \
+  }                                                                           \
+  attr void name##_transB_acc(std::size_t m, std::size_t k, std::size_t n,    \
+                              const double* a, const double* b,               \
+                              double* out) {                                  \
+    transB_acc_kernel(m, k, n, a, b, out);                                    \
+  }                                                                           \
+  attr void name##_transA_acc(std::size_t m, std::size_t k, std::size_t n,    \
+                              const double* a, const double* b,               \
+                              double* out) {                                  \
+    transA_acc_kernel<V>(m, k, n, a, b, out);                                 \
+  }                                                                           \
+  constexpr Kernels name##_kernels = {#name, name##_matmul,                   \
+                                      name##_transB_acc, name##_transA_acc};
+
+METIS_GEMM_KERNEL_SET(generic, , v4df)
+#if defined(__x86_64__)
+METIS_GEMM_KERNEL_SET(avx2, __attribute__((target("avx2"))), v4df)
+METIS_GEMM_KERNEL_SET(avx512f, __attribute__((target("avx512f"))), v8df)
+#endif
+#undef METIS_GEMM_KERNEL_SET
+
+const Kernels& kernels() {
+  static const Kernels selected = [] {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) return avx512f_kernels;
+    if (__builtin_cpu_supports("avx2")) return avx2_kernels;
+#endif
+    return generic_kernels;
+  }();
+  return selected;
 }
 
 }  // namespace
@@ -421,12 +404,14 @@ void set_backend(Backend backend) {
   backend_slot().store(backend, std::memory_order_relaxed);
 }
 
+const char* blocked_isa() { return kernels().isa; }
+
 Tensor matmul(const Tensor& a, const Tensor& b) {
   MET_CHECK_MSG(a.cols() == b.rows(), "matmul inner dimensions must agree");
   Tensor out(a.rows(), b.cols(), 0.0);
   if (out.empty() || a.cols() == 0) return out;
   if (backend() == Backend::kBlocked) {
-    blocked_dispatch(a.rows(), a.cols(), b.cols(), a.data().data(),
+    kernels().matmul(a.rows(), a.cols(), b.cols(), a.data().data(),
                      b.data().data(), nullptr, out.data().data());
   } else {
     naive_matmul(a.rows(), a.cols(), b.cols(), a.data().data(),
@@ -442,7 +427,7 @@ Tensor matmul_add_bias(const Tensor& a, const Tensor& b, const Tensor& bias) {
   Tensor out(a.rows(), b.cols(), 0.0);
   if (out.empty()) return out;
   if (backend() == Backend::kBlocked) {
-    blocked_dispatch(a.rows(), a.cols(), b.cols(), a.data().data(),
+    kernels().matmul(a.rows(), a.cols(), b.cols(), a.data().data(),
                      b.data().data(), bias.data().data(), out.data().data());
   } else {
     naive_matmul(a.rows(), a.cols(), b.cols(), a.data().data(),
@@ -461,8 +446,8 @@ void matmul_transB_acc(const Tensor& a, const Tensor& b, Tensor& acc) {
                 "matmul_transB_acc: acc shape mismatch");
   if (acc.empty()) return;
   if (backend() == Backend::kBlocked) {
-    blocked_matmul_transB_acc(a.rows(), a.cols(), b.rows(), a.data().data(),
-                              b.data().data(), acc.data().data());
+    kernels().transB_acc(a.rows(), a.cols(), b.rows(), a.data().data(),
+                         b.data().data(), acc.data().data());
   } else {
     // Product into a fresh temp, then one elementwise add — exactly
     // acc += matmul(a, b.transposed()) as the old backward spelled it.
@@ -480,8 +465,8 @@ void matmul_transA_acc(const Tensor& a, const Tensor& b, Tensor& acc) {
                 "matmul_transA_acc: acc shape mismatch");
   if (acc.empty()) return;
   if (backend() == Backend::kBlocked) {
-    blocked_matmul_transA_acc(a.cols(), a.rows(), b.cols(), a.data().data(),
-                              b.data().data(), acc.data().data());
+    kernels().transA_acc(a.cols(), a.rows(), b.cols(), a.data().data(),
+                         b.data().data(), acc.data().data());
   } else {
     Tensor tmp(acc.rows(), acc.cols(), 0.0);
     naive_matmul_transA(a.cols(), a.rows(), b.cols(), a.data().data(),

@@ -8,17 +8,23 @@
 //    with a zero-skip on the left operand), kept verbatim as the parity
 //    oracle for A/B testing.
 //  - Backend::kBlocked — the default: cache-blocked, register-tiled
-//    kernels with an explicitly vectorizable inner loop (the accumulator
+//    kernels with an explicitly vectorized inner loop (the accumulator
 //    tile lives in registers across the whole k loop, so the hot loop has
-//    no C traffic).
+//    no C traffic). The kernels are compiled once per instruction set —
+//    avx512f (a 4 x 16 tile of 8-lane vectors), avx2 and generic (4 x 8
+//    tiles of 4-lane vectors) — and the first call picks one set for the
+//    process from the running CPU; blocked_isa() names it.
 //
 // Bitwise-identity contract: every output element is the k-ascending
 // accumulation sum_k a(r,k)*b(k,c) into a single accumulator, finished by
 // at most one extra add (the bias, or the += of the _acc variants). Both
-// backends follow exactly that recipe, so for finite inputs the results
-// are bitwise identical (tests/gemm_test.cpp enforces it over randomized
-// shapes). The only divergence the naive zero-skip could introduce is
-// 0 * inf / 0 * nan; no caller feeds non-finite operands.
+// backends and every instruction set follow exactly that recipe, so for
+// finite inputs the results are bitwise identical (tests/gemm_test.cpp
+// enforces it over randomized shapes). gemm.cpp is built with
+// -ffp-contract=off: AVX-512F implies FMA, and a fused mul+add rounds once
+// where the recipe rounds twice (metis-lint check 10 pins the flag). The
+// only divergence the naive zero-skip could introduce is 0 * inf /
+// 0 * nan; no caller feeds non-finite operands.
 //
 // Selection: set_backend() at runtime or the METIS_GEMM_BACKEND
 // environment variable ("naive" | "blocked") at startup; blocked
@@ -43,6 +49,10 @@ enum class Backend { kNaive, kBlocked };
 // mid-run is safe and cheap to query on the hot path.
 [[nodiscard]] Backend backend();
 void set_backend(Backend backend);
+
+// The instruction set the blocked kernels run with in this process:
+// "avx512f", "avx2" or "generic". Chosen once, on first use.
+[[nodiscard]] const char* blocked_isa();
 
 // RAII backend override for A/B parity tests and benches.
 class BackendScope {

@@ -170,21 +170,9 @@ std::vector<double> PolicyNet::values_batch(
 
 std::pair<std::size_t, std::vector<double>> PolicyNet::act_and_values(
     const std::vector<std::vector<double>>& states) const {
-  MET_CHECK(!states.empty());
   NoGradGuard no_grad;
-  const Var x = constant(Tensor::from_rows(states));
-  const Var h = trunk(x);  // shared by both heads
-  const Var p = softmax_rows(policy_logits_from_trunk(h, x));
-  const Tensor& probs = p->value();
-  std::size_t best = 0;
-  for (std::size_t c = 1; c < probs.cols(); ++c) {
-    if (probs(0, c) > probs(0, best)) best = c;
-  }
-  const Var v = value_head_.forward(h);
-  const Tensor& vals = v->value();
-  std::vector<double> out(vals.rows());
-  for (std::size_t r = 0; r < vals.rows(); ++r) out[r] = vals(r, 0);
-  return {best, std::move(out)};
+  const std::size_t group[] = {states.size()};
+  return std::move(act_and_values_multi(states, group).front());
 }
 
 std::vector<std::pair<std::size_t, std::vector<double>>>
@@ -202,21 +190,36 @@ PolicyNet::act_and_values_multi(const std::vector<std::vector<double>>& rows,
   NoGradGuard no_grad;
   const Var x = constant(Tensor::from_rows(rows));
   const Var h = trunk(x);  // one forward, shared by both heads
-  const Var p = softmax_rows(policy_logits_from_trunk(h, x));
   const Var v = value_head_.forward(h);
+  // Only each group's first (acting) row feeds the policy head; rows are
+  // independent, so the gathered rows' logits are the full batch's.
+  auto acting_rows = [&](const Tensor& t) {
+    Tensor picked(group_sizes.size(), t.cols());
+    std::size_t base = 0;
+    for (std::size_t i = 0; i < group_sizes.size(); ++i) {
+      const auto row = t.data().subspan(base * t.cols(), t.cols());
+      std::copy(row.begin(), row.end(), picked.data().begin() + i * t.cols());
+      base += group_sizes[i];
+    }
+    return picked;
+  };
+  const Var p = softmax_rows(policy_logits_from_trunk(
+      constant(acting_rows(h->value())), constant(acting_rows(x->value()))));
   const Tensor& probs = p->value();
   const Tensor& vals = v->value();
   out.reserve(group_sizes.size());
   std::size_t base = 0;
-  for (std::size_t g : group_sizes) {
+  for (std::size_t i = 0; i < group_sizes.size(); ++i) {
     std::size_t best = 0;
     for (std::size_t c = 1; c < probs.cols(); ++c) {
-      if (probs(base, c) > probs(base, best)) best = c;
+      if (probs(i, c) > probs(i, best)) best = c;
     }
-    std::vector<double> values(g);
-    for (std::size_t i = 0; i < g; ++i) values[i] = vals(base + i, 0);
+    std::vector<double> values(group_sizes[i]);
+    for (std::size_t j = 0; j < values.size(); ++j) {
+      values[j] = vals(base + j, 0);
+    }
     out.emplace_back(best, std::move(values));
-    base += g;
+    base += group_sizes[i];
   }
   return out;
 }

@@ -78,23 +78,23 @@ class PolicyNet {
   [[nodiscard]] std::vector<double> values_batch(
       const std::vector<std::vector<double>>& states) const;
 
-  // Fused policy+value inference for the trace-collection hot path: one
-  // trunk forward over all rows feeds BOTH heads — the greedy action is
-  // read from row 0, the value column from every row. Bitwise identical
-  // to greedy_action(states[0]) + values_batch(states) (each matrix row is
-  // computed independently, in the same operation order), at roughly half
-  // the trunk cost of issuing the two calls separately.
+  // Fused policy+value inference for the trace-collection hot path, over
+  // a batch whose row 0 is the acting state: the greedy action for row 0
+  // plus V for every row. Bitwise identical to greedy_action(states[0]) +
+  // values_batch(states). The one-group case of act_and_values_multi.
   [[nodiscard]] std::pair<std::size_t, std::vector<double>> act_and_values(
       const std::vector<std::vector<double>>& states) const;
 
   // Cross-episode lockstep variant: `rows` stacks several independently
   // assembled act_and_values batches ("groups") into one matrix;
   // group_sizes[i] gives group i's row count (its first row is that
-  // group's acting state). One trunk forward feeds both heads for every
-  // group at once; result i is bitwise identical to
-  // act_and_values(rows of group i) because each matrix row is computed
-  // independently, in the same operation order, regardless of which other
-  // rows share the batch.
+  // group's acting state). One trunk forward covers every row and feeds
+  // the value head; the policy head and softmax run only on each group's
+  // first row, the only one whose action is read. Result i is bitwise
+  // identical to greedy_action(group i's first row) +
+  // values_batch(group i's rows), because each matrix row is computed
+  // independently, in the same operation order, regardless of which
+  // other rows share the batch.
   [[nodiscard]] std::vector<std::pair<std::size_t, std::vector<double>>>
   act_and_values_multi(const std::vector<std::vector<double>>& rows,
                        std::span<const std::size_t> group_sizes) const;

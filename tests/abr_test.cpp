@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "metis/abr/baselines.h"
 #include "metis/abr/env.h"
@@ -296,6 +297,77 @@ TEST(AbrEnv, PeekStepDoesNotMutate) {
   EXPECT_DOUBLE_EQ(live.reward, r1);
   for (std::size_t i = 0; i < s1.size(); ++i) {
     EXPECT_DOUBLE_EQ(live.next_state[i], s1[i]);
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// AbrSession::features() featurizes the session directly; it must equal
+// featurize(observe()) bit for bit at every chunk of whole episodes —
+// the first chunk (empty histories), across the kHistoryLen wrap, and at
+// done() — while observe() keeps its most-recent-last, at most
+// kHistoryLen long histories.
+TEST(Featurize, SessionFeaturesMatchObservationPath) {
+  Video v = test_video();
+  TraceGenConfig cfg;
+  const auto corpus = generate_corpus(cfg, 4, 23);
+  for (std::size_t tr = 0; tr < corpus.size(); ++tr) {
+    AbrSession s(&v, &corpus[tr], 3.0 * static_cast<double>(tr));
+    std::vector<double> th, dl;  // expected histories, oldest first
+    for (std::size_t t = 0;; ++t) {
+      const AbrObservation obs = s.observe();
+      EXPECT_EQ(obs.throughput_kbps, th) << "trace " << tr << " chunk " << t;
+      EXPECT_EQ(obs.download_seconds, dl) << "trace " << tr << " chunk " << t;
+      EXPECT_TRUE(same_bits(s.features(), featurize(obs, v)))
+          << "trace " << tr << " chunk " << t;
+      if (s.done()) break;
+      const ChunkRecord rec = s.step((t * 7 + tr) % kLevels);
+      th.push_back(rec.throughput_kbps);
+      dl.push_back(rec.download_seconds);
+      if (th.size() > kHistoryLen) {
+        th.erase(th.begin());
+        dl.erase(dl.begin());
+      }
+    }
+    EXPECT_EQ(th.size(), kHistoryLen);  // the episode crossed the wrap
+  }
+}
+
+// AbrEnv's per-step states (reset, step, peek_step) come from the direct
+// features; each must equal the observation path, and every peek_step(a)
+// must equal actually stepping an identical env with action a.
+TEST(AbrEnv, DirectFeaturesMatchObservationAndPeekMatchesStep) {
+  Video v(12, 5);
+  TraceGenConfig cfg;
+  AbrEnv env(v, generate_corpus(cfg, 3, 29));
+  for (std::size_t episode = 0; episode < 3; ++episode) {
+    std::vector<double> state = env.reset(episode);
+    std::vector<std::size_t> taken;
+    for (bool done = false; !done;) {
+      EXPECT_TRUE(same_bits(state, featurize(env.current_observation(), v)))
+          << "episode " << episode << " chunk " << taken.size();
+      for (std::size_t a = 0; a < kLevels; ++a) {
+        const auto [reward, next] = env.peek_step(a);
+        auto twin = env.clone_fresh();
+        (void)twin->reset(episode);
+        for (std::size_t prev : taken) (void)twin->step(prev);
+        const nn::StepResult stepped = twin->step(a);
+        EXPECT_TRUE(same_bits({reward}, {stepped.reward}))
+            << "episode " << episode << " chunk " << taken.size() << " a=" << a;
+        EXPECT_TRUE(same_bits(next, stepped.next_state))
+            << "episode " << episode << " chunk " << taken.size() << " a=" << a;
+      }
+      const std::size_t action = (taken.size() * 5 + episode) % kLevels;
+      const nn::StepResult sr = env.step(action);
+      taken.push_back(action);
+      state = sr.next_state;
+      done = sr.done;
+    }
+    EXPECT_TRUE(same_bits(state, featurize(env.current_observation(), v)));
+    EXPECT_EQ(taken.size(), v.chunk_count());
   }
 }
 

@@ -5,7 +5,9 @@
 // whole-network forward + backward passes.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "metis/nn/autodiff.h"
@@ -52,6 +54,12 @@ const std::vector<Shape>& parity_shapes() {
       {1, 25, 128}, {1, 128, 6}, {26, 128, 6}, {2, 64, 6}, {3, 128, 4},
       {1, 1, 8},    {4, 9, 7},   {5, 64, 3},   {2, 7, 5},  {26, 25, 2},
       {1, 16, 4},   {3, 3, 11},
+      // The avx512f kernels' 4 x 16 tile: a collection step's trunk
+      // (448 rows = 64 episodes x 7 rows), one exact tile, and column
+      // tails that fall to the 4 x 8 tile ({12,9,40}) or to scalar and
+      // streamed leftovers ({7,64,17}, {9,5,33}).
+      {448, 25, 64}, {448, 64, 64}, {4, 3, 16}, {12, 9, 40}, {7, 64, 17},
+      {9, 5, 33},
   };
   return shapes;
 }
@@ -62,6 +70,22 @@ TEST(GemmBackend, ParseAndToString) {
   EXPECT_EQ(gemm::parse_backend("vectorized"), std::nullopt);
   EXPECT_STREQ(gemm::to_string(gemm::Backend::kNaive), "naive");
   EXPECT_STREQ(gemm::to_string(gemm::Backend::kBlocked), "blocked");
+}
+
+// Names the kernel set the dispatcher picked, so a test log shows which
+// instruction set the parity tests below actually exercised.
+TEST(GemmBackend, ReportsDispatchedKernels) {
+  const std::string isa = gemm::blocked_isa();
+  std::printf("[ gemm ] blocked kernels: %s\n", isa.c_str());
+  EXPECT_TRUE(isa == "avx512f" || isa == "avx2" || isa == "generic") << isa;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) {
+    EXPECT_EQ(isa, "avx512f");
+  } else if (__builtin_cpu_supports("avx2")) {
+    EXPECT_EQ(isa, "avx2");
+  }
+#endif
 }
 
 TEST(GemmBackend, ScopeRestores) {
@@ -235,38 +259,45 @@ TEST(GemmParity, SkipFeatureNetAlsoBitwise) {
 }
 
 // The lockstep entry point: stacking several act_and_values batches into
-// one act_and_values_multi call must reproduce the per-batch results
-// bitwise, for any grouping, under either backend.
+// one act_and_values_multi call must reproduce, for every group, the
+// independent single-purpose paths — greedy_action on the group's first
+// row and values_batch over its rows — bitwise, for any grouping, under
+// either backend, with and without the skip connection (whose column the
+// policy head reads from the gathered acting rows).
 TEST(GemmParity, ActAndValuesMultiMatchesPerGroup) {
-  metis::Rng rng(17);
-  PolicyNet net(6, 24, 2, 4, rng);
-  std::vector<std::vector<std::vector<double>>> groups;
-  for (std::size_t g : {1u, 5u, 2u, 7u, 1u}) {
-    std::vector<std::vector<double>> rows(g, std::vector<double>(6));
-    for (auto& row : rows) {
-      for (auto& v : row) v = rng.uniform(-1.0, 1.0);
+  for (int skip_feature : {-1, 2}) {
+    metis::Rng rng(17);
+    PolicyNet net(6, 24, 2, 4, rng, skip_feature);
+    std::vector<std::vector<std::vector<double>>> groups;
+    for (std::size_t g : {1u, 5u, 2u, 7u, 1u}) {
+      std::vector<std::vector<double>> rows(g, std::vector<double>(6));
+      for (auto& row : rows) {
+        for (auto& v : row) v = rng.uniform(-1.0, 1.0);
+      }
+      groups.push_back(std::move(rows));
     }
-    groups.push_back(std::move(rows));
-  }
-  std::vector<std::vector<double>> stacked;
-  std::vector<std::size_t> sizes;
-  for (const auto& g : groups) {
-    sizes.push_back(g.size());
-    stacked.insert(stacked.end(), g.begin(), g.end());
-  }
-  for (gemm::Backend backend :
-       {gemm::Backend::kNaive, gemm::Backend::kBlocked}) {
-    gemm::BackendScope scope(backend);
-    const auto multi = net.act_and_values_multi(stacked, sizes);
-    ASSERT_EQ(multi.size(), groups.size());
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      const auto [action, values] = net.act_and_values(groups[i]);
-      EXPECT_EQ(multi[i].first, action) << "group " << i;
-      ASSERT_EQ(multi[i].second.size(), values.size()) << "group " << i;
-      EXPECT_EQ(std::memcmp(multi[i].second.data(), values.data(),
-                            values.size() * sizeof(double)),
-                0)
-          << "group " << i;
+    std::vector<std::vector<double>> stacked;
+    std::vector<std::size_t> sizes;
+    for (const auto& g : groups) {
+      sizes.push_back(g.size());
+      stacked.insert(stacked.end(), g.begin(), g.end());
+    }
+    for (gemm::Backend backend :
+         {gemm::Backend::kNaive, gemm::Backend::kBlocked}) {
+      gemm::BackendScope scope(backend);
+      const auto multi = net.act_and_values_multi(stacked, sizes);
+      ASSERT_EQ(multi.size(), groups.size());
+      for (std::size_t i = 0; i < groups.size(); ++i) {
+        const std::string tag = "skip=" + std::to_string(skip_feature) +
+                                " group " + std::to_string(i);
+        const std::vector<double> values = net.values_batch(groups[i]);
+        EXPECT_EQ(multi[i].first, net.greedy_action(groups[i][0])) << tag;
+        ASSERT_EQ(multi[i].second.size(), values.size()) << tag;
+        EXPECT_EQ(std::memcmp(multi[i].second.data(), values.data(),
+                              values.size() * sizeof(double)),
+                  0)
+            << tag;
+      }
     }
   }
 }
