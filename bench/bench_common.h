@@ -3,19 +3,13 @@
 // corpora built here so results are comparable across benches.
 //
 // Sizes are chosen so each binary completes in tens of seconds on a
-// laptop while preserving the paper's qualitative relationships (see
-// EXPERIMENTS.md for the paper-vs-measured comparison).
+// laptop while preserving the paper's qualitative relationships.
 #pragma once
 
-#include <cmath>
 #include <filesystem>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "metis/abr/baselines.h"
@@ -223,71 +217,5 @@ inline void print_header(const std::string& id, const std::string& claim) {
             << id << "\n" << claim << "\n"
             << "==================================================\n";
 }
-
-// ---- machine-readable results ----------------------------------------------
-
-// Flat JSON report written as BENCH_<id>.json next to the binary's cwd, so
-// successive PRs can diff benchmark numbers mechanically instead of
-// scraping stdout tables. Keys keep insertion order; values are numbers,
-// strings, or numeric arrays.
-class JsonReport {
- public:
-  explicit JsonReport(std::string id) : id_(std::move(id)) {}
-
-  void set(const std::string& key, double value) {
-    entries_.emplace_back(key, num(value));
-  }
-  void set(const std::string& key, std::size_t value) {
-    entries_.emplace_back(key, std::to_string(value));
-  }
-  void set(const std::string& key, const std::string& value) {
-    entries_.emplace_back(key, quote(value));
-  }
-  void set(const std::string& key, const std::vector<double>& values) {
-    std::string s = "[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (i) s += ", ";
-      s += num(values[i]);
-    }
-    s += "]";
-    entries_.emplace_back(key, std::move(s));
-  }
-
-  // Serialized object, e.g. {"bench": "fig07", "fidelity": 0.91}.
-  [[nodiscard]] std::string to_string() const {
-    std::string s = "{\n  \"bench\": " + quote(id_);
-    for (const auto& [k, v] : entries_) s += ",\n  " + quote(k) + ": " + v;
-    s += "\n}\n";
-    return s;
-  }
-
-  // Writes BENCH_<id>.json and tells the reader where it went.
-  void write() const {
-    const std::string path = "BENCH_" + id_ + ".json";
-    std::ofstream out(path);
-    out << to_string();
-    std::cout << "\n[json] wrote " << path << "\n";
-  }
-
- private:
-  static std::string num(double v) {
-    if (!std::isfinite(v)) return "null";
-    std::ostringstream os;
-    os << std::setprecision(12) << v;
-    return os.str();
-  }
-  static std::string quote(const std::string& s) {
-    std::string q = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') q += '\\';
-      q += c;
-    }
-    q += "\"";
-    return q;
-  }
-
-  std::string id_;
-  std::vector<std::pair<std::string, std::string>> entries_;
-};
 
 }  // namespace metis::benchx

@@ -17,7 +17,7 @@ int main() {
   // Near-saturation traffic and a sharper decision softmax: the
   // correlation between per-link mask mass and traffic (Fig. 9b) is a
   // congestion effect — on a lightly loaded network the queueing curve is
-  // flat and no connection is critical (see EXPERIMENTS.md).
+  // flat and no connection is critical.
   auto scenario = benchx::make_routenet(kSamples, /*intensity=*/0.95,
                                         /*seed=*/11, /*softmax_beta=*/2.0);
 

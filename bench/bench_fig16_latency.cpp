@@ -8,14 +8,7 @@
 // Part (a) measures the in-process inference-time ratio (absolute times
 // are this machine's, the ratio is the claim); part (b) replays the same
 // workloads through the fabric simulator with each latency and reports
-// coverage. When Google Benchmark is installed (METIS_HAVE_GBENCH) its
-// per-op tables are printed as well; without it the self-contained timer
-// below stands alone, so the bench always builds and always emits
-// BENCH_fig16_latency.json.
-#ifdef METIS_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-#endif
-
+// coverage.
 #include <chrono>
 #include <functional>
 #include <iostream>
@@ -33,8 +26,7 @@ using namespace metis::flowsched;
 
 namespace {
 
-// Compiler barrier so the measured calls are not optimized away (stands in
-// for benchmark::DoNotOptimize when Google Benchmark is absent).
+// Compiler barrier so the measured calls are not optimized away.
 template <class T>
 inline void keep(T const& value) {
   asm volatile("" : : "g"(value) : "memory");
@@ -59,30 +51,6 @@ LatencyScenario& scenario() {
   return s;
 }
 
-#ifdef METIS_HAVE_GBENCH
-void BM_DnnDecision(benchmark::State& state) {
-  auto& s = scenario();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const Flow& f = s.probe_flows[i++ % s.probe_flows.size()];
-    benchmark::DoNotOptimize(s.lrla.agent->priority_for(f, f.size_bytes * 0.1));
-  }
-}
-BENCHMARK(BM_DnnDecision);
-
-void BM_TreeDecision(benchmark::State& state) {
-  auto& s = scenario();
-  const tree::FlatTree flat = tree::FlatTree::compile(s.lrla.tree);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const Flow& f = s.probe_flows[i++ % s.probe_flows.size()];
-    const auto feats = lrla_features(f, f.size_bytes * 0.1);
-    benchmark::DoNotOptimize(flat.predict(feats));
-  }
-}
-BENCHMARK(BM_TreeDecision);
-#endif  // METIS_HAVE_GBENCH
-
 double measure_ns(const std::function<void()>& fn, std::size_t iters) {
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) fn();
@@ -91,15 +59,8 @@ double measure_ns(const std::function<void()>& fn, std::size_t iters) {
          static_cast<double>(iters);
 }
 
-struct CoverageRow {
-  std::string workload;
-  Coverage dnn;
-  Coverage tree;
-};
-
-std::vector<CoverageRow> coverage_part() {
+void coverage_part() {
   auto& s = scenario();
-  std::vector<CoverageRow> rows;
   std::cout << "\n(b) per-flow decision coverage (fraction of flows/bytes "
                "whose decision matured in time):\n";
   for (auto family :
@@ -123,7 +84,6 @@ std::vector<CoverageRow> coverage_part() {
     FabricSim sim(s.lrla.fabric);
     const Coverage dnn_cov = coverage_of(sim.run(workload, &dnn_sched));
     const Coverage tree_cov = coverage_of(sim.run(workload, &tree_sched));
-    rows.push_back({name, dnn_cov, tree_cov});
 
     Table table({name, "flows covered", "bytes covered"});
     table.add_row({"AuTO (61.6 ms)", Table::pct(dnn_cov.flow_fraction),
@@ -137,28 +97,16 @@ std::vector<CoverageRow> coverage_part() {
               << Table::pct(tree_cov.byte_fraction - dnn_cov.byte_fraction)
               << "  (paper DM: flows +33%, bytes +46%)\n";
   }
-  return rows;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   benchx::print_header("Figure 16 — decision latency and coverage",
                        "expected: tree inference 10-100x faster than the "
                        "DNN; faster decisions cover more flows/bytes");
 
-#ifdef METIS_HAVE_GBENCH
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-#else
-  (void)argc;
-  (void)argv;
-  std::cout << "(Google Benchmark not installed; using the self-contained "
-               "timer)\n";
-#endif
-
-  // Direct measurement of the single-decision ratio (with gbench, its
-  // table above gives the per-op detail for the same calls).
+  // Direct measurement of the single-decision ratio.
   auto& s = scenario();
   const tree::FlatTree flat = tree::FlatTree::compile(s.lrla.tree);
   const Flow& f = s.probe_flows.front();
@@ -174,20 +122,6 @@ int main(int argc, char** argv) {
             << " ns vs tree " << tree_ns << " ns -> " << dnn_ns / tree_ns
             << "x faster (paper: 26.8x end-to-end)\n";
 
-  const auto coverage = coverage_part();
-
-  benchx::JsonReport json("fig16_latency");
-  json.set("dnn_ns", dnn_ns);
-  json.set("tree_ns", tree_ns);
-  json.set("speedup", dnn_ns / tree_ns);
-  for (const auto& row : coverage) {
-    const std::string prefix =
-        row.workload == "Web Search" ? "websearch" : "datamining";
-    json.set(prefix + "_dnn_flow_cov", row.dnn.flow_fraction);
-    json.set(prefix + "_dnn_byte_cov", row.dnn.byte_fraction);
-    json.set(prefix + "_tree_flow_cov", row.tree.flow_fraction);
-    json.set(prefix + "_tree_byte_cov", row.tree.byte_fraction);
-  }
-  json.write();
+  coverage_part();
   return 0;
 }

@@ -186,8 +186,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      // tree::load verifies the CRC frame (and still accepts pre-framing
-      // files), so a torn or corrupt artifact fails here, not mid-run.
+      // tree::load verifies the CRC frame (and rejects unframed files), so
+      // a torn or corrupt artifact fails here, not mid-run.
       dtree = tree::load(tree_file);
     } catch (const std::exception& e) {
       std::cerr << "cannot load " << tree_file << ": " << e.what() << "\n";

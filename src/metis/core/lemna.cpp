@@ -49,7 +49,7 @@ LemnaSurrogate LemnaSurrogate::fit(const std::vector<std::vector<double>>& x,
   // initialization from Rng::derive(seed, cluster) — a pure function of
   // (seed, cluster) — so the mixtures are identical at any worker count.
   s.mixtures_.assign(k, Mixture{});
-  util::parallel_for(k, cfg.pool, cfg.workers, [&](std::size_t c) {
+  util::parallel_for(k, cfg.workers, [&](std::size_t c) {
     nn::arena::Scope worker_arena;  // per-thread recycling on pool workers
     std::vector<std::vector<double>> cx;
     std::vector<std::size_t> rows;

@@ -11,10 +11,6 @@
 #include "metis/core/linreg.h"
 #include "metis/nn/tensor.h"
 
-namespace metis::util {
-class ThreadPool;
-}
-
 namespace metis::core {
 
 struct LemnaConfig {
@@ -28,11 +24,6 @@ struct LemnaConfig {
   // Rng::derive(seed, cluster), so results are identical at any worker
   // count.
   std::size_t workers = 1;
-  // Optional long-lived pool to borrow those workers from (e.g.
-  // serve::Service::worker_pool()) instead of spinning up a transient
-  // ThreadPool per fit. nullptr keeps the transient pool; results are
-  // identical either way (see util::parallel_for's pool overload).
-  util::ThreadPool* pool = nullptr;
 };
 
 class LemnaSurrogate {

@@ -42,7 +42,7 @@ LimeSurrogate LimeSurrogate::fit(const std::vector<std::vector<double>>& x,
   // the fits shard across workers with results identical at any count:
   // cluster c writes only coef_[c].
   s.coef_.assign(k, nn::Tensor());
-  util::parallel_for(k, cfg.pool, cfg.workers, [&](std::size_t c) {
+  util::parallel_for(k, cfg.workers, [&](std::size_t c) {
     nn::arena::Scope worker_arena;  // per-thread recycling on pool workers
     std::vector<std::vector<double>> cx;
     std::vector<double> weights;

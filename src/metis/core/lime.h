@@ -10,10 +10,6 @@
 #include "metis/core/linreg.h"
 #include "metis/nn/tensor.h"
 
-namespace metis::util {
-class ThreadPool;
-}
-
 namespace metis::core {
 
 struct SurrogateConfig {
@@ -25,11 +21,6 @@ struct SurrogateConfig {
   // cluster's fit is a pure function of the clustering, which is computed
   // up front.
   std::size_t workers = 1;
-  // Optional long-lived pool to borrow those workers from (e.g.
-  // serve::Service::worker_pool()) instead of spinning up a transient
-  // ThreadPool per fit. nullptr keeps the transient pool; results are
-  // identical either way (see util::parallel_for's pool overload).
-  util::ThreadPool* pool = nullptr;
 };
 
 class LimeSurrogate {

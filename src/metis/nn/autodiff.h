@@ -260,9 +260,10 @@ class Node {
 // fused ops below collapse its per-step composite subgraphs into single
 // nodes and restrict the work to the hypergraph's support, which is what
 // makes a mask-optimization step cheap enough to serve at production
-// rates (bench_interpret). Each is the drop-in equivalent of the
-// composite it replaces: identical forward values, the same mathematical
-// gradient (checked against finite differences in tests/nn_test.cpp).
+// rates (metisbench's core.mask_step_us). Each is the drop-in equivalent
+// of the composite it replaces: identical forward values, the same
+// mathematical gradient (checked against finite differences in
+// tests/nn_test.cpp).
 //
 // The CsrMatrix overloads index the support through its stored entries
 // (nn/sparse.h) instead of scanning the dense |E| x |V| box. They keep a

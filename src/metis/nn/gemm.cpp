@@ -199,7 +199,7 @@ __attribute__((always_inline)) inline void stream_region(
 // Skinny shapes — fewer than kMR rows or kNR columns — cannot fill a
 // register tile, and the streaming fallback's per-k load/store of the
 // output row made the blocked backend LOSE to naive there (1-row
-// inference and the 6-wide policy head, see BENCH_gemm.json history).
+// inference and the 6-wide policy head).
 // Dedicated kernel: one register accumulator per output element, held
 // across the whole k loop (vector 4-lanes while >= 4 columns remain,
 // scalar tail after), with the bias landing as a single add once the

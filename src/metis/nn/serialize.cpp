@@ -78,17 +78,8 @@ bool load_parameters(const std::vector<Var>& params,
   if (!in.good() && !in.eof()) return false;
 
   util::CrcFrame frame;
-  switch (util::parse_crc_frame(text.str(), &frame)) {
-    case util::FrameParse::kOk:
-      if (frame.header != "params") return false;
-      return parse_parameters(params, frame.payload);
-    case util::FrameParse::kNotFramed:
-      // A bare pre-frame payload from before the checksummed framing.
-      return parse_parameters(params, text.str());
-    case util::FrameParse::kCorrupt:
-      return false;
-  }
-  return false;
+  return util::parse_crc_frame(text.str(), &frame) == util::FrameParse::kOk &&
+         frame.header == "params" && parse_parameters(params, frame.payload);
 }
 
 }  // namespace metis::nn

@@ -13,8 +13,8 @@
 //
 // On disk the payload is wrapped in a CRC-32 frame (util/checksum.h) and
 // published via write-temp + fsync + rename, so a parameter cache is
-// complete and checksummed or it is rejected — load_parameters also
-// accepts bare pre-frame payloads from before the framing. Loading
+// complete and checksummed or it is rejected, and so is a bare payload
+// without the frame. Loading
 // validates shapes against the (already constructed) network, so a stale
 // cache for a different architecture fails loudly instead of silently
 // corrupting weights.

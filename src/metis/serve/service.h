@@ -115,11 +115,6 @@ class Service {
   void clear_cache();
 
   [[nodiscard]] std::size_t worker_count() const { return pool_.size(); }
-  // The job worker pool, for work that should borrow a long-lived
-  // service's threads instead of spinning up transient pools — e.g.
-  // SurrogateConfig::pool / LemnaConfig::pool route LIME/LEMNA per-cluster
-  // fits here (see util::parallel_for's pool overload).
-  [[nodiscard]] util::ThreadPool& worker_pool() { return pool_; }
   [[nodiscard]] const api::ScenarioRegistry& registry() const;
   [[nodiscard]] const api::ScenarioOptions& options() const {
     return config_.options;

@@ -244,24 +244,20 @@ DecisionTree load(const std::string& path) {
   if (!in.good() && !in.eof()) {
     throw std::runtime_error("tree::load: read error on " + path);
   }
-  // Framed (checksummed) artifacts are verified end to end; bare
-  // "metis-tree-v1" text from before the framing is still accepted.
+  // The checksummed frame is verified end to end before a byte is
+  // parsed; bare "metis-tree-v1" text without one is rejected.
   util::CrcFrame frame;
-  switch (util::parse_crc_frame(text.str(), &frame)) {
-    case util::FrameParse::kOk:
-      if (frame.header != "tree") {
-        throw std::runtime_error("tree::load: " + path +
-                                 " is not a tree artifact (header \"" +
-                                 frame.header + "\")");
-      }
-      return deserialize(frame.payload);
-    case util::FrameParse::kNotFramed:
-      return deserialize(text.str());
-    case util::FrameParse::kCorrupt:
-      break;
+  if (util::parse_crc_frame(text.str(), &frame) != util::FrameParse::kOk) {
+    throw std::runtime_error(
+        "tree::load: unframed, torn or checksum-mismatched artifact at " +
+        path);
   }
-  throw std::runtime_error(
-      "tree::load: checksum mismatch or torn artifact at " + path);
+  if (frame.header != "tree") {
+    throw std::runtime_error("tree::load: " + path +
+                             " is not a tree artifact (header \"" +
+                             frame.header + "\")");
+  }
+  return deserialize(frame.payload);
 }
 
 }  // namespace metis::tree

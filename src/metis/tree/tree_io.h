@@ -42,10 +42,9 @@ void print_tree(const DecisionTree& tree, std::ostream& os,
 // text in a CRC-32 frame (util/checksum.h), so `path` always holds
 // either the previous tree or the complete new one — a tree artifact on
 // disk is loadable or absent, never torn, and bit rot is detected at
-// load. load() verifies the checksum (accepting pre-frame bare text for
-// old artifacts) and throws std::runtime_error when the file is
-// missing/unreadable/corrupt and the deserializer's error on malformed
-// content.
+// load. load() verifies the checksum (bare unframed text is rejected)
+// and throws std::runtime_error when the file is missing/unreadable/
+// unframed/corrupt and the deserializer's error on malformed content.
 void save(const DecisionTree& tree, const std::string& path);
 [[nodiscard]] DecisionTree load(const std::string& path);
 

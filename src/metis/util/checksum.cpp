@@ -61,7 +61,7 @@ std::string wrap_crc_frame(const std::string& header,
 }
 
 FrameParse parse_crc_frame(std::string_view text, CrcFrame* out) {
-  if (text.substr(0, kMagic.size()) != kMagic) return FrameParse::kNotFramed;
+  if (text.substr(0, kMagic.size()) != kMagic) return FrameParse::kCorrupt;
   const std::size_t nl = text.find('\n');
   if (nl == std::string_view::npos) return FrameParse::kCorrupt;
 

@@ -14,11 +14,8 @@
 // whitespace-separated metadata ("tree", "params", or the store's
 // "<kind> <key> <version>") and is validated by the reader against what
 // the filename claims — a mislabeled artifact is as corrupt as a torn
-// one.
-//
-// parse_crc_frame distinguishes "not framed at all" (legacy pre-frame
-// files, still loadable by tree_io / nn::serialize) from "framed but
-// damaged" (quarantine evidence, never silently accepted).
+// one. Bytes without the frame (no magic) are rejected the same way:
+// there is no unframed artifact format to fall back to.
 #pragma once
 
 #include <cstdint>
@@ -42,15 +39,14 @@ struct CrcFrame {
 };
 
 enum class FrameParse : std::uint8_t {
-  kOk = 0,     // complete frame, checksum verified; `out` filled
-  kNotFramed,  // no metis-artifact magic: a legacy/raw file
-  kCorrupt,    // framed but torn/truncated/bit-rotted/mislabeled
+  kOk = 0,   // complete frame, checksum verified; `out` filled
+  kCorrupt,  // unframed, torn, truncated, bit-rotted or mislabeled
 };
 
 // Parses and verifies a frame produced by wrap_crc_frame. Returns
-// kNotFramed when the magic is absent (the bytes are not a frame at
-// all), kCorrupt for anything framed-but-wrong: bad size, checksum
-// mismatch, truncated footer, or trailing bytes after the frame.
+// kCorrupt for anything that is not exactly such a frame: missing magic,
+// bad size, checksum mismatch, truncated footer, or trailing bytes after
+// the frame.
 [[nodiscard]] FrameParse parse_crc_frame(std::string_view text,
                                          CrcFrame* out);
 

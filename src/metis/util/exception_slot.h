@@ -1,13 +1,13 @@
 // First-exception capture for fan-out workers.
 //
-// Both util::parallel_for overloads (and through them every fan-out in
-// the tree, the trace collector's per-worker blocks included) follow the
-// same protocol: N workers drain a shared index, the first exception
-// wins, the rest stop early, and the caller rethrows after every worker
-// has finished. This type is that protocol's shared state — a
-// mutex-guarded std::exception_ptr plus a relaxed atomic flag workers can
-// poll cheaply between iterations — annotated for the thread-safety
-// analysis like every other guarded structure in the tree.
+// util::parallel_for (and through it every fan-out in the tree, the
+// trace collector's per-worker blocks included) follows one protocol:
+// N workers drain a shared index, the first exception wins, the rest
+// stop early, and the caller rethrows after every worker has finished.
+// This type is that protocol's shared state — a mutex-guarded
+// std::exception_ptr plus a relaxed atomic flag workers can poll cheaply
+// between iterations — annotated for the thread-safety analysis like
+// every other guarded structure in the tree.
 #pragma once
 
 #include <atomic>

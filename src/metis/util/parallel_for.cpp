@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 
 #include "metis/util/exception_slot.h"
-#include "metis/util/mutex.h"
 #include "metis/util/thread_pool.h"
 
 namespace metis::util {
@@ -35,89 +33,6 @@ void parallel_for(std::size_t count, std::size_t workers,
   }
   pool.wait_idle();
   error.rethrow_if_set();
-}
-
-namespace {
-
-// Shared loop state for the pool-borrowing overload. Heap-held via
-// shared_ptr: helper tasks may start (and finish) AFTER the caller has
-// returned — such late helpers see next >= count and touch nothing but
-// this struct. `fn` points at the caller's stack, so it may only be
-// dereferenced for an index drawn while the caller is still inside the
-// call — which the in_flight accounting guarantees: a helper registers
-// BEFORE drawing its first index, and the caller does not return until
-// in_flight is back to zero.
-struct BorrowCtx {
-  std::size_t count = 0;
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::atomic<std::size_t> next{0};
-  ExceptionSlot error;
-  Mutex mu;
-  CondVar cv;
-  std::size_t in_flight GUARDED_BY(mu) = 0;
-
-  void drain() {
-    try {
-      for (std::size_t i = next.fetch_add(1); i < count;
-           i = next.fetch_add(1)) {
-        if (error.failed()) return;
-        (*fn)(i);
-      }
-    } catch (...) {
-      error.capture();
-      // Park the counter past the end so helpers not yet started never
-      // draw a real index (and never dereference fn).
-      next.store(count, std::memory_order_relaxed);
-    }
-  }
-};
-
-}  // namespace
-
-void parallel_for(std::size_t count, ThreadPool* pool, std::size_t workers,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr) {
-    parallel_for(count, workers, fn);
-    return;
-  }
-  if (count == 0) return;
-  if (workers == 0) workers = pool->size() + 1;  // pool + the caller
-  if (workers <= 1 || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-
-  auto ctx = std::make_shared<BorrowCtx>();
-  ctx->count = count;
-  ctx->fn = &fn;
-  // The caller is one participant; queue at most pool-size helpers (more
-  // would just wait behind each other for the same counter).
-  const std::size_t helpers =
-      std::min({workers - 1, count - 1, pool->size()});
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool->submit([ctx] {
-      {
-        MutexLock lock(ctx->mu);
-        ++ctx->in_flight;
-      }
-      ctx->drain();
-      {
-        MutexLock lock(ctx->mu);
-        --ctx->in_flight;
-      }
-      ctx->cv.notify_all();
-    });
-  }
-
-  // Caller participation is the liveness guarantee: even if every helper
-  // is stuck behind other pool work, this drains the loop to completion.
-  ctx->drain();
-
-  {
-    MutexLock lock(ctx->mu);
-    while (ctx->in_flight != 0) ctx->cv.wait(ctx->mu);
-  }
-  ctx->error.rethrow_if_set();
 }
 
 }  // namespace metis::util

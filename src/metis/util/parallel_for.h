@@ -15,23 +15,7 @@
 
 namespace metis::util {
 
-class ThreadPool;
-
 void parallel_for(std::size_t count, std::size_t workers,
-                  const std::function<void(std::size_t)>& fn);
-
-// Pool-borrowing variant: shards the same loop across up to `workers`
-// threads (0 = pool size + the caller), drawing helpers from an existing
-// long-lived pool instead of spawning a transient one — what a resident
-// serve::Service wants when LIME/LEMNA fits run inside jobs. The CALLER
-// always participates in draining the index counter, so the call makes
-// progress and terminates even when the pool is saturated — or when the
-// caller IS a pool worker and the queued helpers never run (no deadlock,
-// the helpers just find nothing left to do). Semantics otherwise match
-// the transient overload: identical iteration set, first exception
-// rethrown after every participant finishes. pool == nullptr falls back
-// to the transient overload.
-void parallel_for(std::size_t count, ThreadPool* pool, std::size_t workers,
                   const std::function<void(std::size_t)>& fn);
 
 }  // namespace metis::util

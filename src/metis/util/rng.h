@@ -2,7 +2,8 @@
 //
 // Every stochastic component in the library (trace generators, RL
 // exploration, resamplers, mask initialization) takes an explicit Rng so
-// that every experiment in EXPERIMENTS.md is reproducible from a seed.
+// that every experiment (the bench/ figure binaries, metisbench) is
+// reproducible from a seed.
 #pragma once
 
 #include <cstdint>

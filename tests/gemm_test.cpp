@@ -60,6 +60,10 @@ const std::vector<Shape>& parity_shapes() {
       // streamed leftovers ({7,64,17}, {9,5,33}).
       {448, 25, 64}, {448, 64, 64}, {4, 3, 16}, {12, 9, 40}, {7, 64, 17},
       {9, 5, 33},
+      // Scenario and square shapes: an Eq. 1 batch and a lockstep block
+      // through the 128-wide trunk, and cubes several cache blocks wide.
+      {7, 128, 128}, {26, 25, 128}, {26, 128, 128}, {128, 128, 128},
+      {256, 256, 256},
   };
   return shapes;
 }

@@ -638,6 +638,12 @@ TEST(Serialize, RejectsCorruptHeader) {
   metis::Rng rng(5);
   Mlp m({2, 4, 1}, Activation::kRelu, rng);
   EXPECT_FALSE(load_parameters(m.parameters(), path));
+  // A well-formed payload without its CRC frame is rejected too.
+  {
+    std::ofstream out(path);
+    out << render_parameters(m.parameters());
+  }
+  EXPECT_FALSE(load_parameters(m.parameters(), path));
   std::remove(path.c_str());
 }
 

@@ -29,8 +29,6 @@
 #include "metis/serve/server.h"
 #include "metis/serve/service.h"
 #include "metis/tree/tree_io.h"
-#include "metis/util/parallel_for.h"
-#include "metis/util/thread_pool.h"
 
 #include "collect_oracle.h"
 
@@ -1316,99 +1314,6 @@ TEST(Teacher, PolicyNetTeacherCloneIsBitwiseEquivalent) {
     EXPECT_EQ(copy->act(state), teacher.act(state));
     EXPECT_EQ(copy->value(state), teacher.value(state));  // bitwise
     EXPECT_EQ(copy->action_probs(state), teacher.action_probs(state));
-  }
-}
-
-// ---- pool-borrowed parallel_for ---------------------------------------------
-
-TEST(ParallelFor, PoolOverloadMatchesTransientAndSequential) {
-  constexpr std::size_t kCount = 257;
-  auto run = [&](auto&& go) {
-    std::vector<double> out(kCount, 0.0);
-    go([&](std::size_t i) { out[i] = static_cast<double>(i) * 1.5 + 1.0; });
-    return out;
-  };
-  const auto seq = run([&](const std::function<void(std::size_t)>& fn) {
-    util::parallel_for(kCount, 1, fn);
-  });
-  const auto transient = run([&](const std::function<void(std::size_t)>& fn) {
-    util::parallel_for(kCount, 4, fn);
-  });
-  util::ThreadPool pool(3);
-  const auto borrowed = run([&](const std::function<void(std::size_t)>& fn) {
-    util::parallel_for(kCount, &pool, 4, fn);
-  });
-  const auto defaulted = run([&](const std::function<void(std::size_t)>& fn) {
-    util::parallel_for(kCount, &pool, 0, fn);  // 0 = pool size + caller
-  });
-  EXPECT_EQ(transient, seq);
-  EXPECT_EQ(borrowed, seq);
-  EXPECT_EQ(defaulted, seq);
-  // nullptr pool falls back to the transient path.
-  const auto fallback = run([&](const std::function<void(std::size_t)>& fn) {
-    util::parallel_for(kCount, nullptr, 4, fn);
-  });
-  EXPECT_EQ(fallback, seq);
-}
-
-TEST(ParallelFor, PoolOverloadDoesNotDeadlockFromInsidePoolWorker) {
-  // A pool worker calling the borrowing parallel_for on ITS OWN pool must
-  // finish even though no other worker exists: the caller drains the index
-  // range itself rather than waiting on helpers that can never be
-  // scheduled.
-  util::ThreadPool pool(1);
-  std::promise<std::vector<int>> done;
-  auto fut = done.get_future();
-  pool.submit([&] {
-    std::vector<int> out(64, 0);
-    util::parallel_for(out.size(), &pool, 4,
-                       [&](std::size_t i) { out[i] = static_cast<int>(i); });
-    done.set_value(std::move(out));
-  });
-  ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
-            std::future_status::ready);
-  const auto out = fut.get();
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(out[i], i);
-}
-
-TEST(ParallelFor, PoolOverloadPropagatesExceptions) {
-  util::ThreadPool pool(2);
-  EXPECT_THROW(
-      util::parallel_for(100, &pool, 3,
-                         [&](std::size_t i) {
-                           if (i == 57) throw std::runtime_error("boom");
-                         }),
-      std::runtime_error);
-  // The pool is still usable afterwards.
-  std::atomic<int> hits{0};
-  util::parallel_for(10, &pool, 3, [&](std::size_t) { ++hits; });
-  EXPECT_EQ(hits.load(), 10);
-}
-
-TEST(Lime, PoolBorrowedClusterFitsMatchTransient) {
-  metis::Rng rng(13);
-  std::vector<std::vector<double>> x(200, std::vector<double>(3));
-  nn::Tensor targets(200, 2);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    for (double& v : x[i]) v = rng.uniform(-1.0, 1.0);
-    targets(i, 0) = x[i][0] + 0.5 * x[i][1];
-    targets(i, 1) = x[i][2] - x[i][0] * 0.25;
-  }
-  core::SurrogateConfig cfg;
-  cfg.clusters = 4;
-  cfg.workers = 3;
-  const auto transient = core::LimeSurrogate::fit(x, targets, cfg);
-  util::ThreadPool pool(2);
-  cfg.pool = &pool;
-  const auto borrowed = core::LimeSurrogate::fit(x, targets, cfg);
-
-  const nn::Tensor a = transient.predict_batch(x);
-  const nn::Tensor b = borrowed.predict_batch(x);
-  ASSERT_TRUE(a.same_shape(b));
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      EXPECT_EQ(a(i, j), b(i, j)) << i << "," << j;  // bitwise
-    }
   }
 }
 

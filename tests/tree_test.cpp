@@ -883,6 +883,10 @@ TEST(TreeIO, SaveLoadRoundTripsThroughDisk) {
   save(t, path);
   const DecisionTree back = load(path);
   EXPECT_EQ(serialize(back), serialize(t));
+  // The same text without its CRC frame (a bare metis-tree-v1 file) is
+  // not an artifact load() accepts.
+  ASSERT_TRUE(metis::util::write_file_atomic(path, serialize(t)));
+  EXPECT_THROW((void)load(path), std::runtime_error);
   std::remove(path.c_str());
 }
 

@@ -677,11 +677,11 @@ TEST(Checksum, DamageIsDetectedNotTrusted) {
             util::FrameParse::kCorrupt);
 }
 
-TEST(Checksum, PreFramingFilesReportNotFramed) {
+TEST(Checksum, UnframedBytesAreRejectedAsCorrupt) {
   util::CrcFrame frame;
   EXPECT_EQ(util::parse_crc_frame("metis-tree v1\nlegacy body\n", &frame),
-            util::FrameParse::kNotFramed);
-  EXPECT_EQ(util::parse_crc_frame("", &frame), util::FrameParse::kNotFramed);
+            util::FrameParse::kCorrupt);
+  EXPECT_EQ(util::parse_crc_frame("", &frame), util::FrameParse::kCorrupt);
 }
 
 TEST(Checksum, HeaderConstraintsEnforced) {
