@@ -8,7 +8,7 @@
 // The same session core backs three consumers:
 //  * AbrEnv (nn::DiscreteEnv)       — RL training + tree distillation
 //  * run_abr_episode(policy)        — heuristic baselines and figures
-//  * PensieveTeacher::q_values      — model-based Q estimates for Eq. 1
+//  * AbrRolloutEnv::lookahead       — model-based Q estimates for Eq. 1
 #pragma once
 
 #include <array>

@@ -70,14 +70,6 @@ std::size_t TabularTeacher::act(std::span<const double> state) const {
 
 double TabularTeacher::value(std::span<const double>) const { return 0.0; }
 
-std::vector<double> TabularTeacher::action_probs(
-    std::span<const double> state) const {
-  const std::size_t unit = unit_of(state);
-  std::vector<double> out(probs_.cols());
-  for (std::size_t c = 0; c < probs_.cols(); ++c) out[c] = probs_(unit, c);
-  return out;
-}
-
 LocalSystem mimic_local_system(std::shared_ptr<core::MaskableModel> model,
                                const std::string& unit_name) {
   MET_CHECK(model != nullptr);

@@ -68,8 +68,6 @@ class TabularTeacher final : public core::Teacher {
   [[nodiscard]] std::size_t action_count() const override;
   [[nodiscard]] std::size_t act(std::span<const double> state) const override;
   [[nodiscard]] double value(std::span<const double> state) const override;
-  [[nodiscard]] std::vector<double> action_probs(
-      std::span<const double> state) const override;
 
  private:
   [[nodiscard]] std::size_t unit_of(std::span<const double> state) const;

@@ -57,12 +57,9 @@ class MaskableModel {
   // number of §4.2 searches can run over clones concurrently. decisions()
   // must stay bitwise identical to the original's. Clones may keep
   // borrowing the original's read-only backing objects (topology, traffic
-  // matrices) — keep the built system alive while clones run. Returns
-  // nullptr when the model cannot clone; callers must then serialize
-  // concurrent searches themselves (serve::Service does).
-  [[nodiscard]] virtual std::shared_ptr<MaskableModel> clone() const {
-    return nullptr;
-  }
+  // matrices) — keep the built system alive while clones run. Every serve
+  // interpret job searches over its own clone.
+  [[nodiscard]] virtual std::shared_ptr<MaskableModel> clone() const = 0;
 };
 
 struct InterpretConfig {

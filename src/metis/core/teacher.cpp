@@ -7,8 +7,8 @@ namespace metis::core {
 
 std::vector<std::size_t> Teacher::act_batch(
     const std::vector<std::vector<double>>& states) const {
-  // Pure inference: none of the batch defaults (or their scalar
-  // callees) ever backpropagate, so the whole loop runs tape-free.
+  // Pure inference: the batch defaults (and their scalar callees) never
+  // backpropagate, so the whole loop runs tape-free.
   nn::NoGradGuard no_grad;
   std::vector<std::size_t> out;
   out.reserve(states.size());
@@ -16,45 +16,22 @@ std::vector<std::size_t> Teacher::act_batch(
   return out;
 }
 
-std::vector<double> Teacher::value_batch(
-    const std::vector<std::vector<double>>& states) const {
-  nn::NoGradGuard no_grad;
-  std::vector<double> out;
-  out.reserve(states.size());
-  for (const auto& s : states) out.push_back(value(s));
-  return out;
-}
-
-std::vector<std::vector<double>> Teacher::action_probs_batch(
-    const std::vector<std::vector<double>>& states) const {
-  nn::NoGradGuard no_grad;
-  std::vector<std::vector<double>> out;
-  out.reserve(states.size());
-  for (const auto& s : states) out.push_back(action_probs(s));
-  return out;
-}
-
-Teacher::ActValues Teacher::act_and_values(
-    const std::vector<std::vector<double>>& states) const {
-  MET_CHECK(!states.empty());
-  nn::NoGradGuard no_grad;
-  ActValues out;
-  out.action = act(states.front());
-  out.values = value_batch(states);
-  return out;
-}
-
 std::vector<Teacher::ActValues> Teacher::act_and_values_multi(
     const std::vector<std::vector<double>>& states,
     std::span<const std::size_t> group_sizes) const {
+  nn::NoGradGuard no_grad;
   std::vector<ActValues> out;
   out.reserve(group_sizes.size());
   std::size_t base = 0;
   for (std::size_t g : group_sizes) {
     MET_CHECK(g >= 1 && base + g <= states.size());
-    out.push_back(act_and_values(
-        {states.begin() + static_cast<std::ptrdiff_t>(base),
-         states.begin() + static_cast<std::ptrdiff_t>(base + g)}));
+    ActValues av;
+    av.action = act(states[base]);
+    av.values.reserve(g);
+    for (std::size_t r = base; r < base + g; ++r) {
+      av.values.push_back(value(states[r]));
+    }
+    out.push_back(std::move(av));
     base += g;
   }
   MET_CHECK(base == states.size());
@@ -63,16 +40,6 @@ std::vector<Teacher::ActValues> Teacher::act_and_values_multi(
 
 PolicyNetTeacher::PolicyNetTeacher(const nn::PolicyNet* net) : net_(net) {
   MET_CHECK(net != nullptr);
-}
-
-PolicyNetTeacher::PolicyNetTeacher(std::shared_ptr<const nn::PolicyNet> owned)
-    : net_(owned.get()), owned_(std::move(owned)) {
-  MET_CHECK(net_ != nullptr);
-}
-
-std::shared_ptr<Teacher> PolicyNetTeacher::clone() const {
-  auto copy = std::make_shared<const nn::PolicyNet>(net_->clone());
-  return std::shared_ptr<Teacher>(new PolicyNetTeacher(std::move(copy)));
 }
 
 std::size_t PolicyNetTeacher::action_count() const {
@@ -87,30 +54,9 @@ double PolicyNetTeacher::value(std::span<const double> state) const {
   return net_->value(state);
 }
 
-std::vector<double> PolicyNetTeacher::action_probs(
-    std::span<const double> state) const {
-  return net_->action_probs(state);
-}
-
 std::vector<std::size_t> PolicyNetTeacher::act_batch(
     const std::vector<std::vector<double>>& states) const {
   return net_->greedy_actions(states);
-}
-
-std::vector<double> PolicyNetTeacher::value_batch(
-    const std::vector<std::vector<double>>& states) const {
-  return net_->values_batch(states);
-}
-
-std::vector<std::vector<double>> PolicyNetTeacher::action_probs_batch(
-    const std::vector<std::vector<double>>& states) const {
-  return net_->action_probs_batch(states);
-}
-
-Teacher::ActValues PolicyNetTeacher::act_and_values(
-    const std::vector<std::vector<double>>& states) const {
-  auto [action, values] = net_->act_and_values(states);
-  return {action, std::move(values)};
 }
 
 std::vector<Teacher::ActValues> PolicyNetTeacher::act_and_values_multi(
@@ -123,18 +69,6 @@ std::vector<Teacher::ActValues> PolicyNetTeacher::act_and_values_multi(
     out.push_back({action, std::move(values)});
   }
   return out;
-}
-
-std::vector<double> RolloutEnv::q_values(const Teacher& teacher,
-                                         double gamma) const {
-  nn::NoGradGuard no_grad;
-  const std::vector<Lookahead> la = lookahead();
-  if (la.empty()) return {};
-  std::vector<double> qs(la.size());
-  for (std::size_t a = 0; a < la.size(); ++a) {
-    qs[a] = la[a].reward + gamma * teacher.value(la[a].next_state);
-  }
-  return qs;
 }
 
 }  // namespace metis::core

@@ -128,17 +128,8 @@ void collect_block(const Teacher& teacher, std::span<RolloutEnv* const> envs,
         }
         sample.weight = std::max(av.values[0] - min_q, 1e-3);
       } else {
+        // No lookahead (or Eq. 1 off): uniform weight.
         teacher_action = act_out[act_of[e]];
-        if (cfg.weight_by_advantage) {
-          // No lookahead: the env's own Q(s,·) estimate, if it has one.
-          const auto qs = ep.env->q_values(teacher, cfg.gamma);
-          if (!qs.empty()) {
-            MET_CHECK(qs.size() == teacher.action_count());
-            const double v = teacher.value(ep.state);
-            const double min_q = *std::min_element(qs.begin(), qs.end());
-            sample.weight = std::max(v - min_q, 1e-3);
-          }
-        }
       }
       sample.action = teacher_action;
       std::vector<CollectedSample>& samples = out[ep.slot];
@@ -201,31 +192,17 @@ std::vector<CollectedSample> collect_traces(const Teacher& teacher,
   MET_CHECK(teacher.action_count() == env.action_count());
   std::vector<std::vector<CollectedSample>> per_episode(cfg.episodes);
 
-  // Every episode of a block is live at once, so each needs its own env.
+  // Every episode of a block is live at once, so each runs on its own
+  // clone of the caller's env.
   std::vector<std::shared_ptr<RolloutEnv>> clones;
-  if (std::shared_ptr<RolloutEnv> clone = env.clone()) {
-    clones.reserve(cfg.episodes);
-    clones.push_back(std::move(clone));
-    while (clones.size() < cfg.episodes) {
-      clones.push_back(env.clone());
-      MET_CHECK(clones.back() != nullptr);
-    }
-  }
-  if (clones.empty()) {
-    // The env cannot clone: episodes run in order as blocks of size 1 on
-    // the caller's env, sharing one arena scope.
-    nn::arena::Scope arena;
-    RolloutEnv* const only[] = {&env};
-    for (std::size_t ep = 0; ep < cfg.episodes; ++ep) {
-      collect_block(teacher, only, cfg, student, episode_offset, ep,
-                    per_episode);
-    }
-    return merge_in_episode_order(std::move(per_episode));
-  }
-
   std::vector<RolloutEnv*> envs;
-  envs.reserve(clones.size());
-  for (const auto& c : clones) envs.push_back(c.get());
+  clones.reserve(cfg.episodes);
+  envs.reserve(cfg.episodes);
+  for (std::size_t ep = 0; ep < cfg.episodes; ++ep) {
+    clones.push_back(env.clone());
+    MET_CHECK(clones.back() != nullptr);
+    envs.push_back(clones.back().get());
+  }
   // One contiguous block per worker (the whole round when workers <= 1,
   // on the calling thread), each under its own arena scope: arenas are
   // per-thread.

@@ -26,14 +26,10 @@ namespace metis::core {
 // run on all (A + 1) rows of a group and the policy head on its first row
 // only. For ABR the A successor states come from AbrEnv::peek_step, which
 // steps a copy of the session (its histories are inline arrays) and
-// featurizes it directly. How the round is cut into blocks:
-//
-//  - cloneable env, workers <= 1: the whole round is one block, each
-//    episode on its own env clone;
-//  - cloneable env, workers > 1: the round is split into `workers`
-//    contiguous blocks, run on `workers` threads;
-//  - env whose clone() returns nullptr: the episodes run in order as
-//    blocks of size 1 on the caller's env, on the calling thread.
+// featurizes it directly. Each episode runs on its own clone of the
+// caller's env; at workers <= 1 the whole round is one block on the
+// calling thread, at workers > 1 it is split into `workers` contiguous
+// blocks run on `workers` threads.
 //
 // The cut cannot affect the result: every episode derives its randomness
 // from its index (the RolloutEnv episode-determinism contract), per-row
@@ -45,8 +41,8 @@ namespace metis::core {
 // Precondition at workers > 1: the Teacher and (in DAgger rounds) the
 // StudentPolicy are invoked from several threads at once, so their const
 // call paths must be safe to call concurrently — pure functions of their
-// inputs, no internal mutable scratch. The built-in teachers
-// (PolicyNetTeacher, TabularTeacher) and tree-backed students qualify.
+// inputs, no internal mutable scratch. Teachers are held to this anyway
+// (core::Teacher: shared read-only); tree-backed students qualify.
 struct ParallelCollectConfig {
   std::size_t workers = 1;  // <= 1: one block on the calling thread
 };
@@ -56,8 +52,8 @@ struct CollectConfig {
   std::size_t max_steps = 1000;   // per-episode cap
   double gamma = 0.99;            // Q bootstrap discount for Eq. 1
   // Eq. 1 weighting. Episodes whose env exposes lookahead() get act(s),
-  // V(s) and every V(s') from one fused trunk forward; the others fall
-  // back to RolloutEnv::q_values (uniform weight when that is empty too).
+  // V(s) and every V(s') from one fused trunk forward; the others keep
+  // uniform weight.
   bool weight_by_advantage = true;
   // Teacher takes control after this many consecutive student deviations…
   std::size_t deviation_limit = 3;

@@ -132,27 +132,16 @@ void Service::clear_cache() {
 
 namespace {
 
-// LRU eviction over one slot map. Only idle slots — those whose sole
-// remaining reference is the cache entry itself — are evicted; a slot a
-// job still holds would rebuild underneath it. Called with cache_mu_
-// held, AFTER the requesting job copied its own shared_ptr, so the slot
-// being handed out is never the victim. When every slot is busy the map
-// transiently exceeds the cap rather than evicting live builds.
+// The slot for `key` in one of the cache maps, created on first use.
+// Called with cache_mu_ held.
 template <typename SlotMap>
-void evict_idle_lru(SlotMap& map, std::size_t capacity) {
-  if (capacity == 0) return;  // unbounded (the default)
-  while (map.size() > capacity) {
-    auto victim = map.end();
-    for (auto it = map.begin(); it != map.end(); ++it) {
-      if (it->second.use_count() > 1) continue;  // held by a job: not idle
-      if (victim == map.end() ||
-          it->second->last_used < victim->second->last_used) {
-        victim = it;
-      }
-    }
-    if (victim == map.end()) return;
-    map.erase(victim);
+typename SlotMap::mapped_type find_or_add(SlotMap& map,
+                                          const std::string& key) {
+  auto& slot = map[key];
+  if (slot == nullptr) {
+    slot = std::make_shared<typename SlotMap::mapped_type::element_type>();
   }
+  return slot;
 }
 
 }  // namespace
@@ -160,23 +149,13 @@ void evict_idle_lru(SlotMap& map, std::size_t capacity) {
 std::shared_ptr<Service::LocalSlot> Service::local_slot(
     const std::string& key) {
   util::MutexLock lock(cache_mu_);
-  auto& slot = local_[key];
-  if (slot == nullptr) slot = std::make_shared<LocalSlot>();
-  slot->last_used = ++cache_tick_;
-  std::shared_ptr<LocalSlot> out = slot;
-  evict_idle_lru(local_, config_.cache_capacity);
-  return out;
+  return find_or_add(local_, key);
 }
 
 std::shared_ptr<Service::GlobalSlot> Service::global_slot(
     const std::string& key) {
   util::MutexLock lock(cache_mu_);
-  auto& slot = global_[key];
-  if (slot == nullptr) slot = std::make_shared<GlobalSlot>();
-  slot->last_used = ++cache_tick_;
-  std::shared_ptr<GlobalSlot> out = slot;
-  evict_idle_lru(global_, config_.cache_capacity);
-  return out;
+  return find_or_add(global_, key);
 }
 
 namespace {
@@ -313,24 +292,10 @@ void Service::run_distill(const detail::JobState& state,
     progress->rounds_done.fetch_add(1, std::memory_order_release);
   };
 
-  // Rollouts mutate the env: give this job its own clone (the run then
-  // owns it outright), or — for envs that cannot clone — hold the slot's
-  // env lock so concurrent same-key jobs serialize instead of racing one
-  // live episode. In that fallback the returned run still references the
-  // shared env (see the class comment for the caller-side caveat).
-  util::OptionalLock env_lock;
-  if (auto cloned = sys.env->clone()) {
-    sys.env = std::move(cloned);
-  } else {
-    env_lock.lock(slot->env_mu);
-  }
-
-  // Mirror the interpret-side model clones on the teacher: inference is
-  // const, but a per-job deep copy (Teacher::clone, bitwise-equal weights)
-  // means the returned run owns a teacher no other job touches — and
-  // same-key jobs never share one network's internals. Teachers that
-  // cannot clone keep the cached teacher, shared read-only.
-  if (auto cloned = sys.teacher->clone()) sys.teacher = std::move(cloned);
+  // Rollouts mutate the env, so the job (and the run it returns) owns a
+  // clone of it; the teacher is shared read-only.
+  sys.env = sys.env->clone();
+  MET_CHECK(sys.env != nullptr);
 
   out.scenario = scenario.key();
   out.system = sys;
@@ -383,15 +348,9 @@ void Service::run_interpret(const detail::JobState& state,
   // (unused) gradients into its weight nodes — racy if shared. Deep-clone
   // the model per job so N same-key searches run on N workers at once;
   // the cached build (and its keepalive, which clones may borrow
-  // read-only state from) stays alive in `sys`. Models that cannot clone
-  // serialize on the slot's run lock.
-  std::shared_ptr<core::MaskableModel> model = sys.model;
-  util::OptionalLock run_lock;
-  if (auto cloned = sys.model->clone()) {
-    model = std::move(cloned);
-  } else {
-    run_lock.lock(slot->run_mu);
-  }
+  // read-only state from) stays alive in `sys`.
+  const std::shared_ptr<core::MaskableModel> model = sys.model->clone();
+  MET_CHECK(model != nullptr);
   // Thread the job's token through the mask-step checkpoints.
   cfg.cancel = state.cancel_source.token();
   out.result = core::find_critical_connections(*model, cfg);

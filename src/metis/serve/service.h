@@ -11,19 +11,12 @@
 //
 // A fixed pool of workers drains a FIFO job queue. Built teacher/env
 // systems are cached per scenario key behind per-key locks, so concurrent
-// jobs for the SAME scenario share one built (finetuned) teacher while
-// DIFFERENT scenarios build in parallel (the cache is optionally bounded:
-// ServiceConfig::cache_capacity evicts least-recently-used idle builds).
-// Each distill job drives its own env clone when the scenario's env
-// supports clone(); envs that cannot clone serialize same-key JOBS on a
-// per-key lock instead of racing the shared env. Note the limit of that
-// fallback: the run returned for a non-cloneable env still references the
-// live shared env, so callers who roll it out themselves (e.g.
-// evaluate_fidelity) while more jobs for that key are in flight must
-// coordinate — implement clone() to get fully independent runs.
-// Interpret jobs likewise deep-clone the cached model per job
-// (MaskableModel::clone), so N same-key searches occupy N workers
-// concurrently; non-cloneable models fall back to per-key serialization.
+// jobs for the SAME scenario share one built (finetuned) teacher —
+// read-only, see core::Teacher — while DIFFERENT scenarios build in
+// parallel. Every distill job drives its own clone of the scenario's env
+// (RolloutEnv::clone), and every interpret job searches over its own deep
+// clone of the cached model (MaskableModel::clone), so N same-key jobs
+// occupy N workers concurrently with no execution lock.
 //
 // The synchronous metis::Interpreter facade is a thin wrapper over this
 // class (submit + wait), so both surfaces share one cache and one code
@@ -59,12 +52,6 @@ struct ServiceConfig {
   // ParallelCollectConfig); jobs may override per submission via
   // DistillOverrides::collect_workers. 0 keeps each scenario's default.
   std::size_t collect_workers = 0;
-  // Build-cache bound, per surface (local/global): beyond this many cached
-  // scenario builds, the least-recently-used IDLE slot is evicted (slots
-  // referenced by in-flight jobs are never evicted; the cache may
-  // transiently exceed the cap while every slot is busy). 0 = unbounded,
-  // preserving the pre-cap behavior.
-  std::size_t cache_capacity = 0;
 };
 
 class Service {
@@ -122,38 +109,17 @@ class Service {
 
  private:
   // Per-scenario cache slot. `build_mu` serializes the (expensive) build
-  // of one key while leaving other keys free to build concurrently;
-  // `env_mu` serializes distill jobs that must share a non-cloneable env.
-  // `last_used` is the LRU stamp (cache_mu_ guards it): a slot whose only
-  // reference is the cache map itself is idle and evictable.
-  struct LocalSlot {
+  // of one key while leaving other keys free to build concurrently. The
+  // cache holds at most one slot per registered key, so the registry
+  // bounds it.
+  template <typename System>
+  struct Slot {
     util::Mutex build_mu;
     bool built GUARDED_BY(build_mu) = false;
-    api::LocalSystem system GUARDED_BY(build_mu);
-    // Serializes EXECUTION of same-key jobs sharing a non-cloneable env;
-    // guards no fields here (the env lives inside `system`), so it is
-    // taken through util::OptionalLock outside the analysis.
-    util::Mutex env_mu;
-    // LRU stamp. Guarded by the owning Service's cache_mu_, which clang's
-    // analysis cannot express across objects — keep every access under
-    // cache_mu_ by hand (evict_idle_lru / the slot accessors do).
-    std::uint64_t last_used = 0;
+    System system GUARDED_BY(build_mu);
   };
-  struct GlobalSlot {
-    util::Mutex build_mu;
-    bool built GUARDED_BY(build_mu) = false;
-    api::GlobalSystem system GUARDED_BY(build_mu);
-    // The Figure-6 search backpropagates through the model, accumulating
-    // (unused) gradients into its weight nodes — concurrent searches over
-    // ONE model would race on those tensors. Interpret jobs therefore
-    // clone the model per job (MaskableModel::clone) and run without any
-    // lock; models that cannot clone serialize here instead.
-    // Like env_mu: an execution lock guarding no fields, taken via
-    // util::OptionalLock.
-    util::Mutex run_mu;
-    // LRU stamp; see LocalSlot::last_used.
-    std::uint64_t last_used = 0;
-  };
+  using LocalSlot = Slot<api::LocalSystem>;
+  using GlobalSlot = Slot<api::GlobalSystem>;
 
   JobHandle enqueue(std::shared_ptr<detail::JobState> state);
   void run_job(const std::shared_ptr<detail::JobState>& state);
@@ -174,10 +140,9 @@ class Service {
   // Retired jobs still in table_, oldest first.
   std::deque<JobId> finished_ GUARDED_BY(table_mu_);
 
-  // Guards the slot maps and their LRU bookkeeping; never held while
-  // building (builds serialize on the slot's own build_mu).
+  // Guards the slot maps; never held while building (builds serialize
+  // on the slot's own build_mu).
   util::Mutex cache_mu_;
-  std::uint64_t cache_tick_ GUARDED_BY(cache_mu_) = 0;  // LRU clock
   std::map<std::string, std::shared_ptr<LocalSlot>, std::less<>> local_
       GUARDED_BY(cache_mu_);
   std::map<std::string, std::shared_ptr<GlobalSlot>, std::less<>> global_

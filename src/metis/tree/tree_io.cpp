@@ -16,7 +16,11 @@ namespace {
 std::string feature_label(const DecisionTree& tree, int feature) {
   const auto f = static_cast<std::size_t>(feature);
   if (f < tree.feature_names().size()) return tree.feature_names()[f];
-  return "x" + std::to_string(feature);
+  // Appended rather than `"x" + std::to_string(...)`, which trips a
+  // false -Wrestrict in GCC 12's char_traits.
+  std::string label = "x";
+  label += std::to_string(feature);
+  return label;
 }
 
 std::string class_label(const PrintOptions& opts, std::size_t cls) {

@@ -1,9 +1,8 @@
 // Runtime lock-order sanitizer for the util::Mutex vocabulary.
 //
 // Every acquisition through util::Mutex / SharedMutex (and therefore
-// through MutexLock / WriterLock / SharedLock / OptionalLock, which all
-// route through them) is hooked here in debug builds. The sanitizer
-// maintains
+// through MutexLock / WriterLock / SharedLock, which all route through
+// them) is hooked here in debug builds. The sanitizer maintains
 //
 //   - a per-thread stack of currently-held locks (with the
 //     std::source_location of each acquisition), and

@@ -17,9 +17,6 @@
 //                                predicate so guarded reads stay visible
 //                                to the analysis (no predicate lambdas,
 //                                which the analysis cannot see into)
-//   OptionalLock               — a lock whose acquisition is a *runtime*
-//                                decision (serialize-execution fallbacks);
-//                                deliberately outside the analysis
 //   ThreadRole / ScopedThreadRole
 //                              — a zero-cost "capability" for data owned
 //                                by one designated thread (the epoll loop
@@ -232,39 +229,6 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
-};
-
-// A lock whose acquisition is decided at runtime — the serialize-execution
-// fallbacks in serve::Service (non-cloneable envs/models) either take the
-// per-key lock or run lock-free on a clone. Static analysis cannot model
-// conditionally-held capabilities, so this type's operations are
-// deliberately NO_THREAD_SAFETY_ANALYSIS; it must therefore only ever
-// guard *execution* (mutual exclusion of whole job bodies), never data
-// members annotated GUARDED_BY.
-class OptionalLock {
- public:
-  OptionalLock() = default;
-  explicit OptionalLock(Mutex& mu, const std::source_location& site =
-                                       std::source_location::current()) {
-    lock(mu, site);
-  }
-  ~OptionalLock() NO_THREAD_SAFETY_ANALYSIS {
-    if (mu_ != nullptr) mu_->unlock();
-  }
-
-  OptionalLock(const OptionalLock&) = delete;
-  OptionalLock& operator=(const OptionalLock&) = delete;
-
-  void lock(Mutex& mu, const std::source_location& site =
-                           std::source_location::current())
-      NO_THREAD_SAFETY_ANALYSIS {
-    mu.lock(site);
-    mu_ = &mu;
-  }
-  [[nodiscard]] bool held() const { return mu_ != nullptr; }
-
- private:
-  Mutex* mu_ = nullptr;
 };
 
 // A "thread role": a capability with no runtime state, for data that is

@@ -95,9 +95,3 @@
 
 // The function returns a reference to the named capability.
 #define RETURN_CAPABILITY(x) METIS_THREAD_ANNOTATION__(lock_returned(x))
-
-// Escape hatch: the function body is not analyzed. Used only where a
-// lock's acquisition is a *runtime* decision the static analysis cannot
-// model (see util::OptionalLock) — never to silence a genuine race.
-#define NO_THREAD_SAFETY_ANALYSIS \
-  METIS_THREAD_ANNOTATION__(no_thread_safety_analysis)

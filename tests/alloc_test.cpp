@@ -189,14 +189,13 @@ TEST(Arena, BuffersSurviveScopeExit) {
   EXPECT_DOUBLE_EQ(escaped(7, 7), 3.0);
 }
 
-// Deterministic cloneable env with lookahead, so collection exercises the
-// fused Eq. 1 act_and_values(_multi) hot path. Episodes never terminate
+// Deterministic env with lookahead, so collection exercises the fused
+// Eq. 1 act_and_values_multi hot path. Episodes never terminate
 // early, keeping every step's batch shapes constant (the precondition for
 // the zero-fresh-allocation assertion).
 class ToyRolloutEnv final : public core::RolloutEnv {
  public:
-  explicit ToyRolloutEnv(std::size_t dim = 6, bool cloneable = true)
-      : dim_(dim), cloneable_(cloneable) {}
+  explicit ToyRolloutEnv(std::size_t dim = 6) : dim_(dim) {}
 
   std::size_t action_count() const override { return 3; }
 
@@ -230,7 +229,6 @@ class ToyRolloutEnv final : public core::RolloutEnv {
   }
 
   std::shared_ptr<core::RolloutEnv> clone() const override {
-    if (!cloneable_) return nullptr;
     return std::make_shared<ToyRolloutEnv>(dim_);
   }
 
@@ -245,7 +243,6 @@ class ToyRolloutEnv final : public core::RolloutEnv {
   }
 
   std::size_t dim_;
-  bool cloneable_;
   std::size_t episode_ = 0;
   std::size_t t_ = 0;
 };
@@ -258,33 +255,26 @@ core::CollectConfig collect_config() {
   return cc;
 }
 
-// Both single-thread cuts of a round: one block over per-episode clones,
-// and blocks of size 1 on the caller's env (an env that cannot clone runs
-// on the calling thread at any worker count).
+// One block over per-episode clones, on the calling thread.
 TEST(Arena, CollectionZeroFreshAllocsAfterWarmup) {
   metis::Rng rng(24);
   PolicyNet net(6, 32, 2, 3, rng);
   core::PolicyNetTeacher teacher(&net);
-  for (const bool cloneable : {true, false}) {
-    ToyRolloutEnv env(6, cloneable);
-    core::CollectConfig cc = collect_config();
-    if (!cloneable) cc.parallel.workers = 4;
-    const std::string what = cloneable ? "one block" : "size-1 blocks";
+  ToyRolloutEnv env(6);
+  const core::CollectConfig cc = collect_config();
 
-    // Outer scope: the collector's internal scope nests inside it, so the
-    // pool survives between rounds and round 2 runs entirely off the free
-    // list.
-    arena::Scope scope;
-    (void)core::collect_traces(teacher, env, cc, nullptr, 0);  // warm-up
-    const arena::Stats warm = arena::stats();
-    const auto samples = core::collect_traces(teacher, env, cc, nullptr, 0);
-    const arena::Stats after = arena::stats();
-    EXPECT_EQ(after.fresh_allocs, warm.fresh_allocs)
-        << what << ": steady-state collection must not allocate fresh "
-        << "tensor buffers";
-    EXPECT_GT(after.reuses, warm.reuses) << what;
-    EXPECT_EQ(samples.size(), cc.episodes * cc.max_steps) << what;
-  }
+  // Outer scope: the collector's internal scope nests inside it, so the
+  // pool survives between rounds and round 2 runs entirely off the free
+  // list.
+  arena::Scope scope;
+  (void)core::collect_traces(teacher, env, cc, nullptr, 0);  // warm-up
+  const arena::Stats warm = arena::stats();
+  const auto samples = core::collect_traces(teacher, env, cc, nullptr, 0);
+  const arena::Stats after = arena::stats();
+  EXPECT_EQ(after.fresh_allocs, warm.fresh_allocs)
+      << "steady-state collection must not allocate fresh tensor buffers";
+  EXPECT_GT(after.reuses, warm.reuses);
+  EXPECT_EQ(samples.size(), cc.episodes * cc.max_steps);
 }
 
 // ---- autodiff node pool -----------------------------------------------------

@@ -97,6 +97,9 @@ class LineEnv final : public core::RolloutEnv {
     return sr;
   }
   std::vector<double> interpretable_features() const override { return {x_}; }
+  std::shared_ptr<core::RolloutEnv> clone() const override {
+    return std::make_shared<LineEnv>();
+  }
 
  private:
   metis::Rng rng_{0};
@@ -111,11 +114,6 @@ class RuleTeacher final : public core::Teacher {
     return state[0] > 0.5 ? 1 : 0;
   }
   double value(std::span<const double>) const override { return 0.0; }
-  std::vector<double> action_probs(
-      std::span<const double> state) const override {
-    return act(state) == 1 ? std::vector<double>{0.1, 0.9}
-                           : std::vector<double>{0.9, 0.1};
-  }
 };
 
 class LineScenario final : public api::Scenario {
@@ -279,20 +277,17 @@ TEST(BatchedTeacher, BatchMatchesScalarBitwise) {
   core::PolicyNetTeacher teacher(&net);
   const auto states = random_states(17, 7, rng);
 
+  // One single-row group per state: its action and its value.
   const auto actions = teacher.act_batch(states);
-  const auto values = teacher.value_batch(states);
-  const auto probs = teacher.action_probs_batch(states);
+  const std::vector<std::size_t> ones(states.size(), 1);
+  const auto fused = teacher.act_and_values_multi(states, ones);
   ASSERT_EQ(actions.size(), states.size());
-  ASSERT_EQ(values.size(), states.size());
-  ASSERT_EQ(probs.size(), states.size());
+  ASSERT_EQ(fused.size(), states.size());
   for (std::size_t i = 0; i < states.size(); ++i) {
     EXPECT_EQ(actions[i], teacher.act(states[i])) << i;
-    EXPECT_EQ(values[i], teacher.value(states[i])) << i;  // bitwise
-    const auto scalar_probs = teacher.action_probs(states[i]);
-    ASSERT_EQ(probs[i].size(), scalar_probs.size());
-    for (std::size_t a = 0; a < scalar_probs.size(); ++a) {
-      EXPECT_EQ(probs[i][a], scalar_probs[a]) << i << "," << a;  // bitwise
-    }
+    EXPECT_EQ(fused[i].action, teacher.act(states[i])) << i;
+    ASSERT_EQ(fused[i].values.size(), 1u) << i;
+    EXPECT_EQ(fused[i].values[0], teacher.value(states[i])) << i;  // bitwise
   }
 }
 
@@ -312,8 +307,7 @@ TEST(BatchedTeacher, EmptyBatchIsEmpty) {
   nn::PolicyNet net(3, 8, 1, 2, rng);
   core::PolicyNetTeacher teacher(&net);
   EXPECT_TRUE(teacher.act_batch({}).empty());
-  EXPECT_TRUE(teacher.value_batch({}).empty());
-  EXPECT_TRUE(teacher.action_probs_batch({}).empty());
+  EXPECT_TRUE(teacher.act_and_values_multi({}, {}).empty());
 }
 
 // ---- mimic adapters ---------------------------------------------------------

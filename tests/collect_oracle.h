@@ -1,8 +1,8 @@
 // Parity oracle for core::collect_traces: the §3.2 collection loop written
 // as plainly as possible. One episode at a time on the caller's env, one
-// scalar teacher query per call (act, value, and Eq. 1 through
-// RolloutEnv::q_values), no batching, no threads, and the naive GEMM
-// kernels underneath. collect_traces must reproduce its dataset bit for
+// scalar teacher query per call (act, and Eq. 1's Q(s,a) = r + γ·V(s′)
+// over RolloutEnv::lookahead()), no batching, no threads, and the naive
+// GEMM kernels underneath. collect_traces must reproduce its dataset bit for
 // bit however the round is cut into blocks.
 #pragma once
 
@@ -30,10 +30,17 @@ inline std::vector<core::CollectedSample> collect_traces(
       sample.features = env.interpretable_features();
       sample.action = teacher.act(state);
       if (cfg.weight_by_advantage) {
-        // Eq. 1:  V(s) − min_a Q(s,a), floored at 1e-3.
-        const std::vector<double> qs = env.q_values(teacher, cfg.gamma);
-        if (!qs.empty()) {
-          const double min_q = *std::min_element(qs.begin(), qs.end());
+        // Eq. 1:  V(s) − min_a Q(s,a), floored at 1e-3; uniform weight
+        // when the env cannot look ahead.
+        const std::vector<core::Lookahead> la = env.lookahead();
+        if (!la.empty()) {
+          const auto q = [&](const core::Lookahead& l) {
+            return l.reward + cfg.gamma * teacher.value(l.next_state);
+          };
+          double min_q = q(la[0]);
+          for (std::size_t a = 1; a < la.size(); ++a) {
+            min_q = std::min(min_q, q(la[a]));
+          }
           sample.weight = std::max(teacher.value(state) - min_q, 1e-3);
         }
       }

@@ -56,11 +56,16 @@ class LineEnv final : public RolloutEnv {
     return {x_};
   }
 
-  std::vector<double> q_values(const Teacher&, double) const override {
-    // States near the decision boundary matter twice as much — lets tests
-    // observe Eq. 1's effect on sample weights.
-    const double importance = 1.0 + 2.0 * (1.0 - std::abs(x_ - 0.5) * 2.0);
-    return {0.0, importance};  // V − min Q = importance (teacher V = imp.)
+  // Both actions "stay" at the current state, action 1 with reward 1, so
+  // Q(s,·) = {γ·V(s), 1 + γ·V(s)} and Eq. 1's V − min Q = (1 − γ)·V(s):
+  // RuleTeacher's V makes states near the decision boundary weigh up to
+  // 3x more, which lets tests observe Eq. 1's effect on sample weights.
+  std::vector<Lookahead> lookahead() const override {
+    return {{0.0, state()}, {1.0, state()}};
+  }
+
+  std::shared_ptr<RolloutEnv> clone() const override {
+    return std::make_shared<LineEnv>(steps_);
   }
 
  private:
@@ -79,13 +84,9 @@ class RuleTeacher final : public Teacher {
   std::size_t act(std::span<const double> state) const override {
     return state[0] > 0.5 ? 1 : 0;
   }
+  // Importance: 3 at the decision boundary, 1 at the ends of the line.
   double value(std::span<const double> state) const override {
     return 1.0 + 2.0 * (1.0 - std::abs(state[0] - 0.5) * 2.0);
-  }
-  std::vector<double> action_probs(
-      std::span<const double> state) const override {
-    return act(state) == 1 ? std::vector<double>{0.1, 0.9}
-                           : std::vector<double>{0.9, 0.1};
   }
 };
 
@@ -110,11 +111,12 @@ TEST(Collector, AdvantageWeightsReflectQValues) {
   CollectConfig cfg;
   cfg.episodes = 4;
   auto samples = collect_traces(teacher, env, cfg, nullptr, 0);
-  // Weight = V − min Q = importance: near-boundary states get ~3x weight.
+  // Weight = V − min Q = (1 − γ)·importance: near-boundary states get ~3x
+  // weight.
   for (const auto& s : samples) {
-    const double expect =
+    const double importance =
         1.0 + 2.0 * (1.0 - std::abs(s.features[0] - 0.5) * 2.0);
-    EXPECT_NEAR(s.weight, expect, 1e-9);
+    EXPECT_NEAR(s.weight, (1.0 - cfg.gamma) * importance, 1e-9);
   }
 }
 
@@ -237,6 +239,10 @@ class ToyMaskModel final : public MaskableModel {
     return nn::softmax_rows(nn::concat_cols(a, b));
   }
 
+  std::shared_ptr<MaskableModel> clone() const override {
+    return std::make_shared<ToyMaskModel>(*this);
+  }
+
  private:
   hypergraph::Hypergraph graph_;
 };
@@ -316,6 +322,10 @@ class ContinuousToyModel final : public MaskableModel {
     nn::Tensor mix(4, 2, std::vector<double>{1.5, -0.2, 0.3, 0.9,  //
                                              -0.7, 0.4, 0.05, 2.0});
     return nn::tanh_op(nn::matmul(mask, nn::constant(mix)));
+  }
+
+  std::shared_ptr<MaskableModel> clone() const override {
+    return std::make_shared<ContinuousToyModel>(*this);
   }
 
  private:

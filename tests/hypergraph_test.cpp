@@ -66,7 +66,7 @@ TEST(Hypergraph, BoundsChecked) {
   Hypergraph h(4, 2);
   EXPECT_THROW(h.connect(2, 0), std::logic_error);
   EXPECT_THROW(h.connect(0, 4), std::logic_error);
-  EXPECT_THROW(h.vertices_of(5), std::logic_error);
+  EXPECT_THROW((void)h.vertices_of(5), std::logic_error);
 }
 
 TEST(Hypergraph, ValidateChecksFeatureShapes) {

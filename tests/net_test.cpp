@@ -87,11 +87,6 @@ class RuleTeacher final : public core::Teacher {
     return state[0] > 0.5 ? 1 : 0;
   }
   double value(std::span<const double>) const override { return 0.0; }
-  std::vector<double> action_probs(
-      std::span<const double> state) const override {
-    return act(state) == 1 ? std::vector<double>{0.1, 0.9}
-                           : std::vector<double>{0.9, 0.1};
-  }
 };
 
 // Blocks every episode until the gate opens — lets tests hold a distill

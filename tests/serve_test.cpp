@@ -1,7 +1,8 @@
 // Tests for the serve-path redesign: trace collection checked bit for bit
-// against the scalar oracle (tests/collect_oracle.h), the asynchronous job Service (thread-safe job table, shared
-// per-scenario builds, cancellation), the fused act_and_values teacher
-// path, and thread-safe ScenarioRegistry access.
+// against the scalar oracle (tests/collect_oracle.h), the asynchronous job
+// Service (thread-safe job table, shared per-scenario builds and teachers,
+// cancellation), the fused act_and_values_multi teacher path, and
+// thread-safe ScenarioRegistry access.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -45,11 +46,6 @@ class RuleTeacher final : public core::Teacher {
     return state[0] > 0.5 ? 1 : 0;
   }
   double value(std::span<const double>) const override { return 0.0; }
-  std::vector<double> action_probs(
-      std::span<const double> state) const override {
-    return act(state) == 1 ? std::vector<double>{0.1, 0.9}
-                           : std::vector<double>{0.9, 0.1};
-  }
 };
 
 // Stochastic episodes that honour the episode-determinism contract: every
@@ -57,8 +53,7 @@ class RuleTeacher final : public core::Teacher {
 // identically on any worker.
 class SplitLineEnv final : public core::RolloutEnv {
  public:
-  explicit SplitLineEnv(std::uint64_t seed, bool cloneable = true)
-      : seed_(seed), cloneable_(cloneable) {}
+  explicit SplitLineEnv(std::uint64_t seed) : seed_(seed) {}
 
   std::size_t action_count() const override { return 2; }
   std::vector<double> reset(std::size_t episode) override {
@@ -77,13 +72,11 @@ class SplitLineEnv final : public core::RolloutEnv {
   }
   std::vector<double> interpretable_features() const override { return {x_}; }
   std::shared_ptr<core::RolloutEnv> clone() const override {
-    if (!cloneable_) return nullptr;
-    return std::make_shared<SplitLineEnv>(seed_, cloneable_);
+    return std::make_shared<SplitLineEnv>(seed_);
   }
 
  private:
   std::uint64_t seed_;
-  bool cloneable_;
   metis::Rng rng_{0};
   double x_ = 0.0;
   std::size_t t_ = 0;
@@ -198,19 +191,6 @@ std::vector<CollectCase> collect_battery(AbrWorld& abr_world) {
   dagger.expect_takeovers = true;
   cases.push_back(dagger);
   cases.push_back(eq1);
-
-  // clone() returns nullptr: episodes run as blocks of size 1 on the
-  // caller's env whatever the worker count.
-  CollectCase non_cloneable;
-  non_cloneable.name = "non-cloneable env";
-  non_cloneable.teacher = rule;
-  non_cloneable.make_env = [] {
-    return std::make_unique<SplitLineEnv>(55, /*cloneable=*/false);
-  };
-  non_cloneable.config.episodes = 5;
-  non_cloneable.config.max_steps = 25;
-  non_cloneable.min_samples = 100;
-  cases.push_back(non_cloneable);
   return cases;
 }
 
@@ -261,14 +241,6 @@ class CountingTeacher final : public core::Teacher {
   double value(std::span<const double> s) const override {
     return inner_->value(s);
   }
-  std::vector<double> action_probs(std::span<const double> s) const override {
-    return inner_->action_probs(s);
-  }
-  ActValues act_and_values(
-      const std::vector<std::vector<double>>& states) const override {
-    ++fused_calls;
-    return inner_->act_and_values(states);
-  }
   std::vector<ActValues> act_and_values_multi(
       const std::vector<std::vector<double>>& states,
       std::span<const std::size_t> group_sizes) const override {
@@ -276,7 +248,6 @@ class CountingTeacher final : public core::Teacher {
     return inner_->act_and_values_multi(states, group_sizes);
   }
 
-  mutable std::atomic<std::size_t> fused_calls{0};
   mutable std::atomic<std::size_t> multi_calls{0};
 
  private:
@@ -296,53 +267,63 @@ TEST(Collection, TrunkForwardsCollapseFromEpisodesXStepsToSteps) {
   CountingTeacher counting(&inner);
   const auto samples = core::collect_traces(counting, rollout, cc, nullptr, 0);
   expect_identical(reference, samples, "counting");
-  EXPECT_EQ(counting.fused_calls.load(), 0u);
   EXPECT_LE(counting.multi_calls.load(), cc.max_steps);
   EXPECT_GT(counting.multi_calls.load(), 0u);
   // One call per step, not one per (episode, step) sample.
   EXPECT_LT(counting.multi_calls.load(), samples.size());
 }
 
-// ---- the size-1-block path (env cannot clone) --------------------------------
+// ---- episode completion and cancellation -----------------------------------
 
-TEST(Collection, NonCloneableEnvReportsEveryEpisodeDone) {
+TEST(Collection, ReportsEveryEpisodeDoneAtEveryWorkerCount) {
   RuleTeacher teacher;
-  SplitLineEnv env(55, /*cloneable=*/false);
+  SplitLineEnv env(55);
   // 25 steps: every episode terminates (done); 10: every one exhausts
   // max_steps instead.
-  for (std::size_t max_steps : {25u, 10u}) {
-    core::CollectConfig cc;
-    cc.episodes = 5;
-    cc.max_steps = max_steps;
-    cc.parallel.workers = 4;
-    std::atomic<std::size_t> done{0};
-    cc.on_episode_done = [&done] { ++done; };
-    const auto samples = core::collect_traces(teacher, env, cc, nullptr, 0);
-    EXPECT_EQ(done.load(), cc.episodes) << "max_steps=" << max_steps;
-    EXPECT_EQ(samples.size(), cc.episodes * max_steps);
+  for (std::size_t workers : {1u, 4u}) {
+    for (std::size_t max_steps : {25u, 10u}) {
+      core::CollectConfig cc;
+      cc.episodes = 5;
+      cc.max_steps = max_steps;
+      cc.parallel.workers = workers;
+      std::atomic<std::size_t> done{0};
+      cc.on_episode_done = [&done] { ++done; };
+      const auto samples = core::collect_traces(teacher, env, cc, nullptr, 0);
+      EXPECT_EQ(done.load(), cc.episodes)
+          << "workers=" << workers << " max_steps=" << max_steps;
+      EXPECT_EQ(samples.size(), cc.episodes * max_steps);
+    }
   }
 }
 
-TEST(Collection, NonCloneableEnvCancelledMidRoundThrows) {
+TEST(Collection, CancelledMidRoundThrowsAtEveryWorkerCount) {
   RuleTeacher teacher;
-  SplitLineEnv env(55, /*cloneable=*/false);
-  util::CancelSource source;
-  core::CollectConfig cc;
-  cc.episodes = 5;
-  cc.max_steps = 25;
-  cc.parallel.workers = 4;
-  cc.cancel = source.token();
-  std::size_t done = 0;
-  // Cancel once the second episode completes: the third must not finish.
-  cc.on_episode_done = [&] {
-    if (++done == 2) source.cancel();
-  };
-  EXPECT_THROW((void)core::collect_traces(teacher, env, cc, nullptr, 0),
-               util::CancelledError);
-  EXPECT_EQ(done, 2u);
+  SplitLineEnv env(55);
+  for (std::size_t workers : {1u, 4u}) {
+    util::CancelSource source;
+    core::CollectConfig cc;
+    cc.episodes = 5;
+    cc.max_steps = 25;
+    cc.parallel.workers = workers;
+    cc.cancel = source.token();
+    std::atomic<std::size_t> done{0};
+    cc.on_episode_done = [&done] { ++done; };
+    // The student agrees with the teacher, so it drives every step of
+    // every episode; it cancels on its 10th query. Every block checks the
+    // token before each step, so none runs more than 11 of 25 steps.
+    std::atomic<std::size_t> queries{0};
+    const core::StudentPolicy student = [&](std::span<const double> f) {
+      if (++queries == 10) source.cancel();
+      return f[0] > 0.5 ? std::size_t{1} : std::size_t{0};
+    };
+    EXPECT_THROW((void)core::collect_traces(teacher, env, cc, &student, 0),
+                 util::CancelledError)
+        << "workers=" << workers;
+    EXPECT_EQ(done.load(), 0u) << "workers=" << workers;
+  }
 }
 
-// ---- fused act_and_values ---------------------------------------------------
+// ---- fused act_and_values_multi ---------------------------------------------
 
 TEST(FusedActValues, MatchesSeparateCallsBitwise) {
   metis::Rng rng(91);
@@ -355,12 +336,13 @@ TEST(FusedActValues, MatchesSeparateCallsBitwise) {
     for (auto& v : row) v = rng.uniform(-1.0, 1.0);
   }
 
-  const auto fused = teacher.act_and_values(batch);
-  EXPECT_EQ(fused.action, teacher.act(batch.front()));
-  const auto values = teacher.value_batch(batch);
-  ASSERT_EQ(fused.values.size(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(fused.values[i], values[i]) << i;  // bitwise
+  const std::size_t group[] = {batch.size()};
+  const auto fused = teacher.act_and_values_multi(batch, group);
+  ASSERT_EQ(fused.size(), 1u);
+  EXPECT_EQ(fused[0].action, teacher.act(batch.front()));
+  ASSERT_EQ(fused[0].values.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(fused[0].values[i], teacher.value(batch[i])) << i;  // bitwise
   }
 }
 
@@ -372,9 +354,10 @@ TEST(FusedActValues, SkipFeatureStructureAlsoMatches) {
   for (auto& row : batch) {
     for (auto& v : row) v = rng.uniform(-1.0, 1.0);
   }
-  const auto fused = teacher.act_and_values(batch);
-  EXPECT_EQ(fused.action, teacher.act(batch.front()));
-  EXPECT_EQ(fused.values[0], teacher.value(batch.front()));
+  const std::size_t group[] = {batch.size()};
+  const auto fused = teacher.act_and_values_multi(batch, group);
+  EXPECT_EQ(fused[0].action, teacher.act(batch.front()));
+  EXPECT_EQ(fused[0].values[0], teacher.value(batch.front()));
 }
 
 // ---- Service ----------------------------------------------------------------
@@ -908,13 +891,11 @@ TEST(Service, ProgressRespectsOverridesAndStaysZeroOnFailure) {
 
 // A maskable model whose decisions() pass through a real Mlp — backward
 // accumulates gradients into the net's weight nodes, the exact state
-// concurrent same-key searches used to serialize on. clone() hands each
-// job an independent net (or nullptr, to exercise the serialized
-// fallback).
+// concurrent same-key searches would race on. clone() hands each job an
+// independent net.
 class NetMaskModel final : public core::MaskableModel {
  public:
-  NetMaskModel(std::uint64_t seed, bool cloneable)
-      : cloneable_(cloneable), graph_(4, 3) {
+  explicit NetMaskModel(std::uint64_t seed) : graph_(4, 3) {
     graph_.connect(0, 0);
     graph_.connect(0, 1);
     graph_.connect(1, 1);
@@ -932,22 +913,19 @@ class NetMaskModel final : public core::MaskableModel {
     return nn::softmax_rows(net_->forward(mask));
   }
   std::shared_ptr<core::MaskableModel> clone() const override {
-    if (!cloneable_) return nullptr;
     auto copy = std::make_shared<NetMaskModel>(*this);
     copy->net_ = std::make_shared<nn::Mlp>(net_->clone());
     return copy;
   }
 
  private:
-  bool cloneable_;
   hypergraph::Hypergraph graph_;
   std::shared_ptr<nn::Mlp> net_;
 };
 
 class NetMaskScenario final : public api::Scenario {
  public:
-  NetMaskScenario(std::string key, bool cloneable)
-      : key_(std::move(key)), cloneable_(cloneable) {}
+  explicit NetMaskScenario(std::string key) : key_(std::move(key)) {}
   std::string key() const override { return key_; }
   std::string description() const override { return "net-backed mask model"; }
   bool has_local() const override { return false; }
@@ -955,7 +933,7 @@ class NetMaskScenario final : public api::Scenario {
   api::GlobalSystem make_global(
       const api::ScenarioOptions& options) const override {
     api::GlobalSystem sys;
-    sys.model = std::make_shared<NetMaskModel>(options.seed + 7, cloneable_);
+    sys.model = std::make_shared<NetMaskModel>(options.seed + 7);
     sys.keepalive = sys.model;
     sys.interpret_defaults.steps = 30;
     sys.interpret_defaults.seed = options.seed + 2;
@@ -964,7 +942,6 @@ class NetMaskScenario final : public api::Scenario {
 
  private:
   std::string key_;
-  bool cloneable_;
 };
 
 void expect_same_interpret(const core::InterpretResult& a,
@@ -996,7 +973,7 @@ void expect_same_interpret(const core::InterpretResult& a,
 TEST(Service, ConcurrentSameKeyInterpretBitwiseIdenticalToSequential) {
   api::ScenarioRegistry reg;
   api::register_builtin_scenarios(reg);
-  reg.add(std::make_unique<NetMaskScenario>("netmask", /*cloneable=*/true));
+  reg.add(std::make_unique<NetMaskScenario>("netmask"));
 
   api::InterpretOverrides io;
   io.steps = 40;
@@ -1031,44 +1008,9 @@ TEST(Service, ConcurrentSameKeyInterpretBitwiseIdenticalToSequential) {
   }
 }
 
-// Models that cannot clone still work — same-key jobs serialize on the
-// slot lock — and match the cloned path bit for bit.
-TEST(Service, NonCloneableInterpretSerializesAndMatchesClonedPath) {
-  api::ScenarioRegistry reg;
-  reg.add(std::make_unique<NetMaskScenario>("netmask", /*cloneable=*/true));
-  reg.add(std::make_unique<NetMaskScenario>("netmask-noclone",
-                                            /*cloneable=*/false));
-
-  api::InterpretOverrides io;
-  io.steps = 25;
-
-  auto run_four = [&](const char* key) {
-    serve::ServiceConfig cfg;
-    cfg.workers = 4;
-    cfg.registry = &reg;
-    serve::Service svc(cfg);
-    std::vector<serve::JobHandle> jobs;
-    for (int i = 0; i < 4; ++i) jobs.push_back(svc.submit_interpret(key, io));
-    svc.wait_all();
-    std::vector<core::InterpretResult> results;
-    for (auto& j : jobs) {
-      EXPECT_EQ(j.status(), serve::JobStatus::kDone) << j.error();
-      results.push_back(j.take_interpret_run().result);
-    }
-    return results;
-  };
-
-  const auto cloned = run_four("netmask");
-  const auto noclone = run_four("netmask-noclone");
-  for (std::size_t i = 0; i < cloned.size(); ++i) {
-    expect_same_interpret(noclone[i], cloned[i],
-                          "noclone vs cloned " + std::to_string(i));
-  }
-}
-
 TEST(Service, InterpretJobsReportStepProgress) {
   api::ScenarioRegistry reg;
-  reg.add(std::make_unique<NetMaskScenario>("netmask", /*cloneable=*/true));
+  reg.add(std::make_unique<NetMaskScenario>("netmask"));
 
   serve::ServiceConfig cfg;
   cfg.workers = 1;
@@ -1092,9 +1034,9 @@ TEST(Service, InterpretJobsReportStepProgress) {
   EXPECT_EQ(job.interpret_run().config.on_step, nullptr);
 }
 
-// ---- build-cache eviction ---------------------------------------------------
+// ---- build cache ------------------------------------------------------------
 
-TEST(Service, BuildCacheEvictsLeastRecentlyUsedIdleSlots) {
+TEST(Service, BuildCacheKeepsEveryKeyBuilt) {
   std::atomic<int> builds_a{0};
   std::atomic<int> builds_b{0};
   api::ScenarioRegistry reg;
@@ -1104,34 +1046,6 @@ TEST(Service, BuildCacheEvictsLeastRecentlyUsedIdleSlots) {
   serve::ServiceConfig cfg;
   cfg.workers = 1;
   cfg.registry = &reg;
-  cfg.cache_capacity = 1;
-  serve::Service svc(cfg);
-
-  svc.submit_distill("line-a").wait();
-  EXPECT_EQ(builds_a.load(), 1);
-  // line-b displaces the idle line-a build (capacity 1)...
-  svc.submit_distill("line-b").wait();
-  EXPECT_EQ(builds_b.load(), 1);
-  // ...so line-a rebuilds, and line-b in turn is evicted.
-  svc.submit_distill("line-a").wait();
-  EXPECT_EQ(builds_a.load(), 2);
-  svc.submit_distill("line-b").wait();
-  EXPECT_EQ(builds_b.load(), 2);
-  // Re-using the cached key does not rebuild.
-  svc.submit_distill("line-b").wait();
-  EXPECT_EQ(builds_b.load(), 2);
-}
-
-TEST(Service, UnboundedCacheByDefaultNeverEvicts) {
-  std::atomic<int> builds_a{0};
-  std::atomic<int> builds_b{0};
-  api::ScenarioRegistry reg;
-  reg.add(std::make_unique<LineScenario>("line-a", &builds_a));
-  reg.add(std::make_unique<LineScenario>("line-b", &builds_b));
-
-  serve::ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.registry = &reg;  // cache_capacity defaults to 0 = unbounded
   serve::Service svc(cfg);
 
   for (int round = 0; round < 3; ++round) {
@@ -1175,145 +1089,54 @@ TEST(Registry, ConcurrentLookupsAndRegistrationsAreSafe) {
   }
 }
 
-// ---- per-job teacher clones -------------------------------------------------
+// ---- the shared teacher -----------------------------------------------------
 
-// Same rule policy as RuleTeacher, but clone-aware: counts how many deep
-// copies the service takes, so tests can pin down the per-job clone
-// contract exactly. With cloneable=false, clone() returns nullptr like a
-// teacher that cannot clone.
-class CountingCloneTeacher final : public core::Teacher {
- public:
-  CountingCloneTeacher(std::atomic<int>* clones, bool cloneable)
-      : clones_(clones), cloneable_(cloneable) {}
-  std::size_t action_count() const override { return 2; }
-  std::size_t act(std::span<const double> state) const override {
-    return state[0] > 0.5 ? 1 : 0;
-  }
-  double value(std::span<const double>) const override { return 0.0; }
-  std::vector<double> action_probs(
-      std::span<const double> state) const override {
-    return act(state) == 1 ? std::vector<double>{0.1, 0.9}
-                           : std::vector<double>{0.9, 0.1};
-  }
-  std::shared_ptr<core::Teacher> clone() const override {
-    if (!cloneable_) return nullptr;
-    ++*clones_;
-    return std::make_shared<CountingCloneTeacher>(clones_, cloneable_);
-  }
+// Concurrent same-key distills share the cached teacher read-only, each
+// job collecting on two threads of its own: every run holds the same
+// teacher and matches a sequential run bit for bit.
+TEST(Service, ConcurrentSameKeyAbrDistillsShareOneTeacherBitwise) {
+  api::ScenarioOptions options;
+  options.scale = 0.05;  // smoke-scale teacher
+  api::DistillOverrides o;
+  o.episodes = 4;
+  o.max_steps = 20;
+  o.dagger_iterations = 1;
+  o.max_leaves = 8;
 
- private:
-  std::atomic<int>* clones_;
-  bool cloneable_;
-};
-
-class CloneProbeScenario final : public api::Scenario {
- public:
-  CloneProbeScenario(std::atomic<int>* clones, bool cloneable)
-      : clones_(clones), cloneable_(cloneable) {}
-  std::string key() const override { return "clone-probe"; }
-  std::string description() const override { return "clone-counting rule"; }
-  api::LocalSystem make_local(const api::ScenarioOptions&) const override {
-    api::LocalSystem sys;
-    sys.teacher = std::make_shared<CountingCloneTeacher>(clones_, cloneable_);
-    sys.env = std::make_shared<SplitLineEnv>(77);
-    sys.distill_defaults.collect.episodes = 6;
-    sys.distill_defaults.collect.max_steps = 25;
-    sys.distill_defaults.dagger_iterations = 2;
-    sys.distill_defaults.max_leaves = 8;
-    sys.distill_defaults.feature_names = {"x"};
-    return sys;
-  }
-
- private:
-  std::atomic<int>* clones_;
-  bool cloneable_;
-};
-
-TEST(Service, DistillClonesTeacherPerJobAndNonCloneableShares) {
-  constexpr int kJobs = 3;
-  std::string cloned_tree;
-  // A cloneable teacher: one deep clone per job, every run owns its copy.
-  {
-    std::atomic<int> clones{0};
-    api::ScenarioRegistry reg;
-    reg.add(std::make_unique<CloneProbeScenario>(&clones, /*cloneable=*/true));
-    serve::ServiceConfig cfg;
-    cfg.workers = 2;
-    cfg.registry = &reg;
-    serve::Service svc(cfg);
-    std::vector<serve::JobHandle> jobs;
-    for (int i = 0; i < kJobs; ++i) {
-      jobs.push_back(svc.submit_distill("clone-probe"));
-    }
-    svc.wait_all();
-    for (auto& job : jobs) {
-      ASSERT_EQ(job.status(), serve::JobStatus::kDone) << job.error();
-      const core::Teacher* owned = job.distill_run().system.teacher.get();
-      // Each run's teacher is a private copy, distinct from every other
-      // job's and (checked via the clone counter) from the cached build.
-      for (auto& other : jobs) {
-        if (&other != &job) {
-          EXPECT_NE(owned, other.distill_run().system.teacher.get());
-        }
-      }
-    }
-    EXPECT_EQ(clones.load(), kJobs);
-    cloned_tree = tree::serialize(jobs[0].distill_run().result.tree);
-  }
-  // The fallback for a teacher that cannot clone: the jobs share the
-  // cached teacher read-only and distill the identical tree.
-  {
-    std::atomic<int> clones{0};
-    api::ScenarioRegistry reg;
-    reg.add(
-        std::make_unique<CloneProbeScenario>(&clones, /*cloneable=*/false));
-    serve::ServiceConfig cfg;
-    cfg.workers = 2;
-    cfg.registry = &reg;
-    serve::Service svc(cfg);
-    auto a = svc.submit_distill("clone-probe");
-    auto b = svc.submit_distill("clone-probe");
-    svc.wait_all();
-    ASSERT_EQ(a.status(), serve::JobStatus::kDone) << a.error();
-    EXPECT_EQ(clones.load(), 0);
-    EXPECT_EQ(a.distill_run().system.teacher.get(),
-              b.distill_run().system.teacher.get());
-    // A clone is weight-identical, so both paths distill the same tree.
-    EXPECT_EQ(tree::serialize(a.distill_run().result.tree), cloned_tree);
-  }
-}
-
-TEST(Service, NonCloneableTeacherStillDistills) {
-  // RuleTeacher keeps the default clone() (nullptr): the service must fall
-  // back to sharing the cached teacher, not fail the job.
   api::ScenarioRegistry reg;
-  reg.add(std::make_unique<LineScenario>("line"));
-  serve::ServiceConfig cfg;
-  cfg.workers = 2;
-  cfg.registry = &reg;
-  serve::Service svc(cfg);
-  auto a = svc.submit_distill("line");
-  auto b = svc.submit_distill("line");
-  svc.wait_all();
-  ASSERT_EQ(a.status(), serve::JobStatus::kDone) << a.error();
-  ASSERT_EQ(b.status(), serve::JobStatus::kDone) << b.error();
-  EXPECT_EQ(a.distill_run().system.teacher.get(),
-            b.distill_run().system.teacher.get());
-}
+  api::register_builtin_scenarios(reg);
 
-TEST(Teacher, PolicyNetTeacherCloneIsBitwiseEquivalent) {
-  metis::Rng rng(9);
-  nn::PolicyNet net(4, 16, 2, 3, rng);
-  core::PolicyNetTeacher teacher(&net);
-  const auto copy = teacher.clone();
-  ASSERT_NE(copy, nullptr);
-  metis::Rng probe(10);
-  for (int i = 0; i < 50; ++i) {
-    std::vector<double> state(4);
-    for (double& v : state) v = probe.uniform(-2.0, 2.0);
-    EXPECT_EQ(copy->act(state), teacher.act(state));
-    EXPECT_EQ(copy->value(state), teacher.value(state));  // bitwise
-    EXPECT_EQ(copy->action_probs(state), teacher.action_probs(state));
+  api::DistillRun reference;
+  {
+    serve::ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.registry = &reg;
+    cfg.options = options;
+    serve::Service svc(cfg);
+    reference = svc.submit_distill("abr", o).take_distill_run();
+  }
+
+  serve::ServiceConfig cfg;
+  cfg.workers = 3;
+  cfg.collect_workers = 2;
+  cfg.registry = &reg;
+  cfg.options = options;
+  serve::Service svc(cfg);
+  std::vector<serve::JobHandle> jobs;
+  for (int i = 0; i < 3; ++i) jobs.push_back(svc.submit_distill("abr", o));
+  svc.wait_all();
+  const std::string want = tree::serialize(reference.result.tree);
+  const core::Teacher* shared = nullptr;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_EQ(jobs[i].status(), serve::JobStatus::kDone) << jobs[i].error();
+    const api::DistillRun& run = jobs[i].distill_run();
+    if (shared == nullptr) shared = run.system.teacher.get();
+    EXPECT_EQ(run.system.teacher.get(), shared) << "job " << i;
+    EXPECT_EQ(tree::serialize(run.result.tree), want) << "job " << i;
+    EXPECT_EQ(std::memcmp(&run.result.fidelity, &reference.result.fidelity,
+                          sizeof(double)),
+              0)
+        << "job " << i;
   }
 }
 

@@ -633,11 +633,6 @@ class StoreRuleTeacher final : public core::Teacher {
     return state[0] > 0.5 ? 1 : 0;
   }
   double value(std::span<const double>) const override { return 0.0; }
-  std::vector<double> action_probs(
-      std::span<const double> state) const override {
-    return act(state) == 1 ? std::vector<double>{0.1, 0.9}
-                           : std::vector<double>{0.9, 0.1};
-  }
 };
 
 class TinyEnv final : public core::RolloutEnv {

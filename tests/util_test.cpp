@@ -295,22 +295,6 @@ TEST(Mutex, SharedMutexAllowsConcurrentReaders) {
   EXPECT_GE(peak.load(), 1);
 }
 
-TEST(Mutex, OptionalLockTracksWhetherItWasTaken) {
-  util::Mutex mu;
-  {
-    util::OptionalLock lock;
-    EXPECT_FALSE(lock.held());
-    lock.lock(mu);
-    EXPECT_TRUE(lock.held());
-  }  // destructor must release...
-  {
-    util::OptionalLock eager(mu);
-    EXPECT_TRUE(eager.held());
-  }
-  util::MutexLock reacquire(mu);  // ...or this would deadlock
-  SUCCEED();
-}
-
 // ---- lock-order sanitizer ---------------------------------------------------
 
 #if METIS_LOCK_GRAPH_AVAILABLE
