@@ -110,8 +110,6 @@ LocalSystem mimic_local_system(std::shared_ptr<core::MaskableModel> model,
   sys.distill_defaults.feature_names = std::move(names);
   sys.distill_defaults.collect.episodes = 2;
   sys.distill_defaults.collect.max_steps = decisions.rows();
-  // Tabular teachers have no critic; skip the useless Eq. 1 lookups.
-  sys.distill_defaults.collect.weight_by_advantage = false;
   sys.distill_defaults.dagger_iterations = 1;
   sys.distill_defaults.max_leaves = std::max<std::size_t>(decisions.rows(), 8);
   sys.distill_defaults.fit.min_samples_leaf = 1;

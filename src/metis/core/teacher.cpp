@@ -5,17 +5,6 @@
 
 namespace metis::core {
 
-std::vector<std::size_t> Teacher::act_batch(
-    const std::vector<std::vector<double>>& states) const {
-  // Pure inference: the batch defaults (and their scalar callees) never
-  // backpropagate, so the whole loop runs tape-free.
-  nn::NoGradGuard no_grad;
-  std::vector<std::size_t> out;
-  out.reserve(states.size());
-  for (const auto& s : states) out.push_back(act(s));
-  return out;
-}
-
 std::vector<Teacher::ActValues> Teacher::act_and_values_multi(
     const std::vector<std::vector<double>>& states,
     std::span<const std::size_t> group_sizes) const {
@@ -54,21 +43,10 @@ double PolicyNetTeacher::value(std::span<const double> state) const {
   return net_->value(state);
 }
 
-std::vector<std::size_t> PolicyNetTeacher::act_batch(
-    const std::vector<std::vector<double>>& states) const {
-  return net_->greedy_actions(states);
-}
-
 std::vector<Teacher::ActValues> PolicyNetTeacher::act_and_values_multi(
     const std::vector<std::vector<double>>& states,
     std::span<const std::size_t> group_sizes) const {
-  auto results = net_->act_and_values_multi(states, group_sizes);
-  std::vector<ActValues> out;
-  out.reserve(results.size());
-  for (auto& [action, values] : results) {
-    out.push_back({action, std::move(values)});
-  }
-  return out;
+  return net_->act_and_values_multi(states, group_sizes);
 }
 
 }  // namespace metis::core

@@ -28,27 +28,20 @@ class Teacher {
   // State value V(s) under the teacher policy.
   [[nodiscard]] virtual double value(std::span<const double> state) const = 0;
 
-  // Greedy actions for N states. Must match act() element-for-element;
-  // the default loops, while DNN-backed teachers override with a single
-  // matrix-level forward pass.
-  [[nodiscard]] virtual std::vector<std::size_t> act_batch(
-      const std::vector<std::vector<double>>& states) const;
-
-  // Fused policy+value inference for a lockstep block of episodes:
-  // `states` stacks one group per episode, group_sizes[i] gives episode
-  // i's row count, and each group's first row is its acting state (rows
-  // 1.. are value probes, e.g. Eq. 1's lookahead successors). Result i is
-  // the greedy action for group i's first row plus V for every row of the
-  // group. Must match act() and value() element-for-element; the default
-  // does exactly that, while DNN-backed teachers override with ONE trunk
-  // forward over all rows, collapsing a collection round's trunk forwards
-  // from episodes x steps to ~steps. Only each group's first row is acted
-  // on, so PolicyNetTeacher runs its policy head and softmax on those
-  // rows alone; the value head reads every row.
-  struct ActValues {
-    std::size_t action = 0;
-    std::vector<double> values;  // values[i] = V(row i of the group)
-  };
+  // Batched policy+value inference for a lockstep block of episodes, the
+  // collector's one teacher query per step: `states` stacks one group per
+  // episode, group_sizes[i] gives episode i's row count, and each group's
+  // first row is its acting state (rows 1.. are value probes, e.g. Eq. 1's
+  // lookahead successors; an episode without them is a 1-row group).
+  // Result i is the greedy action for group i's first row plus V for
+  // every row of the group. Must match act() and value()
+  // element-for-element; the default does exactly that, while DNN-backed
+  // teachers override with ONE trunk forward over all rows, collapsing a
+  // collection round's trunk forwards from episodes x steps to ~steps.
+  // Only each group's first row is acted on, so PolicyNetTeacher runs its
+  // policy head and softmax on those rows alone; the value head reads
+  // every row.
+  using ActValues = nn::ActValues;
   [[nodiscard]] virtual std::vector<ActValues> act_and_values_multi(
       const std::vector<std::vector<double>>& states,
       std::span<const std::size_t> group_sizes) const;
@@ -62,8 +55,6 @@ class PolicyNetTeacher final : public Teacher {
   [[nodiscard]] std::size_t action_count() const override;
   [[nodiscard]] std::size_t act(std::span<const double> state) const override;
   [[nodiscard]] double value(std::span<const double> state) const override;
-  [[nodiscard]] std::vector<std::size_t> act_batch(
-      const std::vector<std::vector<double>>& states) const override;
   [[nodiscard]] std::vector<ActValues> act_and_values_multi(
       const std::vector<std::vector<double>>& states,
       std::span<const std::size_t> group_sizes) const override;

@@ -20,9 +20,6 @@ namespace {
 // randomness flows through the envs' Rng::derive(seed, episode) streams;
 // episode k's trajectory is a pure function of (seed, k).
 
-// Sentinel for "this episode contributed no row to that batch this step".
-constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
-
 // Live state of one episode advancing in lockstep with its block.
 struct LiveEpisode {
   std::size_t slot = 0;  // index into the round's per_episode output
@@ -34,11 +31,12 @@ struct LiveEpisode {
 
 // §3.2 step 1 for episodes [first, first + envs.size()) of the round,
 // envs[i] driving episode first + i. All of them advance through step t
-// together, and the step's teacher queries are batched: fused Eq. 1
-// groups ([s, s'_1..s'_A] per episode) into one act_and_values_multi
-// call, plain policy rows into one act_batch call. Episodes that
-// terminate drop out of the batch; per-episode rows are independent, so
-// each episode's samples do not depend on the block it ran in.
+// together, and each step asks the teacher one question: one
+// act_and_values_multi call with a group per live episode, [s,
+// s'_1..s'_A] when Eq. 1 is on and its env can look ahead, [s]
+// otherwise. Episodes that terminate drop out of the batch; per-episode
+// rows are independent, so each episode's samples do not depend on the
+// block it ran in.
 //
 // Callers hold an nn::arena::Scope across their blocks: every step
 // allocates the same tensor shapes, so after the first step the arena
@@ -62,49 +60,33 @@ void collect_block(const Teacher& teacher, std::span<RolloutEnv* const> envs,
   }
 
   // Per-step scratch, reused so steps do not churn the allocator.
-  std::vector<std::vector<double>> fused_rows;
-  std::vector<std::size_t> fused_groups;
-  std::vector<std::size_t> fused_of;
+  std::vector<std::vector<double>> rows;
+  std::vector<std::size_t> groups;
   std::vector<std::vector<Lookahead>> lookaheads;
-  std::vector<std::vector<double>> act_rows;
-  std::vector<std::size_t> act_of;
   std::vector<LiveEpisode> still;
   for (std::size_t t = 0; t < cfg.max_steps && !active.empty(); ++t) {
     // Every episode of the block is mid-flight at once, so the natural
     // cancellation boundary is the step.
     cfg.cancel.check();
-    // Phase 1: assemble the step's queries across the block. Episode e
-    // contributes a fused group when Eq. 1 is on and its env can look
-    // ahead, a single act row otherwise.
-    fused_rows.clear();
-    fused_groups.clear();
-    fused_of.assign(active.size(), kNoRow);
+    // Phase 1: assemble the step's one teacher query across the block.
+    rows.clear();
+    groups.clear();
     lookaheads.resize(active.size());
-    act_rows.clear();
-    act_of.assign(active.size(), kNoRow);
     for (std::size_t e = 0; e < active.size(); ++e) {
+      std::vector<Lookahead>& la = lookaheads[e];
       if (cfg.weight_by_advantage) {
-        lookaheads[e] = active[e].env->lookahead();
-        if (!lookaheads[e].empty()) {
-          MET_CHECK(lookaheads[e].size() == teacher.action_count());
-          fused_of[e] = fused_groups.size();
-          fused_groups.push_back(lookaheads[e].size() + 1);
-          fused_rows.push_back(active[e].state);
-          for (auto& l : lookaheads[e]) {
-            fused_rows.push_back(std::move(l.next_state));
-          }
-          continue;
-        }
+        la = active[e].env->lookahead();
+      } else {
+        la.clear();
       }
-      act_of[e] = act_rows.size();
-      act_rows.push_back(active[e].state);
+      MET_CHECK(la.empty() || la.size() == teacher.action_count());
+      groups.push_back(la.size() + 1);
+      rows.push_back(active[e].state);
+      for (auto& l : la) rows.push_back(std::move(l.next_state));
     }
-    std::vector<Teacher::ActValues> fused_out;
-    if (!fused_rows.empty()) {
-      fused_out = teacher.act_and_values_multi(fused_rows, fused_groups);
-    }
-    std::vector<std::size_t> act_out;
-    if (!act_rows.empty()) act_out = teacher.act_batch(act_rows);
+    const std::vector<Teacher::ActValues> answers =
+        teacher.act_and_values_multi(rows, groups);
+    MET_CHECK(answers.size() == active.size());
 
     // Phase 2: per-episode labeling, control handoff, and stepping, in
     // episode order.
@@ -114,22 +96,19 @@ void collect_block(const Teacher& teacher, std::span<RolloutEnv* const> envs,
       CollectedSample sample;
       sample.features = ep.env->interpretable_features();
 
-      std::size_t teacher_action;
-      if (fused_of[e] != kNoRow) {
-        const Teacher::ActValues& av = fused_out[fused_of[e]];
-        const std::vector<Lookahead>& la = lookaheads[e];
-        MET_CHECK(av.values.size() == la.size() + 1);
-        teacher_action = av.action;
+      const Teacher::ActValues& av = answers[e];
+      const std::vector<Lookahead>& la = lookaheads[e];
+      MET_CHECK(av.values.size() == la.size() + 1);
+      const std::size_t teacher_action = av.action;
+      if (!la.empty()) {
         // Eq. 1:  p(s,a) ∝ V(s) − min_a' Q(s,a').  Clamp at a small
-        // positive floor so no visited state is entirely discarded.
+        // positive floor so no visited state is entirely discarded. A
+        // 1-row group (no lookahead, or Eq. 1 off) keeps uniform weight.
         double min_q = la[0].reward + cfg.gamma * av.values[1];
         for (std::size_t a = 1; a < la.size(); ++a) {
           min_q = std::min(min_q, la[a].reward + cfg.gamma * av.values[a + 1]);
         }
         sample.weight = std::max(av.values[0] - min_q, 1e-3);
-      } else {
-        // No lookahead (or Eq. 1 off): uniform weight.
-        teacher_action = act_out[act_of[e]];
       }
       sample.action = teacher_action;
       std::vector<CollectedSample>& samples = out[ep.slot];
@@ -207,7 +186,7 @@ std::vector<CollectedSample> collect_traces(const Teacher& teacher,
   // on the calling thread), each under its own arena scope: arenas are
   // per-thread.
   const std::size_t workers =
-      std::min(std::max<std::size_t>(cfg.parallel.workers, 1), cfg.episodes);
+      std::min(std::max<std::size_t>(cfg.workers, 1), cfg.episodes);
   const std::size_t base = cfg.episodes / workers;
   const std::size_t rem = cfg.episodes % workers;
   const std::span<RolloutEnv* const> all(envs);

@@ -17,19 +17,18 @@
 namespace metis::core {
 
 // How one collection round is executed. There is a single engine: the
-// episodes of a block advance step-for-step together, and each step's
-// teacher queries across the block are stacked into one batch — fused
-// Eq. 1 groups ([s, s'_1..s'_A] per episode) into one
-// Teacher::act_and_values_multi call, plain policy rows into one
-// act_batch call — so a DNN teacher runs ~steps trunk forwards per block
-// instead of episodes x steps. In a fused call the trunk and value head
-// run on all (A + 1) rows of a group and the policy head on its first row
-// only. For ABR the A successor states come from AbrEnv::peek_step, which
-// steps a copy of the session (its histories are inline arrays) and
-// featurizes it directly. Each episode runs on its own clone of the
-// caller's env; at workers <= 1 the whole round is one block on the
-// calling thread, at workers > 1 it is split into `workers` contiguous
-// blocks run on `workers` threads.
+// episodes of a block advance step-for-step together, and each step asks
+// the teacher one question, a Teacher::act_and_values_multi call with one
+// group per live episode: [s, s'_1..s'_A] when Eq. 1 is on and the
+// episode's env can look ahead, the 1-row group [s] otherwise. A DNN
+// teacher thus runs ~steps trunk forwards per block instead of episodes x
+// steps. The trunk and value head run on every row of a group and the
+// policy head on its first row only. For ABR the A successor states come
+// from AbrEnv::peek_step, which steps a copy of the session (its histories
+// are inline arrays) and featurizes it directly. Each episode runs on its
+// own clone of the caller's env; at workers <= 1 the whole round is one
+// block on the calling thread, at workers > 1 it is split into `workers`
+// contiguous blocks run on `workers` threads.
 //
 // The cut cannot affect the result: every episode derives its randomness
 // from its index (the RolloutEnv episode-determinism contract), per-row
@@ -43,10 +42,6 @@ namespace metis::core {
 // call paths must be safe to call concurrently — pure functions of their
 // inputs, no internal mutable scratch. Teachers are held to this anyway
 // (core::Teacher: shared read-only); tree-backed students qualify.
-struct ParallelCollectConfig {
-  std::size_t workers = 1;  // <= 1: one block on the calling thread
-};
-
 struct CollectConfig {
   std::size_t episodes = 32;      // per collection round
   std::size_t max_steps = 1000;   // per-episode cap
@@ -59,7 +54,9 @@ struct CollectConfig {
   std::size_t deviation_limit = 3;
   // …and keeps it for this many steps before handing back.
   std::size_t takeover_steps = 8;
-  ParallelCollectConfig parallel;
+  // Collection threads; <= 1 runs the round as one block on the calling
+  // thread.
+  std::size_t workers = 1;
   // Invoked once per completed episode (serve-path progress reporting).
   // Called from worker threads when workers > 1, possibly concurrently —
   // the callback must be thread-safe.

@@ -74,8 +74,6 @@ class FlowschedScenario final : public api::Scenario {
                                           "frac_sent"};
     sys.distill_defaults.collect.episodes = 2;
     sys.distill_defaults.collect.max_steps = state_count;
-    // Replay has no lookahead model; skip the per-step Eq. 1 probes.
-    sys.distill_defaults.collect.weight_by_advantage = false;
     sys.distill_defaults.dagger_iterations = 1;
     sys.distill_defaults.max_leaves = 200;
     sys.distill_defaults.fit.min_samples_leaf = 2;

@@ -165,12 +165,17 @@ std::string PayloadReader::str() {
 }
 
 std::vector<double> PayloadReader::f64s() {
-  const std::uint32_t n = u32();
-  need(static_cast<std::size_t>(n) * 8);  // before allocating n doubles
+  const std::uint32_t n = count(8);
   std::vector<double> v;
   v.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) v.push_back(f64());
   return v;
+}
+
+std::uint32_t PayloadReader::count(std::size_t entry_bytes) {
+  const std::uint32_t n = u32();
+  need(static_cast<std::size_t>(n) * entry_bytes);
+  return n;
 }
 
 void PayloadReader::expect_end() const {
@@ -529,7 +534,7 @@ Frame TreeListReply::encode() const {
 TreeListReply TreeListReply::decode(const Frame& frame) {
   PayloadReader r = reader_for(frame, MsgType::kTreeList);
   TreeListReply m;
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(12);  // u32 name length + u64 version
   m.names.reserve(n);
   m.versions.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -565,7 +570,7 @@ InterpretResultReply InterpretResultReply::decode(const Frame& frame) {
   m.divergence = r.f64();
   m.mask_l1 = r.f64();
   m.entropy = r.f64();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(16);  // u32 edge + u32 vertex + f64 mask
   m.edges.reserve(n);
   m.vertices.reserve(n);
   m.masks.reserve(n);

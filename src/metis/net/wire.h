@@ -133,6 +133,10 @@ class PayloadReader {
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
   [[nodiscard]] std::vector<double> f64s();
+  // A u32 element count, rejected unless that many entries of at least
+  // `entry_bytes` each fit in the rest of the payload, so a hostile count
+  // throws WireError before anything is reserved for it.
+  [[nodiscard]] std::uint32_t count(std::size_t entry_bytes);
   void expect_end() const;
 
  private:

@@ -91,9 +91,9 @@ class BackwardFn {
 // Thread-local no-tape mode. While a NoGradGuard is alive, op constructors
 // skip parent wiring and backward closures entirely — the graph degenerates
 // to plain eager evaluation (values bitwise identical, no tape, no grads).
-// Every value-returning inference entry point (PolicyNet::act_and_values &
-// co., Mlp::predict_row, the Teacher batch defaults, trace collection)
-// runs under one; training and the §4.2 mask optimization never do.
+// Every value-returning inference entry point (PolicyNet::action_probs,
+// value and act_and_values_multi, Mlp::predict_row, the Teacher batch
+// default, trace collection) runs under one; training and the §4.2 mask optimization never do.
 [[nodiscard]] bool grad_enabled();
 
 class NoGradGuard {

@@ -126,58 +126,9 @@ double PolicyNet::value(std::span<const double> state) const {
   return values(constant(Tensor::row(state)))->value()(0, 0);
 }
 
-std::vector<std::vector<double>> PolicyNet::action_probs_batch(
-    const std::vector<std::vector<double>>& states) const {
-  if (states.empty()) return {};
-  NoGradGuard no_grad;
-  const Var p = softmax_rows(logits(constant(Tensor::from_rows(states))));
-  const Tensor& probs = p->value();
-  std::vector<std::vector<double>> out(probs.rows());
-  for (std::size_t r = 0; r < probs.rows(); ++r) {
-    out[r].resize(probs.cols());
-    for (std::size_t c = 0; c < probs.cols(); ++c) out[r][c] = probs(r, c);
-  }
-  return out;
-}
-
-std::vector<std::size_t> PolicyNet::greedy_actions(
-    const std::vector<std::vector<double>>& states) const {
-  if (states.empty()) return {};
-  NoGradGuard no_grad;
-  const Var p = softmax_rows(logits(constant(Tensor::from_rows(states))));
-  const Tensor& probs = p->value();
-  std::vector<std::size_t> out(probs.rows());
-  for (std::size_t r = 0; r < probs.rows(); ++r) {
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < probs.cols(); ++c) {
-      if (probs(r, c) > probs(r, best)) best = c;
-    }
-    out[r] = best;
-  }
-  return out;
-}
-
-std::vector<double> PolicyNet::values_batch(
-    const std::vector<std::vector<double>>& states) const {
-  if (states.empty()) return {};
-  NoGradGuard no_grad;
-  const Var v = values(constant(Tensor::from_rows(states)));
-  const Tensor& vals = v->value();
-  std::vector<double> out(vals.rows());
-  for (std::size_t r = 0; r < vals.rows(); ++r) out[r] = vals(r, 0);
-  return out;
-}
-
-std::pair<std::size_t, std::vector<double>> PolicyNet::act_and_values(
-    const std::vector<std::vector<double>>& states) const {
-  NoGradGuard no_grad;
-  const std::size_t group[] = {states.size()};
-  return std::move(act_and_values_multi(states, group).front());
-}
-
-std::vector<std::pair<std::size_t, std::vector<double>>>
-PolicyNet::act_and_values_multi(const std::vector<std::vector<double>>& rows,
-                                std::span<const std::size_t> group_sizes) const {
+std::vector<ActValues> PolicyNet::act_and_values_multi(
+    const std::vector<std::vector<double>>& rows,
+    std::span<const std::size_t> group_sizes) const {
   std::size_t total = 0;
   for (std::size_t g : group_sizes) {
     MET_CHECK_MSG(g >= 1, "act_and_values_multi: empty group");
@@ -185,7 +136,7 @@ PolicyNet::act_and_values_multi(const std::vector<std::vector<double>>& rows,
   }
   MET_CHECK_MSG(total == rows.size(),
                 "act_and_values_multi: group sizes must cover all rows");
-  std::vector<std::pair<std::size_t, std::vector<double>>> out;
+  std::vector<ActValues> out;
   if (rows.empty()) return out;
   NoGradGuard no_grad;
   const Var x = constant(Tensor::from_rows(rows));
@@ -218,7 +169,7 @@ PolicyNet::act_and_values_multi(const std::vector<std::vector<double>>& rows,
     for (std::size_t j = 0; j < values.size(); ++j) {
       values[j] = vals(base + j, 0);
     }
-    out.emplace_back(best, std::move(values));
+    out.push_back({best, std::move(values)});
     base += group_sizes[i];
   }
   return out;

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "metis/nn/layers.h"
@@ -40,6 +39,13 @@ class Mlp {
   Activation hidden_act_;
 };
 
+// One group's answer from PolicyNet::act_and_values_multi: the greedy
+// action for the group's first row and V for every row of the group.
+struct ActValues {
+  std::size_t action = 0;
+  std::vector<double> values;  // values[i] = V(row i of the group)
+};
+
 // Softmax policy + scalar value head over a shared MLP trunk, mirroring the
 // A3C-style architecture of Pensieve/AuTO.
 //
@@ -67,37 +73,18 @@ class PolicyNet {
   // V(s) for one state.
   [[nodiscard]] double value(std::span<const double> state) const;
 
-  // Batched inference: one matrix-level forward pass for N states. Row i of
-  // every result is bitwise identical to the corresponding single-state
-  // call (the row-major matmul computes each output row independently, in
-  // the same operation order).
-  [[nodiscard]] std::vector<std::vector<double>> action_probs_batch(
-      const std::vector<std::vector<double>>& states) const;
-  [[nodiscard]] std::vector<std::size_t> greedy_actions(
-      const std::vector<std::vector<double>>& states) const;
-  [[nodiscard]] std::vector<double> values_batch(
-      const std::vector<std::vector<double>>& states) const;
-
-  // Fused policy+value inference for the trace-collection hot path, over
-  // a batch whose row 0 is the acting state: the greedy action for row 0
-  // plus V for every row. Bitwise identical to greedy_action(states[0]) +
-  // values_batch(states). The one-group case of act_and_values_multi.
-  [[nodiscard]] std::pair<std::size_t, std::vector<double>> act_and_values(
-      const std::vector<std::vector<double>>& states) const;
-
-  // Cross-episode lockstep variant: `rows` stacks several independently
-  // assembled act_and_values batches ("groups") into one matrix;
-  // group_sizes[i] gives group i's row count (its first row is that
-  // group's acting state). One trunk forward covers every row and feeds
-  // the value head; the policy head and softmax run only on each group's
-  // first row, the only one whose action is read. Result i is bitwise
-  // identical to greedy_action(group i's first row) +
-  // values_batch(group i's rows), because each matrix row is computed
-  // independently, in the same operation order, regardless of which
-  // other rows share the batch.
-  [[nodiscard]] std::vector<std::pair<std::size_t, std::vector<double>>>
-  act_and_values_multi(const std::vector<std::vector<double>>& rows,
-                       std::span<const std::size_t> group_sizes) const;
+  // Batched policy+value inference for the trace-collection hot path:
+  // `rows` stacks several groups of states; group_sizes[i] gives group i's
+  // row count, and its first row is that group's acting state. One trunk
+  // forward covers every row and feeds the value head; the policy head and
+  // softmax run only on each group's first row, the only one whose action
+  // is read. Result i is bitwise identical to greedy_action(group i's
+  // first row) plus value() of each of its rows, because each matrix row
+  // is computed independently, in the same operation order, regardless of
+  // which other rows share the batch.
+  [[nodiscard]] std::vector<ActValues> act_and_values_multi(
+      const std::vector<std::vector<double>>& rows,
+      std::span<const std::size_t> group_sizes) const;
 
   // Deep copy with fresh parameter nodes (see Mlp::clone): same outputs,
   // independent gradients.

@@ -268,7 +268,7 @@ void Service::run_distill(const detail::JobState& state,
 
   core::DistillConfig cfg = sys.distill_defaults;
   if (config_.collect_workers > 0) {
-    cfg.collect.parallel.workers = config_.collect_workers;
+    cfg.collect.workers = config_.collect_workers;
   }
   api::apply_overrides(cfg, state.distill_overrides);
 

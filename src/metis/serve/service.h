@@ -49,7 +49,7 @@ struct ServiceConfig {
   // Build options (seed, teacher-training scale) for cached systems.
   api::ScenarioOptions options;
   // Default episode shards per distill collection round (see
-  // ParallelCollectConfig); jobs may override per submission via
+  // CollectConfig::workers); jobs may override per submission via
   // DistillOverrides::collect_workers. 0 keeps each scenario's default.
   std::size_t collect_workers = 0;
 };

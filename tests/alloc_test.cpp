@@ -147,9 +147,8 @@ TEST(NoGradGuardTest, InferenceEntryPointsLeaveParametersGradFree) {
   (void)net.action_probs(states[0]);
   (void)net.greedy_action(states[0]);
   (void)net.value(states[0]);
-  (void)net.action_probs_batch(states);
-  (void)net.values_batch(states);
-  (void)net.act_and_values(states);
+  const std::size_t groups[] = {2, 1, 2};
+  (void)net.act_and_values_multi(states, groups);
   for (const auto& p : net.parameters()) {
     EXPECT_FALSE(p->has_grad());
   }
@@ -251,7 +250,7 @@ core::CollectConfig collect_config() {
   core::CollectConfig cc;
   cc.episodes = 4;
   cc.max_steps = 16;
-  cc.parallel.workers = 1;  // stats are thread-local: stay on this thread
+  cc.workers = 1;  // stats are thread-local: stay on this thread
   return cc;
 }
 

@@ -278,13 +278,10 @@ TEST(BatchedTeacher, BatchMatchesScalarBitwise) {
   const auto states = random_states(17, 7, rng);
 
   // One single-row group per state: its action and its value.
-  const auto actions = teacher.act_batch(states);
   const std::vector<std::size_t> ones(states.size(), 1);
   const auto fused = teacher.act_and_values_multi(states, ones);
-  ASSERT_EQ(actions.size(), states.size());
   ASSERT_EQ(fused.size(), states.size());
   for (std::size_t i = 0; i < states.size(); ++i) {
-    EXPECT_EQ(actions[i], teacher.act(states[i])) << i;
     EXPECT_EQ(fused[i].action, teacher.act(states[i])) << i;
     ASSERT_EQ(fused[i].values.size(), 1u) << i;
     EXPECT_EQ(fused[i].values[0], teacher.value(states[i])) << i;  // bitwise
@@ -296,9 +293,12 @@ TEST(BatchedTeacher, SkipFeatureStructureAlsoMatches) {
   nn::PolicyNet net(6, 12, 2, 4, rng, /*skip_feature=*/2);
   core::PolicyNetTeacher teacher(&net);
   const auto states = random_states(9, 6, rng);
-  const auto actions = teacher.act_batch(states);
+  const std::vector<std::size_t> ones(states.size(), 1);
+  const auto fused = teacher.act_and_values_multi(states, ones);
+  ASSERT_EQ(fused.size(), states.size());
   for (std::size_t i = 0; i < states.size(); ++i) {
-    EXPECT_EQ(actions[i], teacher.act(states[i])) << i;
+    EXPECT_EQ(fused[i].action, teacher.act(states[i])) << i;
+    EXPECT_EQ(fused[i].values[0], teacher.value(states[i])) << i;  // bitwise
   }
 }
 
@@ -306,7 +306,6 @@ TEST(BatchedTeacher, EmptyBatchIsEmpty) {
   metis::Rng rng(35);
   nn::PolicyNet net(3, 8, 1, 2, rng);
   core::PolicyNetTeacher teacher(&net);
-  EXPECT_TRUE(teacher.act_batch({}).empty());
   EXPECT_TRUE(teacher.act_and_values_multi({}, {}).empty());
 }
 

@@ -248,24 +248,21 @@ TEST(GemmParity, SkipFeatureNetAlsoBitwise) {
     for (auto& row : states) {
       for (auto& v : row) v = rng.uniform(-1.0, 1.0);
     }
-    return net.action_probs_batch(states);
+    NoGradGuard no_grad;
+    const Var probs =
+        softmax_rows(net.logits(constant(Tensor::from_rows(states))));
+    return probs->value();
   };
-  const auto naive = run(gemm::Backend::kNaive);
-  const auto blocked = run(gemm::Backend::kBlocked);
-  ASSERT_EQ(naive.size(), blocked.size());
-  for (std::size_t r = 0; r < naive.size(); ++r) {
-    ASSERT_EQ(naive[r].size(), blocked[r].size());
-    EXPECT_EQ(std::memcmp(naive[r].data(), blocked[r].data(),
-                          naive[r].size() * sizeof(double)),
-              0)
-        << "row " << r;
-  }
+  const Tensor naive = run(gemm::Backend::kNaive);
+  const Tensor blocked = run(gemm::Backend::kBlocked);
+  ASSERT_EQ(naive.rows(), 8u);
+  expect_bitwise(naive, blocked, "skip-feature action probs");
 }
 
-// The lockstep entry point: stacking several act_and_values batches into
-// one act_and_values_multi call must reproduce, for every group, the
-// independent single-purpose paths — greedy_action on the group's first
-// row and values_batch over its rows — bitwise, for any grouping, under
+// The lockstep entry point: stacking several groups into one
+// act_and_values_multi call must reproduce, for every group, the
+// independent scalar paths — greedy_action on the group's first row and
+// value() on each of its rows — bitwise, for any grouping, under
 // either backend, with and without the skip connection (whose column the
 // policy head reads from the gathered acting rows).
 TEST(GemmParity, ActAndValuesMultiMatchesPerGroup) {
@@ -294,10 +291,11 @@ TEST(GemmParity, ActAndValuesMultiMatchesPerGroup) {
       for (std::size_t i = 0; i < groups.size(); ++i) {
         const std::string tag = "skip=" + std::to_string(skip_feature) +
                                 " group " + std::to_string(i);
-        const std::vector<double> values = net.values_batch(groups[i]);
-        EXPECT_EQ(multi[i].first, net.greedy_action(groups[i][0])) << tag;
-        ASSERT_EQ(multi[i].second.size(), values.size()) << tag;
-        EXPECT_EQ(std::memcmp(multi[i].second.data(), values.data(),
+        std::vector<double> values;
+        for (const auto& row : groups[i]) values.push_back(net.value(row));
+        EXPECT_EQ(multi[i].action, net.greedy_action(groups[i][0])) << tag;
+        ASSERT_EQ(multi[i].values.size(), values.size()) << tag;
+        EXPECT_EQ(std::memcmp(multi[i].values.data(), values.data(),
                               values.size() * sizeof(double)),
                   0)
             << tag;

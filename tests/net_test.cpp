@@ -322,6 +322,18 @@ TEST(Wire, TruncatedAndTrailingPayloadRejected) {
     EXPECT_THROW((void)net::SessionOpenedReply::decode(wrong_type),
                  net::WireError);
   }
+  // An element count the payload cannot hold is rejected before anything
+  // is reserved for it (not std::bad_alloc).
+  {
+    const net::Frame huge_list{net::MsgType::kTreeList,
+                               {0xFF, 0xFF, 0xFF, 0xFF}};
+    EXPECT_THROW((void)net::TreeListReply::decode(huge_list), net::WireError);
+    net::Frame huge_result{net::MsgType::kInterpretResult,
+                           std::vector<std::uint8_t>(32, 0)};
+    huge_result.payload.insert(huge_result.payload.end(), 4, 0xFF);
+    EXPECT_THROW((void)net::InterpretResultReply::decode(huge_result),
+                 net::WireError);
+  }
 }
 
 TEST(Wire, JobStatusAndResultsRoundTrip) {

@@ -754,10 +754,11 @@ TEST(Clone, PolicyNetCloneMatchesBitwise) {
     for (auto& row : states) {
       for (auto& v : row) v = data_rng.uniform(-1.0, 1.0);
     }
-    const auto a = net.act_and_values(states);
-    const auto b = copy.act_and_values(states);
-    EXPECT_EQ(a.first, b.first) << "skip=" << skip;
-    EXPECT_EQ(a.second, b.second) << "skip=" << skip;  // bitwise doubles
+    const std::size_t group[] = {states.size()};
+    const auto a = net.act_and_values_multi(states, group).front();
+    const auto b = copy.act_and_values_multi(states, group).front();
+    EXPECT_EQ(a.action, b.action) << "skip=" << skip;
+    EXPECT_EQ(a.values, b.values) << "skip=" << skip;  // bitwise doubles
     EXPECT_EQ(net.action_probs(states[0]), copy.action_probs(states[0]));
   }
 }

@@ -136,7 +136,8 @@ struct CollectCase {
 
 // Small ABR world shared by the Eq. 1 rows: untrained Pensieve-shaped
 // teacher (collection does not care about weight values) over a short
-// synthetic corpus with lookahead, so every state takes the fused path.
+// synthetic corpus with lookahead, so with Eq. 1 on every state sends its
+// [s, s'_1..s'_A] group.
 struct AbrWorld {
   abr::Video video{12, 3};
   abr::AbrEnv env;
@@ -191,6 +192,13 @@ std::vector<CollectCase> collect_battery(AbrWorld& abr_world) {
   dagger.expect_takeovers = true;
   cases.push_back(dagger);
   cases.push_back(eq1);
+
+  // Eq. 1 off on the same world: 1-row groups, uniform weights.
+  CollectCase eq1_off = eq1;
+  eq1_off.name = "abr eq1 off";
+  eq1_off.config.weight_by_advantage = false;
+  eq1_off.expect_nonuniform_weights = false;
+  cases.push_back(eq1_off);
   return cases;
 }
 
@@ -218,7 +226,7 @@ TEST(Collection, EveryCaseBitwiseIdenticalToOracleAtEveryWorkerCount) {
       EXPECT_TRUE(nonuniform) << c.name << ": Eq. 1 weighting should be active";
     }
     for (std::size_t workers : {1u, 2u, 3u, 4u, 8u}) {
-      c.config.parallel.workers = workers;
+      c.config.workers = workers;
       const auto env = c.make_env();
       const auto collected = core::collect_traces(
           *c.teacher, *env, c.config, student, c.episode_offset);
@@ -228,27 +236,32 @@ TEST(Collection, EveryCaseBitwiseIdenticalToOracleAtEveryWorkerCount) {
   }
 }
 
-// Counts teacher trunk queries by delegation, to pin the claimed win: a
-// block collapses each step's fused Eq. 1 queries for all its episodes
-// into one act_and_values_multi call.
+// Counts teacher queries by delegation, to pin the claimed win: a block
+// asks the teacher one act_and_values_multi call per step, covering all
+// its live episodes, and never a scalar act() or value().
 class CountingTeacher final : public core::Teacher {
  public:
   explicit CountingTeacher(const core::Teacher* inner) : inner_(inner) {}
   std::size_t action_count() const override { return inner_->action_count(); }
   std::size_t act(std::span<const double> s) const override {
+    ++scalar_calls;
     return inner_->act(s);
   }
   double value(std::span<const double> s) const override {
+    ++scalar_calls;
     return inner_->value(s);
   }
   std::vector<ActValues> act_and_values_multi(
       const std::vector<std::vector<double>>& states,
       std::span<const std::size_t> group_sizes) const override {
     ++multi_calls;
+    rows += states.size();
     return inner_->act_and_values_multi(states, group_sizes);
   }
 
   mutable std::atomic<std::size_t> multi_calls{0};
+  mutable std::atomic<std::size_t> scalar_calls{0};
+  mutable std::atomic<std::size_t> rows{0};
 
  private:
   const core::Teacher* inner_;
@@ -256,21 +269,54 @@ class CountingTeacher final : public core::Teacher {
 
 TEST(Collection, TrunkForwardsCollapseFromEpisodesXStepsToSteps) {
   AbrWorld world;
-  core::PolicyNetTeacher inner(&world.net);
-  abr::AbrRolloutEnv rollout(&world.env);
+  core::PolicyNetTeacher abr_teacher(&world.net);
+  metis::Rng rng(37);
+  nn::PolicyNet line_net(/*state_dim=*/2, 8, 1, 2, rng);
+  core::PolicyNetTeacher line_teacher(&line_net);
+  struct Case {
+    std::string name;
+    const core::Teacher* teacher;
+    std::function<std::unique_ptr<core::RolloutEnv>()> make_env;
+    bool weight_by_advantage;
+    std::size_t max_steps;       // every episode runs exactly this long
+    std::size_t rows_per_group;  // 1 + A lookahead rows, or 1
+  };
+  const auto abr_env = [&world] {
+    return std::make_unique<abr::AbrRolloutEnv>(&world.env);
+  };
+  const Case cases[] = {
+      {"abr eq1", &abr_teacher, abr_env, true, 12, 7},
+      {"abr eq1 off", &abr_teacher, abr_env, false, 12, 1},
+      {"no lookahead", &line_teacher,
+       [] { return std::make_unique<SplitLineEnv>(55); }, true, 25, 1},
+  };
+  for (const Case& c : cases) {
+    for (std::size_t workers : {1u, 4u}) {
+      const std::string tag = c.name + " workers=" + std::to_string(workers);
+      core::CollectConfig cc;
+      cc.episodes = 6;
+      cc.max_steps = c.max_steps;
+      cc.weight_by_advantage = c.weight_by_advantage;
+      cc.workers = workers;
+      const auto reference =
+          oracle::collect_traces(*c.teacher, *c.make_env(), cc, nullptr, 0);
 
-  core::CollectConfig cc;
-  cc.episodes = 6;
-  cc.max_steps = 12;
-  const auto reference = oracle::collect_traces(inner, rollout, cc, nullptr, 0);
-
-  CountingTeacher counting(&inner);
-  const auto samples = core::collect_traces(counting, rollout, cc, nullptr, 0);
-  expect_identical(reference, samples, "counting");
-  EXPECT_LE(counting.multi_calls.load(), cc.max_steps);
-  EXPECT_GT(counting.multi_calls.load(), 0u);
-  // One call per step, not one per (episode, step) sample.
-  EXPECT_LT(counting.multi_calls.load(), samples.size());
+      CountingTeacher counting(c.teacher);
+      const auto samples =
+          core::collect_traces(counting, *c.make_env(), cc, nullptr, 0);
+      expect_identical(reference, samples, tag);
+      ASSERT_EQ(samples.size(), cc.episodes * cc.max_steps) << tag;
+      // Each of the min(workers, episodes) blocks steps max_steps times
+      // and asks one question a step: calls scale with steps, not with
+      // (episode, step) samples.
+      EXPECT_EQ(counting.multi_calls.load(),
+                std::min<std::size_t>(workers, cc.episodes) * cc.max_steps)
+          << tag;
+      EXPECT_EQ(counting.rows.load(), samples.size() * c.rows_per_group)
+          << tag;
+      EXPECT_EQ(counting.scalar_calls.load(), 0u) << tag;
+    }
+  }
 }
 
 // ---- episode completion and cancellation -----------------------------------
@@ -285,7 +331,7 @@ TEST(Collection, ReportsEveryEpisodeDoneAtEveryWorkerCount) {
       core::CollectConfig cc;
       cc.episodes = 5;
       cc.max_steps = max_steps;
-      cc.parallel.workers = workers;
+      cc.workers = workers;
       std::atomic<std::size_t> done{0};
       cc.on_episode_done = [&done] { ++done; };
       const auto samples = core::collect_traces(teacher, env, cc, nullptr, 0);
@@ -304,7 +350,7 @@ TEST(Collection, CancelledMidRoundThrowsAtEveryWorkerCount) {
     core::CollectConfig cc;
     cc.episodes = 5;
     cc.max_steps = 25;
-    cc.parallel.workers = workers;
+    cc.workers = workers;
     cc.cancel = source.token();
     std::atomic<std::size_t> done{0};
     cc.on_episode_done = [&done] { ++done; };
@@ -760,13 +806,13 @@ TEST(Service, ShardedCollectionMatchesFacadeBitwise) {
   cfg.collect_workers = 4;  // shard every collection round four ways
   serve::Service svc(cfg);
   auto sharded = svc.submit_distill("line", o).take_distill_run();
-  EXPECT_EQ(sharded.config.collect.parallel.workers, 4u);
+  EXPECT_EQ(sharded.config.collect.workers, 4u);
 
   // Per-job override through the facade path, no service default.
   api::DistillOverrides o2 = o;
   o2.collect_workers = 3;
   auto overridden = facade.distill("line", o2);
-  EXPECT_EQ(overridden.config.collect.parallel.workers, 3u);
+  EXPECT_EQ(overridden.config.collect.workers, 3u);
 
   for (const api::DistillRun* run : {&sharded, &overridden}) {
     ASSERT_EQ(run->result.samples_collected,
