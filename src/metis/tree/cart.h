@@ -9,12 +9,24 @@
 // function of the dataset and the FitConfig, independent of the standard
 // library's sort. Node statistics are accumulated in row-index order.
 //
-// Cost. fit() presorts every feature once, O(F·n log n) for F features
-// and n rows, then does O(F·n) work per tree level: each level scans and
-// stable-partitions the presorted rows of its nodes; no node sorts. It
-// holds about F·n doubles (the features, column-major) plus (F+1)·n
-// 32-bit row ids beside the dataset for the duration of the fit, so n
-// must fit in 32 bits.
+// Cost. fit() presorts every feature once and then does O(F·n) work per
+// tree level for F features and n rows: each level scans and
+// stable-partitions (branch-free) the presorted rows of its nodes; no
+// node sorts. The presort is a stable LSD radix sort over 11-bit digits
+// of an order-preserving 64-bit key (-0.0 keyed as +0.0), so it orders
+// rows by (value, row index) exactly as a comparison sort would, in at
+// most six passes; a pass whose digit every key shares is skipped.
+// Classification with up to 7 classes scans its cut points with the
+// vector kernels of tree/split_kernel.h, compiled for avx512f, avx2 and
+// generic SSE2 and picked once per process from the CPU: each side of a
+// cut is one 8-lane vector (per-class weights, total weight in the last
+// lane), and every lane repeats the scalar scan's adds, squares, divides
+// and comparisons in the same order under -ffp-contract=off, so every
+// kernel set fits the tree the scalar scan fits, bit for bit. Regression
+// and more classes take the scalar scan. A node with fewer than
+// 2·max(min_samples_leaf, 1) rows is a leaf at once. The fit holds about
+// F·n doubles (the features, column-major) plus (F+1)·n 32-bit row ids
+// and n one-byte class ids beside the dataset, so n must fit in 32 bits.
 #pragma once
 
 #include <memory>

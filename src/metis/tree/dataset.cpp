@@ -8,7 +8,8 @@
 namespace metis::tree {
 
 void Dataset::add(std::vector<double> features, double label, double w) {
-  MET_CHECK(w > 0.0);
+  MET_CHECK_MSG(w > 0.0 && std::isfinite(w),
+                "weights must be positive and finite");
   if (!x.empty()) {
     MET_CHECK_MSG(features.size() == x.front().size(),
                   "all rows must have the same number of features");
@@ -27,8 +28,14 @@ void Dataset::validate() const {
                 "weights must be empty or match rows");
   for (const auto& row : x) {
     MET_CHECK_MSG(row.size() == x.front().size(), "ragged feature rows");
+    for (double v : row) {
+      MET_CHECK_MSG(std::isfinite(v), "features must be finite (no NaN/inf)");
+    }
   }
-  for (double w : weight) MET_CHECK_MSG(w > 0.0, "weights must be positive");
+  for (double w : weight) {
+    MET_CHECK_MSG(w > 0.0 && std::isfinite(w),
+                  "weights must be positive and finite");
+  }
   if (!feature_names.empty() && !x.empty()) {
     MET_CHECK_MSG(feature_names.size() == x.front().size(),
                   "feature_names must match feature count");

@@ -20,7 +20,7 @@ struct Dataset {
   // regression.
   std::vector<double> y;
   // Per-sample weights; empty means uniform. Non-empty weights must be
-  // positive and match x.size().
+  // positive, finite and match x.size().
   std::vector<double> weight;
 
   [[nodiscard]] std::size_t size() const { return x.size(); }
@@ -34,7 +34,8 @@ struct Dataset {
   void add(std::vector<double> features, double label, double w = 1.0);
 
   // Throws MET_CHECK-style logic errors when rows are ragged, labels are
-  // missing, or weights are non-positive.
+  // missing, a feature is NaN or infinite, or a weight is not positive
+  // and finite.
   void validate() const;
 
   // Number of distinct class labels (assumes labels are 0..k-1). Only

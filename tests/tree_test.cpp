@@ -4,11 +4,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +24,7 @@
 #include "metis/tree/dataset.h"
 #include "metis/tree/flat_tree.h"
 #include "metis/tree/prune.h"
+#include "metis/tree/split_kernel.h"
 #include "metis/tree/tree_io.h"
 #include "metis/util/atomic_file.h"
 #include "metis/util/rng.h"
@@ -73,6 +77,18 @@ TEST(Dataset, RejectsRaggedRows) {
 TEST(Dataset, RejectsNonPositiveWeight) {
   Dataset d;
   EXPECT_THROW(d.add({1.0}, 0.0, 0.0), std::logic_error);
+}
+
+TEST(Dataset, RejectsNonFiniteWeight) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Dataset d;
+  EXPECT_THROW(d.add({1.0}, 0.0, inf), std::logic_error);
+  EXPECT_THROW(d.add({1.0}, 0.0, std::nan("")), std::logic_error);
+  d.add({1.0}, 0.0, 2.0);
+  d.add({2.0}, 1.0, 3.0);
+  d.weight[1] = inf;  // set directly, past add()'s check
+  EXPECT_THROW(d.validate(), std::logic_error);
+  EXPECT_THROW((void)DecisionTree::fit(d, FitConfig{}), std::logic_error);
 }
 
 TEST(Dataset, ClassFrequenciesWeighted) {
@@ -615,6 +631,30 @@ Dataset regression_dataset(std::size_t n, std::uint64_t seed, bool weighted,
   return d;
 }
 
+// `classes` labels over four features: two quantized to a few levels
+// (ties), one continuous, one with signed zeros. Weights span the Eq. 1
+// range. Every label appears, so class_count() == classes.
+Dataset k_class_dataset(std::size_t classes, std::size_t n,
+                        std::uint64_t seed) {
+  metis::Rng rng(seed);
+  Dataset d;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = static_cast<double>(rng.uniform_int(6)) / 5.0;
+    const double b = static_cast<double>(rng.uniform_int(3));
+    const double c = rng.uniform(-1.0, 1.0);
+    const double z = rng.uniform_int(2) == 0 ? -0.0 : 0.0;
+    std::size_t label =
+        static_cast<std::size_t>((a + 0.5 * b + (c > 0.2 ? 1.0 : 0.0)) *
+                                 static_cast<double>(classes) / 3.0) %
+        classes;
+    if (rng.uniform() < 0.1) label = rng.uniform_int(classes);
+    if (i < classes) label = i;
+    d.add({a, b, c, z}, static_cast<double>(label),
+          std::exp(rng.uniform(std::log(1e-3), std::log(130.0))));
+  }
+  return d;
+}
+
 struct FitCase {
   std::string name;
   Task task;
@@ -696,6 +736,55 @@ std::vector<FitCase> fit_cases() {
     d.add({0.3, 0.7}, 1.0, 2.0);
     cls("single_row", d);
   }
+  // Up to kKernelClasses classes the vector kernels scan; 8 and 9 fill
+  // more lanes than a side has and take the scalar scan.
+  for (std::size_t k : {1, 2, 6, 7, 8, 9}) {
+    cls("classes_" + std::to_string(k), k_class_dataset(k, 320, 50 + k));
+  }
+  {
+    // Signed zeros among heavy ties in every feature: -0.0 and 0.0 are
+    // one value to the sort and to the cut points. Features 3 and 4 copy
+    // feature 0 with every zero made +0.0 or -0.0: the three tie at every
+    // cut, bit for bit, only if each zero group is scanned in row order.
+    Dataset d;
+    const double levels[] = {-1.5, -0.0, 0.0, 0.25, 2.0};
+    for (int i = 0; i < 360; ++i) {
+      std::vector<double> x(3);
+      for (double& v : x) v = levels[rng.uniform_int(5)];
+      x.push_back(x[0] == 0.0 ? 0.0 : x[0]);
+      x.push_back(x[0] == 0.0 ? -0.0 : x[0]);
+      const double label = x[0] > 0.1 ? (x[1] < 0.0 ? 5.0 : 4.0)
+                                      : static_cast<double>(i % 4);
+      // Weights whose sums round: the order rows enter a tie group shows.
+      d.add(std::move(x), label,
+            std::exp(rng.uniform(std::log(1e-3), std::log(130.0))));
+    }
+    cls("signed_zero_ties", d);
+  }
+  {
+    // Eq. 1 style advantage weights, 1e-3 to 130, on the ABR shape.
+    const Dataset abr = abr_shaped_dataset(500, 51);
+    Dataset d;
+    d.feature_names = abr.feature_names;
+    for (std::size_t i = 0; i < abr.size(); ++i) {
+      d.add(abr.x[i], abr.y[i],
+            std::exp(rng.uniform(std::log(1e-3), std::log(130.0))));
+    }
+    cls("eq1_weights", d);
+  }
+  {
+    // Weights 2^53 apart: the light rows vanish from every sum, so the
+    // right side of the one cut is left with a weight that cancels below
+    // zero (see SplitKernel.SideWhoseWeightCancelsCountsAsPure). Such a
+    // side counts as pure, and with a negative min_impurity_decrease its
+    // zero-decrease cut is taken.
+    Dataset d;
+    for (int i = 0; i < 6; ++i) {
+      d.add({i < 4 ? 0.0 : 1.0}, static_cast<double>(i % 2),
+            i < 2 ? 1e17 : 1.0);
+    }
+    cls("absorbed_weights", d);
+  }
   cases.push_back({"regression_unweighted", Task::kRegression,
                    regression_dataset(400, 44, false, 0.001)});
   cases.push_back({"regression_weighted_quantized", Task::kRegression,
@@ -708,9 +797,9 @@ std::vector<FitCase> fit_cases() {
   return cases;
 }
 
-std::vector<FitConfig> fit_configs(Task task) {
+std::vector<FitConfig> fit_configs(Task task, std::size_t n) {
   std::vector<FitConfig> cfgs;
-  for (std::size_t leaf : {1, 2, 5}) {
+  for (std::size_t leaf : {1, 2, 4}) {
     for (std::size_t depth : {1, 3, 30}) {
       FitConfig cfg;
       cfg.task = task;
@@ -719,6 +808,10 @@ std::vector<FitConfig> fit_configs(Task task) {
       cfgs.push_back(cfg);
     }
   }
+  FitConfig half;  // no node can give both sides this many rows
+  half.task = task;
+  half.min_samples_leaf = n / 2 + 1;
+  cfgs.push_back(half);
   FitConfig gated;
   gated.task = task;
   gated.min_impurity_decrease = 0.5;
@@ -728,6 +821,17 @@ std::vector<FitConfig> fit_configs(Task task) {
   split.min_samples_split = 12;
   split.min_samples_leaf = 2;
   cfgs.push_back(split);
+  FitConfig eager;  // any admissible cut, even one with no decrease
+  eager.task = task;
+  eager.min_impurity_decrease = -1.0;
+  eager.min_samples_leaf = 2;
+  cfgs.push_back(eager);
+  FitConfig coarse;
+  coarse.task = task;
+  coarse.min_samples_split = n / 3 + 1;
+  coarse.min_samples_leaf = 4;
+  coarse.max_depth = 6;
+  cfgs.push_back(coarse);
   return cfgs;
 }
 
@@ -739,17 +843,158 @@ std::string describe(const FitConfig& cfg) {
   return os.str();
 }
 
+TEST(CartOracle, KernelSetsListedBestFirst) {
+  const auto sets = detail::supported_split_kernels();
+  ASSERT_FALSE(sets.empty());
+  EXPECT_STREQ(sets.back()->isa, "generic");
+  EXPECT_EQ(&detail::split_kernels(), sets.front());
+  std::string names;
+  for (const auto* set : sets) names += std::string(" ") + set->isa;
+  std::printf("[ cart ] split kernels:%s (fit runs %s)\n", names.c_str(),
+              detail::split_kernels().isa);
+}
+
+// Every case under every FitConfig, fitted by fit() and by each split
+// kernel set this CPU runs, serializes byte for byte like the oracle.
 TEST(CartOracle, EveryCaseFitsByteIdenticalToPerNodeSortBuilder) {
+  const auto sets = detail::supported_split_kernels();
   std::size_t compared = 0;
   for (const FitCase& c : fit_cases()) {
-    for (const FitConfig& cfg : fit_configs(c.task)) {
-      const std::string got = serialize(DecisionTree::fit(c.data, cfg));
+    for (const FitConfig& cfg : fit_configs(c.task, c.data.size())) {
       const std::string want = serialize(oracle::cart_fit(c.data, cfg));
-      EXPECT_EQ(got, want) << c.name << " " << describe(cfg);
+      EXPECT_EQ(serialize(DecisionTree::fit(c.data, cfg)), want)
+          << c.name << " " << describe(cfg);
+      for (const auto* set : sets) {
+        EXPECT_EQ(serialize(detail::fit_with(c.data, cfg, *set)), want)
+            << c.name << " " << describe(cfg) << " kernels " << set->isa;
+      }
       ++compared;
     }
   }
-  EXPECT_EQ(compared, 12u * 11u);
+  EXPECT_EQ(compared, 21u * 14u);
+}
+
+// One node's split scan written the plain way, over the oracle's sides:
+// the first strict maximum above `best` in (value, row id) order, or
+// kNoCut. Leaves the maximum decrease in `best`.
+std::size_t reference_scan(const std::vector<double>& x,
+                           const std::vector<std::uint8_t>& y,
+                           const std::vector<double>& w,
+                           const std::vector<std::uint32_t>& sorted,
+                           std::size_t classes, std::size_t min_leaf,
+                           double& best) {
+  oracle::CartSide stats{Task::kClassification,
+                         std::vector<double>(classes, 0.0)};
+  for (std::size_t i = 0; i < x.size(); ++i) stats.add(y[i], w[i]);
+  const double parent = stats.mass();
+  oracle::CartSide left{Task::kClassification,
+                        std::vector<double>(classes, 0.0)};
+  oracle::CartSide right = stats;
+  std::size_t best_k = detail::kNoCut;
+  for (std::size_t k = 0; k + 1 < sorted.size(); ++k) {
+    left.add(y[sorted[k]], w[sorted[k]]);
+    right.remove(y[sorted[k]], w[sorted[k]]);
+    if (x[sorted[k]] == x[sorted[k + 1]] || left.count < min_leaf ||
+        right.count < min_leaf) {
+      continue;
+    }
+    const double dec = parent - left.mass() - right.mass();
+    if (dec > best) {
+      best = dec;
+      best_k = k;
+    }
+  }
+  return best_k;
+}
+
+// Runs every kernel set on one node, the rows (x, y, w) presorted as
+// `sorted`, and checks each against reference_scan: the same position
+// and the same bits of the winning decrease, so an operation out of order
+// in any lane shows even where it would not move a tree's cut. Leaves the
+// reference's maximum in `best` and returns its position.
+std::size_t expect_kernels_match_plain_scan(
+    const std::vector<double>& x, const std::vector<std::uint8_t>& y,
+    const std::vector<double>& w, const std::vector<std::uint32_t>& sorted,
+    std::size_t classes, std::size_t min_leaf, double& best) {
+  best = -std::numeric_limits<double>::infinity();
+  const std::size_t want_k =
+      reference_scan(x, y, w, sorted, classes, min_leaf, best);
+  oracle::CartSide stats{Task::kClassification,
+                         std::vector<double>(classes, 0.0)};
+  for (std::size_t i = 0; i < x.size(); ++i) stats.add(y[i], w[i]);
+  double lanes[detail::kSplitLanes] = {};
+  std::copy(stats.class_w.begin(), stats.class_w.end(), lanes);
+  lanes[detail::kSplitLanes - 1] = stats.weight;
+  const detail::SplitScan scan{.sorted = sorted.data(),
+                               .col = x.data(),
+                               .cls = y.data(),
+                               .w = w.data(),
+                               .node = lanes,
+                               .lo = 0,
+                               .hi = x.size(),
+                               .min_leaf = min_leaf,
+                               .parent_mass = stats.mass()};
+  for (const auto* set : detail::supported_split_kernels()) {
+    double got = -std::numeric_limits<double>::infinity();
+    EXPECT_EQ(set->scan(scan, got), want_k) << set->isa;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(best))
+        << set->isa << ": " << got << " vs " << best;
+  }
+  return want_k;
+}
+
+TEST(SplitKernel, SideWhoseWeightCancelsCountsAsPure) {
+  // Two heavy rows (one per class) and two light ones at 0, two light
+  // ones at 1. The light rows vanish from the node's sums (W = 2e17), so
+  // the only cut's right side is left with W = -2 and class weights -1,
+  // -1. The plain scan counts it as pure (mass 0, decrease 0); the
+  // formula alone would give it mass 2.
+  std::vector<double> x, w;
+  std::vector<std::uint8_t> y;
+  for (int i = 0; i < 6; ++i) {
+    x.push_back(i < 4 ? 0.0 : 1.0);
+    y.push_back(static_cast<std::uint8_t>(i % 2));
+    w.push_back(i < 2 ? 1e17 : 1.0);
+  }
+  std::vector<std::uint32_t> sorted(x.size());
+  std::iota(sorted.begin(), sorted.end(), std::uint32_t{0});
+  double best = 0.0;
+  EXPECT_EQ(expect_kernels_match_plain_scan(x, y, w, sorted, 2, 1, best), 3u);
+  EXPECT_EQ(best, 0.0);
+}
+
+TEST(SplitKernel, EverySetMatchesPlainScanOnRandomNodes) {
+  metis::Rng rng(77);
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t n = 2 + rng.uniform_int(300);
+    const std::size_t classes = 1 + rng.uniform_int(detail::kKernelClasses);
+    std::size_t min_leaf = 1 + rng.uniform_int(5);
+    while (n < 2 * min_leaf) --min_leaf;
+    const std::size_t levels = 2 + rng.uniform_int(n);
+    const bool absorbed = trial % 5 == 0;  // weights 2^53 apart
+    std::vector<double> x(n), w(n);
+    std::vector<std::uint8_t> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Level 0 is -1.0 or -0.0, level 1 is 0.0: signed zeros tie.
+      const double level = static_cast<double>(rng.uniform_int(levels));
+      x[i] = level == 0.0 && rng.uniform_int(2) == 0 ? -0.0 : level - 1.0;
+      y[i] = static_cast<std::uint8_t>(rng.uniform_int(classes));
+      w[i] = absorbed ? (rng.uniform_int(3) == 0 ? 1.0 : 1e17)
+                      : std::exp(rng.uniform(std::log(1e-3), std::log(130.0)));
+    }
+    std::vector<std::uint32_t> sorted(n);
+    std::iota(sorted.begin(), sorted.end(), std::uint32_t{0});
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return x[a] < x[b];
+                     });
+    double best = 0.0;
+    (void)expect_kernels_match_plain_scan(x, y, w, sorted, classes, min_leaf,
+                                          best);
+    if (HasFailure()) return;
+  }
 }
 
 TEST(Cart, RejectsNaNFeatures) {
@@ -757,6 +1002,27 @@ TEST(Cart, RejectsNaNFeatures) {
   d.add({0.0}, 0.0);
   d.add({std::nan("")}, 1.0);
   EXPECT_THROW((void)DecisionTree::fit(d, FitConfig{}), std::logic_error);
+}
+
+// The midpoint between a finite value and +-inf is +-inf or NaN, so a
+// cut there would send every row to one side. Validation rejects such a
+// feature before the fit and names the cause.
+TEST(Cart, RejectsInfiniteFeatures) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {inf, -inf}) {
+    Dataset d;
+    d.add({0.0, 1.0}, 0.0);
+    d.add({1.0, bad}, 1.0);
+    d.add({2.0, 3.0}, 0.0);
+    EXPECT_THROW(d.validate(), std::logic_error) << bad;
+    try {
+      (void)DecisionTree::fit(d, FitConfig{});
+      ADD_FAILURE() << "fit accepted feature " << bad;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // Reference CCP over the public definitions: every step walks the whole
