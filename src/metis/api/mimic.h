@@ -9,9 +9,10 @@
 //    flow scheduler).
 //  * TabularTeacher + mimic_local_system — wraps a global system's
 //    per-unit decision distributions (rows of MaskableModel::decisions
-//    under the full incidence mask) as a teacher over unit indices, so
-//    hypergraph scenarios are *also* drivable through Interpreter::distill
-//    and every registry key supports the same facade surface.
+//    under the full incidence mask) as a teacher over unit indices, so a
+//    hypergraph scenario can *also* be driven through
+//    Interpreter::distill. Only routing does; the Appendix-B scenarios
+//    offer interpretation only (scenarios/register.h).
 #pragma once
 
 #include <memory>

@@ -1,6 +1,7 @@
 #include "metis/core/hypergraph_interpreter.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "metis/nn/arena.h"
 #include "metis/nn/optim.h"
@@ -30,7 +31,14 @@ double InterpretResult::vertex_mask_sum(std::size_t vertex) const {
 InterpretResult find_critical_connections(const MaskableModel& model,
                                           const InterpretConfig& cfg) {
   MET_CHECK(cfg.steps > 0);
-  MET_CHECK(cfg.lambda1 >= 0.0 && cfg.lambda2 >= 0.0);
+  // λ1, λ2 and lr arrive from the wire (api::InterpretOverrides): an
+  // infinite weight turns every mask into NaN, and an infinite rate passes
+  // Adam's lr > 0, so both are rejected here, before any step runs.
+  MET_CHECK_MSG(std::isfinite(cfg.lambda1) && cfg.lambda1 >= 0.0 &&
+                    std::isfinite(cfg.lambda2) && cfg.lambda2 >= 0.0,
+                "interpret: lambda1 and lambda2 must be finite and >= 0");
+  MET_CHECK_MSG(std::isfinite(cfg.lr) && cfg.lr > 0.0,
+                "interpret: lr must be finite and > 0");
 
   const hypergraph::Hypergraph& graph = model.graph();
   graph.validate();

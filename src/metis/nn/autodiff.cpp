@@ -139,10 +139,11 @@ Var linear(const Var& x, const Var& w, const Var& b) {
         if (pb.requires_grad()) {
           // Row-major accumulation order, matching add()'s broadcast
           // backward.
-          Tensor& bg = pb.grad();
-          const Tensor& g = n.grad();
-          for (std::size_t r = 0; r < g.rows(); ++r) {
-            for (std::size_t c = 0; c < g.cols(); ++c) bg(0, c) += g(r, c);
+          auto bg = pb.grad().data();
+          auto g = n.grad().data();
+          const std::size_t cols = bg.size();
+          for (std::size_t i = 0; i < g.size(); i += cols) {
+            for (std::size_t c = 0; c < cols; ++c) bg[c] += g[i + c];
           }
         }
       },
@@ -295,14 +296,15 @@ Var softmax_rows(const Var& a) {
         auto& pa = *n.parents()[0];
         if (!pa.requires_grad()) return;
         // dL/dx_i = y_i * (dL/dy_i - Σ_j dL/dy_j * y_j), per row.
-        const Tensor& y = n.value();
-        for (std::size_t r = 0; r < y.rows(); ++r) {
+        const std::size_t cols = n.value().cols();
+        auto y = n.value().data();
+        auto g = n.grad().data();
+        auto pg = pa.grad().data();
+        for (std::size_t i = 0; i < y.size(); i += cols) {
           double dot = 0.0;
-          for (std::size_t c = 0; c < y.cols(); ++c) {
-            dot += n.grad()(r, c) * y(r, c);
-          }
-          for (std::size_t c = 0; c < y.cols(); ++c) {
-            pa.grad()(r, c) += y(r, c) * (n.grad()(r, c) - dot);
+          for (std::size_t c = i; c < i + cols; ++c) dot += g[c] * y[c];
+          for (std::size_t c = i; c < i + cols; ++c) {
+            pg[c] += y[c] * (g[c] - dot);
           }
         }
       },
@@ -575,13 +577,23 @@ Var mask_regularizer(const Var& w, const CsrMatrix& support, double c1,
   // ||W|| = Σ w (w >= 0 by the gating) and H(W) = -Σ [w log w +
   // (1-w) log(1-w)], both over the support entries in row-major order:
   // a masked-out entry is exactly 0 and contributes exactly 0 to either
-  // sum, and the order fixes the rounding of both.
+  // sum, and the order fixes the rounding of both. The same pass keeps
+  // each entry's d/dw [w log w + (1-w) log(1-w)] (with the eps floors the
+  // composite log_op backward applies) from the two logs it has just
+  // taken, so the backward pays no log of its own; it reaches the
+  // closure as a constant second parent, entry j at dterm[j].
+  Tensor dterm(1, off.size());
+  auto dt = dterm.data();
   double sum = 0.0;
   double ent = 0.0;
-  for (const std::size_t i : off) {
-    sum += wd[i];
-    ent += wd[i] * std::log(std::max(wd[i], eps)) +
-           (1.0 - wd[i]) * std::log(std::max(1.0 - wd[i], eps));
+  for (std::size_t j = 0; j < off.size(); ++j) {
+    const double x = wd[off[j]];
+    const double lw = std::log(std::max(x, eps));
+    const double l1w = std::log(std::max(1.0 - x, eps));
+    sum += x;
+    ent += x * lw + (1.0 - x) * l1w;
+    dt[j] = lw + x / std::max(x, eps) - l1w -
+            (1.0 - x) / std::max(1.0 - x, eps);
   }
   ent = -ent;
   if (sum_out != nullptr) *sum_out = sum;
@@ -594,19 +606,14 @@ Var mask_regularizer(const Var& w, const CsrMatrix& support, double c1,
         auto& pw = *n.parents()[0];
         if (!pw.requires_grad()) return;
         const double g = n.grad()(0, 0);
-        auto wd = pw.value().data();
+        auto off = sp->offsets();
+        auto dt = n.parents()[1]->value().data();
         auto pg = pw.grad().data();
-        for (const std::size_t i : sp->offsets()) {
-          // d/dw [w log w + (1-w) log(1-w)] with the same eps floors the
-          // composite log_op backward applies.
-          const double dterm =
-              std::log(std::max(wd[i], eps)) + wd[i] / std::max(wd[i], eps) -
-              std::log(std::max(1.0 - wd[i], eps)) -
-              (1.0 - wd[i]) / std::max(1.0 - wd[i], eps);
-          pg[i] += g * (c1 - c2 * dterm);
+        for (std::size_t j = 0; j < off.size(); ++j) {
+          pg[off[j]] += g * (c1 - c2 * dt[j]);
         }
       },
-      w);
+      w, constant(std::move(dterm)));
 }
 // metis-lint: end-hot-path
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <vector>
 
 #include "metis/util/check.h"
 
@@ -112,43 +113,56 @@ __attribute__((always_inline)) inline void storeu(double* p, V v) {
   __builtin_memcpy(p, &v, sizeof(v));
 }
 
+// One MR x 2L register tile: out(i, 0..2L) (+)= sum_kk a(i, kk) *
+// b(kk, 0..2L), i < MR. Element (i, kk) of the left operand is
+// a[i * a_row + kk * a_k], which addresses A (row-major, m x k), A^T
+// (stored k x m) and a single row alike; row kk of the right operand
+// starts at b + kk * ldb, either B itself or a packed panel. Acc selects
+// the epilogue: out += tile (the _acc kernels) or out = tile (+ bias).
+template <class V, bool Acc, std::size_t MR = kMR>
+__attribute__((always_inline)) inline void tile(
+    std::size_t k, const double* __restrict a, std::size_t a_row,
+    std::size_t a_k, const double* __restrict b, std::size_t ldb,
+    const double* __restrict bias, double* __restrict out, std::size_t n) {
+  constexpr std::size_t L = kLanes<V>;
+  V acc[MR][2] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const double* b_row = b + kk * ldb;
+    const V b0 = loadu<V>(b_row);
+    const V b1 = loadu<V>(b_row + L);
+    for (std::size_t i = 0; i < MR; ++i) {
+      const double av = a[i * a_row + kk * a_k];
+      acc[i][0] += b0 * av;
+      acc[i][1] += b1 * av;
+    }
+  }
+  for (std::size_t i = 0; i < MR; ++i) {
+    double* out_row = out + i * n;
+    if (Acc) {
+      storeu(out_row, loadu<V>(out_row) + acc[i][0]);
+      storeu(out_row + L, loadu<V>(out_row + L) + acc[i][1]);
+    } else if (bias != nullptr) {
+      storeu(out_row, acc[i][0] + loadu<V>(bias));
+      storeu(out_row + L, acc[i][1] + loadu<V>(bias + L));
+    } else {
+      storeu(out_row, acc[i][0]);
+      storeu(out_row + L, acc[i][1]);
+    }
+  }
+}
+
 // Covers columns [c, n) of one block of kMR output rows (`out` points at
 // its first row) with kMR x 2L tiles while a whole tile fits, and returns
-// the first column left over. Element (i, kk) of the block's left operand
-// is a[i * a_row + kk * a_k], which addresses both A (row-major, m x k)
-// and A^T (stored k x m). Acc selects the epilogue: out += tile (the _acc
-// kernels) or out = tile (+ bias).
+// the first column left over.
 template <class V, bool Acc>
 __attribute__((always_inline)) inline std::size_t tile_columns(
     std::size_t c, std::size_t k, std::size_t n, const double* __restrict a,
     std::size_t a_row, std::size_t a_k, const double* __restrict b,
     const double* __restrict bias, double* __restrict out) {
-  constexpr std::size_t L = kLanes<V>;
-  for (; c + 2 * L <= n; c += 2 * L) {
-    V acc[kMR][2] = {};
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double* b_row = b + kk * n + c;
-      const V b0 = loadu<V>(b_row);
-      const V b1 = loadu<V>(b_row + L);
-      for (std::size_t i = 0; i < kMR; ++i) {
-        const double av = a[i * a_row + kk * a_k];
-        acc[i][0] += b0 * av;
-        acc[i][1] += b1 * av;
-      }
-    }
-    for (std::size_t i = 0; i < kMR; ++i) {
-      double* out_row = out + i * n + c;
-      if (Acc) {
-        storeu(out_row, loadu<V>(out_row) + acc[i][0]);
-        storeu(out_row + L, loadu<V>(out_row + L) + acc[i][1]);
-      } else if (bias != nullptr) {
-        storeu(out_row, acc[i][0] + loadu<V>(bias + c));
-        storeu(out_row + L, acc[i][1] + loadu<V>(bias + c + L));
-      } else {
-        storeu(out_row, acc[i][0]);
-        storeu(out_row + L, acc[i][1]);
-      }
-    }
+  constexpr std::size_t W = 2 * kLanes<V>;
+  for (; c + W <= n; c += W) {
+    tile<V, Acc>(k, a, a_row, a_k, b + c, n,
+                 bias != nullptr ? bias + c : nullptr, out + c, n);
   }
   return c;
 }
@@ -278,47 +292,59 @@ __attribute__((always_inline)) inline void transA_acc_kernel(
   }
 }
 
-// C += A * B^T, b (n x k). Both operands are walked along k, so the j
-// lanes cannot share vector loads — a smaller 4 x 4 SCALAR accumulator
-// tile (16 independent k-chains, enough ILP to hide add latency) keeps
-// everything in registers without spills.
+// Scratch for transB's packed panels: thread-local, grown to the largest
+// k x 2L panel seen and kept, so a steady-state backward never allocates.
+double* panel_scratch(std::size_t count) {
+  thread_local std::vector<double> buf;
+  if (buf.size() < count) buf.resize(count);
+  return buf.data();
+}
+
+// Covers columns [c, n) of C += A * B^T with 2L-wide column panels while
+// a whole panel fits, and returns the first column left over. B (n x k)
+// is walked along k, so each panel of B^T is first packed k x 2L into
+// `panel` (row kk = b(c..c+2L, kk)); the rows of A then run the same
+// register tile as matmul_kernel over it, kMR rows at a time and one row
+// at a time for the last m % kMR.
+template <class V>
+__attribute__((always_inline)) inline std::size_t transB_panels(
+    std::size_t c, std::size_t m, std::size_t k, std::size_t n,
+    const double* __restrict a, const double* __restrict b,
+    double* __restrict panel, double* __restrict out) {
+  constexpr std::size_t W = 2 * kLanes<V>;
+  for (; c + W <= n; c += W) {
+    for (std::size_t j = 0; j < W; ++j) {
+      const double* b_row = b + (c + j) * k;
+      for (std::size_t kk = 0; kk < k; ++kk) panel[kk * W + j] = b_row[kk];
+    }
+    std::size_t r = 0;
+    for (; r + kMR <= m; r += kMR) {
+      tile<V, true>(k, a + r * k, k, 1, panel, W, nullptr, out + r * n + c, n);
+    }
+    for (; r < m; ++r) {
+      tile<V, true, 1>(k, a + r * k, k, 1, panel, W, nullptr, out + r * n + c,
+                       n);
+    }
+  }
+  return c;
+}
+
+// C += A * B^T, b (n x k): packed panels of the wide tile, then of the
+// 4-lane tile; the columns left over are scalar k-chains (contiguous in
+// both operands) finished by one add.
+template <class V>
 __attribute__((always_inline)) inline void transB_acc_kernel(
     std::size_t m, std::size_t k, std::size_t n, const double* __restrict a,
     const double* __restrict b, double* __restrict out) {
-  constexpr std::size_t kNRt = 4;
-  std::size_t r = 0;
-  for (; r + kMR <= m; r += kMR) {
-    const double* a_rows = a + r * k;
-    std::size_t c = 0;
-    for (; c + kNRt <= n; c += kNRt) {
-      double acc[kMR][kNRt] = {};
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        for (std::size_t i = 0; i < kMR; ++i) {
-          const double av = a_rows[i * k + kk];
-          for (std::size_t j = 0; j < kNRt; ++j) {
-            acc[i][j] += av * b[(c + j) * k + kk];
-          }
-        }
-      }
-      for (std::size_t i = 0; i < kMR; ++i) {
-        double* out_row = out + (r + i) * n + c;
-        for (std::size_t j = 0; j < kNRt; ++j) out_row[j] += acc[i][j];
-      }
-    }
-    for (; c < n; ++c) {
-      const double* b_row = b + c * k;
-      for (std::size_t i = 0; i < kMR; ++i) {
-        const double* a_row = a_rows + i * k;
-        double s = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) s += a_row[kk] * b_row[kk];
-        out[(r + i) * n + c] += s;
-      }
-    }
+  double* panel = panel_scratch(k * 2 * kLanes<V>);
+  std::size_t c = transB_panels<V>(0, m, k, n, a, b, panel, out);
+  if constexpr (kLanes<V> > 4) {
+    c = transB_panels<v4df>(c, m, k, n, a, b, panel, out);
   }
-  for (; r < m; ++r) {
-    const double* a_row = a + r * k;
-    for (std::size_t c = 0; c < n; ++c) {
-      const double* b_row = b + c * k;
+  for (; c < n; ++c) {
+    const double* b_row = b + c * k;
+    for (std::size_t r = 0; r < m; ++r) {
+      const double* a_row = a + r * k;
       double s = 0.0;
       for (std::size_t kk = 0; kk < k; ++kk) s += a_row[kk] * b_row[kk];
       out[r * n + c] += s;
@@ -332,16 +358,6 @@ __attribute__((always_inline)) inline void transB_acc_kernel(
 // per process from the running CPU. A plain function-pointer table (not
 // target_clones/ifunc) keeps the choice out of the dynamic linker, so
 // sanitized builds run the same kernels as release builds.
-struct Kernels {
-  const char* isa;
-  void (*matmul)(std::size_t, std::size_t, std::size_t, const double*,
-                 const double*, const double*, double*);
-  void (*transB_acc)(std::size_t, std::size_t, std::size_t, const double*,
-                     const double*, double*);
-  void (*transA_acc)(std::size_t, std::size_t, std::size_t, const double*,
-                     const double*, double*);
-};
-
 #define METIS_GEMM_KERNEL_SET(name, attr, V)                                  \
   attr void name##_matmul(std::size_t m, std::size_t k, std::size_t n,        \
                           const double* a, const double* b,                   \
@@ -351,15 +367,15 @@ struct Kernels {
   attr void name##_transB_acc(std::size_t m, std::size_t k, std::size_t n,    \
                               const double* a, const double* b,               \
                               double* out) {                                  \
-    transB_acc_kernel(m, k, n, a, b, out);                                    \
+    transB_acc_kernel<V>(m, k, n, a, b, out);                                 \
   }                                                                           \
   attr void name##_transA_acc(std::size_t m, std::size_t k, std::size_t n,    \
                               const double* a, const double* b,               \
                               double* out) {                                  \
     transA_acc_kernel<V>(m, k, n, a, b, out);                                 \
   }                                                                           \
-  constexpr Kernels name##_kernels = {#name, name##_matmul,                   \
-                                      name##_transB_acc, name##_transA_acc};
+  constexpr detail::KernelSet name##_kernels = {                              \
+      #name, name##_matmul, name##_transB_acc, name##_transA_acc};
 
 METIS_GEMM_KERNEL_SET(generic, , v4df)
 #if defined(__x86_64__)
@@ -368,19 +384,24 @@ METIS_GEMM_KERNEL_SET(avx512f, __attribute__((target("avx512f"))), v8df)
 #endif
 #undef METIS_GEMM_KERNEL_SET
 
-const Kernels& kernels() {
-  static const Kernels selected = [] {
-#if defined(__x86_64__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f")) return avx512f_kernels;
-    if (__builtin_cpu_supports("avx2")) return avx2_kernels;
-#endif
-    return generic_kernels;
-  }();
+const detail::KernelSet& kernels() {
+  static const detail::KernelSet& selected =
+      *detail::supported_kernel_sets().front();
   return selected;
 }
 
 }  // namespace
+
+std::vector<const detail::KernelSet*> detail::supported_kernel_sets() {
+  std::vector<const KernelSet*> sets;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) sets.push_back(&avx512f_kernels);
+  if (__builtin_cpu_supports("avx2")) sets.push_back(&avx2_kernels);
+#endif
+  sets.push_back(&generic_kernels);
+  return sets;
+}
 
 const char* to_string(Backend backend) {
   switch (backend) {

@@ -13,7 +13,10 @@
 //    no C traffic). The kernels are compiled once per instruction set —
 //    avx512f (a 4 x 16 tile of 8-lane vectors), avx2 and generic (4 x 8
 //    tiles of 4-lane vectors) — and the first call picks one set for the
-//    process from the running CPU; blocked_isa() names it.
+//    process from the running CPU; blocked_isa() names it. The transB
+//    kernel (dX += dY * W^T) first packs each column panel of W^T into a
+//    thread-local buffer that keeps its capacity, so it runs the same
+//    tile as the others without allocating in steady state.
 //
 // Bitwise-identity contract: every output element is the k-ascending
 // accumulation sum_k a(r,k)*b(k,c) into a single accumulator, finished by
@@ -33,6 +36,7 @@
 
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "metis/nn/tensor.h"
 
@@ -84,5 +88,27 @@ void matmul_transB_acc(const Tensor& a, const Tensor& b, Tensor& acc);
 // acc += a^T * b  (a: k x m, b: k x n, acc: m x n). Same single-add
 // contract; the backward's dW += X^T * dY path.
 void matmul_transA_acc(const Tensor& a, const Tensor& b, Tensor& acc);
+
+namespace detail {
+
+// One instruction set's blocked kernels over raw row-major operands, with
+// the shapes of the public entry points above: matmul (a m x k, b k x n,
+// optional 1 x n bias, out = a * b + bias), transB_acc (a m x k, b n x k,
+// out += a * b^T) and transA_acc (a k x m, b k x n, out += a^T * b).
+struct KernelSet {
+  const char* isa;  // "avx512f", "avx2" or "generic"
+  void (*matmul)(std::size_t m, std::size_t k, std::size_t n, const double* a,
+                 const double* b, const double* bias, double* out);
+  void (*transB_acc)(std::size_t m, std::size_t k, std::size_t n,
+                     const double* a, const double* b, double* out);
+  void (*transA_acc)(std::size_t m, std::size_t k, std::size_t n,
+                     const double* a, const double* b, double* out);
+};
+
+// For tests: every compiled set the running CPU supports, best first; the
+// blocked backend runs the first.
+[[nodiscard]] std::vector<const KernelSet*> supported_kernel_sets();
+
+}  // namespace detail
 
 }  // namespace metis::nn::gemm

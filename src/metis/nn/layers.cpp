@@ -38,6 +38,13 @@ Linear Linear::clone() const {
   return copy;
 }
 
+Linear Linear::frozen() const {
+  Linear copy(*this);
+  copy.w_ = constant(w_->value());
+  copy.b_ = constant(b_->value());
+  return copy;
+}
+
 Var Linear::forward(const Var& x) const {
   MET_CHECK_MSG(x->value().cols() == in_dim_,
                 "Linear::forward: input width mismatch");

@@ -26,6 +26,12 @@ class Linear {
   // original (per-job model clones on the serve path rely on this).
   [[nodiscard]] Linear clone() const;
 
+  // Copy whose weight and bias are constants over bitwise-equal values:
+  // forwards match the original's, and backward passes through it reach
+  // the input only, with no weight gradient to compute or race on — any
+  // number of concurrent tapes can share one frozen copy read-only.
+  [[nodiscard]] Linear frozen() const;
+
   [[nodiscard]] std::size_t in_dim() const { return in_dim_; }
   [[nodiscard]] std::size_t out_dim() const { return out_dim_; }
 

@@ -39,6 +39,12 @@ Mlp Mlp::clone() const {
   return copy;
 }
 
+Mlp Mlp::frozen() const {
+  Mlp copy(*this);
+  for (auto& l : copy.layers_) l = l.frozen();
+  return copy;
+}
+
 std::vector<Var> Mlp::parameters() const {
   std::vector<Var> ps;
   for (const auto& l : layers_) {

@@ -29,6 +29,9 @@ class Mlp {
   // fully independent. This is what lets concurrent interpret jobs run
   // one model per job instead of serializing on shared weight gradients.
   [[nodiscard]] Mlp clone() const;
+  // Copy with every layer frozen (see Linear::frozen): same forwards, no
+  // weight gradients, shareable read-only across concurrent tapes.
+  [[nodiscard]] Mlp frozen() const;
 
   [[nodiscard]] std::vector<Var> parameters() const;
   [[nodiscard]] std::size_t in_dim() const;

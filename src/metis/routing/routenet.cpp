@@ -32,7 +32,9 @@ double LinkDelayNet::train(const LatencyModelConfig& truth,
   nn::Var xv = nn::constant(std::move(x));
   nn::Var yv = nn::constant(std::move(y));
   constexpr double kLrMax = 2e-2;
-  nn::Adam opt(net_.parameters(), kLrMax);
+  // Adam trains a copy; the fitted weights are kept frozen (see header).
+  nn::Mlp trainee = net_.clone();
+  nn::Adam opt(trainee.parameters(), kLrMax);
   double last = 0.0;
   for (std::size_t e = 0; e < epochs; ++e) {
     // Hold the full rate for most of training, then decay to settle the
@@ -42,12 +44,13 @@ double LinkDelayNet::train(const LatencyModelConfig& truth,
     if (progress > 0.7) {
       opt.set_lr(kLrMax * std::pow(0.05, (progress - 0.7) / 0.3));
     }
-    nn::Var loss = nn::mse_loss(net_.forward(xv), yv);
+    nn::Var loss = nn::mse_loss(trainee.forward(xv), yv);
     opt.zero_grad();
     nn::backward(loss);
     opt.step();
     last = loss->value()(0, 0);
   }
+  net_ = trainee.frozen();
   return last * y_std_ * y_std_;  // report on the raw delay scale
 }
 
@@ -62,9 +65,9 @@ double LinkDelayNet::predict(double utilization) const {
          y_mean_;
 }
 
-LinkDelayNet LinkDelayNet::clone() const {
-  LinkDelayNet copy(*this);     // rng state + standardization scalars
-  copy.net_ = net_.clone();     // fresh, independently trainable weights
+LinkDelayNet LinkDelayNet::frozen() const {
+  LinkDelayNet copy(*this);  // rng state + standardization scalars
+  copy.net_ = net_.frozen();
   return copy;
 }
 
@@ -166,6 +169,8 @@ hypergraph::Hypergraph routing_hypergraph(
 RoutingMaskModel::RoutingMaskModel(const RouteNetStar* model,
                                    RouteNetStar::RoutingResult result)
     : model_(model),
+      delay_net_(std::make_shared<const LinkDelayNet>(
+          model->delay_net().frozen())),
       result_(std::move(result)),
       graph_(routing_hypergraph(model->topology(), result_)),
       volumes_row_(1, result_.demands.size()),
@@ -200,7 +205,7 @@ nn::Var RoutingMaskModel::decisions(const nn::Var& mask) const {
   nn::Var loads = nn::matmul(volumes_const_, mask);
   nn::Var utilization = nn::mul(loads, inv_capacity_const_);
   // Learned per-link delays.
-  nn::Var delays = delay_net().forward(nn::transpose(utilization));
+  nn::Var delays = delay_net_->forward(nn::transpose(utilization));
   // Candidate-path latencies: ((|E|k) x |V|) · (|V| x 1).
   nn::Var cand_lat = nn::matmul(*candidate_incidence_, delays);
   nn::Var logits = nn::reshape(
@@ -209,10 +214,7 @@ nn::Var RoutingMaskModel::decisions(const nn::Var& mask) const {
 }
 
 std::shared_ptr<core::MaskableModel> RoutingMaskModel::clone() const {
-  auto copy = std::make_shared<RoutingMaskModel>(*this);
-  copy->owned_delay_net_ =
-      std::make_shared<const LinkDelayNet>(delay_net().clone());
-  return copy;
+  return std::make_shared<RoutingMaskModel>(*this);
 }
 
 }  // namespace metis::routing

@@ -29,6 +29,10 @@ class LinkDelayNet {
   explicit LinkDelayNet(std::uint64_t seed);
 
   // Supervised fit against the M/M/1 model; returns final training MSE.
+  // Adam fits a trainable copy of the weights and the net keeps the result
+  // frozen (nn::Mlp::frozen), so a trained net holds no gradient state
+  // for anything downstream to accumulate into; a later train() starts
+  // from the frozen values.
   double train(const LatencyModelConfig& truth, std::size_t samples = 1024,
                std::size_t epochs = 300, double max_utilization = 1.2);
 
@@ -36,10 +40,11 @@ class LinkDelayNet {
   [[nodiscard]] nn::Var forward(const nn::Var& utilization_col) const;
   [[nodiscard]] double predict(double utilization) const;
 
-  // Deep copy with fresh weight nodes (bitwise-equal values): forward()
-  // builds tapes whose gradients accumulate independently of the
-  // original — one clone per concurrent §4.2 search.
-  [[nodiscard]] LinkDelayNet clone() const;
+  // Copy with frozen weights (nn::Mlp::frozen): forward() values are
+  // bitwise the original's, and a backward through it computes only the
+  // input gradient — what the §4.2 search differentiates — so every
+  // concurrent search can share one frozen copy.
+  [[nodiscard]] LinkDelayNet frozen() const;
 
   [[nodiscard]] const nn::Mlp& net() const { return net_; }
 
@@ -106,24 +111,23 @@ class RoutingMaskModel final : public core::MaskableModel {
     return graph_;
   }
   [[nodiscard]] nn::Var decisions(const nn::Var& mask) const override;
-  // Clone for concurrent interpretation: the copy owns an independent
-  // LinkDelayNet (the only gradient-carrying state decisions() touches)
-  // and shares the read-only routing result/constants. The original
-  // RouteNetStar must stay alive while clones run (GlobalSystem keepalive
-  // covers this on the serve path).
+  // Clone for concurrent interpretation: decisions() touches no
+  // gradient-carrying state (the delay net is frozen), so the copy shares
+  // the frozen delay net, the constants and the candidate incidence
+  // read-only with the original. The original RouteNetStar must stay
+  // alive while clones run (GlobalSystem keepalive covers this on the
+  // serve path).
   [[nodiscard]] std::shared_ptr<core::MaskableModel> clone() const override;
   [[nodiscard]] const RouteNetStar::RoutingResult& result() const {
     return result_;
   }
+  // The weight-frozen copy of the model's delay net that decisions()
+  // runs, taken at construction and shared by every clone.
+  [[nodiscard]] const LinkDelayNet& delay_net() const { return *delay_net_; }
 
  private:
-  [[nodiscard]] const LinkDelayNet& delay_net() const {
-    return owned_delay_net_ ? *owned_delay_net_ : model_->delay_net();
-  }
-
   const RouteNetStar* model_;
-  // Set on clones only: the per-search delay net replacing the original's.
-  std::shared_ptr<const LinkDelayNet> owned_delay_net_;
+  std::shared_ptr<const LinkDelayNet> delay_net_;
   RouteNetStar::RoutingResult result_;
   hypergraph::Hypergraph graph_;
   nn::Tensor volumes_row_;       // 1 x |E| demand volumes

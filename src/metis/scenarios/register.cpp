@@ -3,7 +3,6 @@
 #include <memory>
 #include <string>
 
-#include "metis/api/mimic.h"
 #include "metis/scenarios/cellular.h"
 #include "metis/scenarios/cluster.h"
 #include "metis/scenarios/nfv.h"
@@ -12,10 +11,14 @@ namespace metis::scenarios {
 namespace {
 
 // Shared shape of the three Appendix-B scenarios: a maskable model built
-// from options, Table-4 interpretation defaults, and a decision-mimic
-// local surface over the model's decision units.
+// from options and Table-4 interpretation defaults. The paper only
+// interprets these systems (§4, Appendix B); they offer no distillation,
+// because a tree over their decision units would memorise a fixed table
+// at 100% fidelity and explain nothing. make_local keeps the base
+// class's "does not support local-system distillation" error.
 class HypergraphScenario : public api::Scenario {
  public:
+  bool has_local() const override { return false; }
   bool has_global() const override { return true; }
 
   api::GlobalSystem make_global(
@@ -30,18 +33,9 @@ class HypergraphScenario : public api::Scenario {
     return sys;
   }
 
-  api::LocalSystem make_local(
-      const api::ScenarioOptions& options) const override {
-    api::LocalSystem sys =
-        api::mimic_local_system(build_model(options), unit_name());
-    sys.distill_defaults.seed = options.seed;
-    return sys;
-  }
-
  protected:
   [[nodiscard]] virtual std::shared_ptr<core::MaskableModel> build_model(
       const api::ScenarioOptions& options) const = 0;
-  [[nodiscard]] virtual std::string unit_name() const = 0;
 };
 
 class ClusterScenario final : public HypergraphScenario {
@@ -62,7 +56,6 @@ class ClusterScenario final : public HypergraphScenario {
     return std::make_shared<ClusterSchedulingModel>(
         random_job(layers, width, options.seed + 2026));
   }
-  std::string unit_name() const override { return "allocation"; }
 };
 
 class NfvScenario final : public HypergraphScenario {
@@ -87,7 +80,6 @@ class NfvScenario final : public HypergraphScenario {
         random_nfv(api::scaled(4, options.scale, 4),
                    api::scaled(4, options.scale, 4), options.seed + 21));
   }
-  std::string unit_name() const override { return "nf"; }
 };
 
 class CellularScenario final : public HypergraphScenario {
@@ -108,7 +100,6 @@ class CellularScenario final : public HypergraphScenario {
                         api::scaled(5, options.scale, 3), /*radius=*/0.45,
                         options.seed + 22));
   }
-  std::string unit_name() const override { return "user"; }
 };
 
 }  // namespace

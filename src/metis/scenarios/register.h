@@ -4,8 +4,8 @@
 //   "cellular" — ultra-dense cellular association (B.2)
 //
 // Each exposes its MaskableModel for the §4.2 critical-connection search
-// and a decision-mimic local surface so the whole registry is drivable
-// through Interpreter::distill.
+// only: has_local() is false, and a distill request gets the scenario's
+// "does not support local-system distillation" error.
 #pragma once
 
 #include "metis/api/registry.h"

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -291,6 +292,48 @@ TEST(HypergraphInterpreter, Lambda2PolarizesMasks) {
   const double h_soft = find_critical_connections(model, soft).entropy;
   const double h_hard = find_critical_connections(model, hard).entropy;
   EXPECT_LT(h_hard, h_soft);  // Fig. 29b / 30 behaviour
+}
+
+TEST(HypergraphInterpreter, RejectsNonFiniteOrNegativeSettings) {
+  ToyMaskModel model;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::string, InterpretConfig>> bad = [&] {
+    std::vector<std::pair<std::string, InterpretConfig>> cs;
+    for (double v : {inf, -inf, nan, -0.5}) {
+      InterpretConfig c;
+      c.lambda1 = v;
+      cs.emplace_back("lambda1=" + std::to_string(v), c);
+      c = InterpretConfig{};
+      c.lambda2 = v;
+      cs.emplace_back("lambda2=" + std::to_string(v), c);
+    }
+    for (double v : {inf, -inf, nan, 0.0, -0.05}) {
+      InterpretConfig c;
+      c.lr = v;
+      cs.emplace_back("lr=" + std::to_string(v), c);
+    }
+    return cs;
+  }();
+  for (const auto& [what, cfg] : bad) {
+    try {
+      (void)find_critical_connections(model, cfg);
+      ADD_FAILURE() << what << " was accepted";
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      const char* want = what.starts_with("lr")
+                             ? "lr must be finite and > 0"
+                             : "lambda1 and lambda2 must be finite and >= 0";
+      EXPECT_NE(msg.find(want), std::string::npos) << what << ": " << msg;
+    }
+  }
+  // The edges of the admissible range still run.
+  InterpretConfig edge;
+  edge.lambda1 = 0.0;
+  edge.lambda2 = 0.0;
+  edge.lr = 1e6;
+  edge.steps = 2;
+  EXPECT_EQ(find_critical_connections(model, edge).ranked.size(), 4u);
 }
 
 TEST(HypergraphInterpreter, VertexMaskSumAggregates) {

@@ -64,6 +64,15 @@ const std::vector<Shape>& parity_shapes() {
       // through the 128-wide trunk, and cubes several cache blocks wide.
       {7, 128, 128}, {26, 25, 128}, {26, 128, 128}, {128, 128, 128},
       {256, 256, 256},
+      // The §4.2 routing mask step's LinkDelayNet backward (|V| = 42 links
+      // through the 1-32-32-1 net): dX = dY * W^T at 42x32x32, 42x32x1
+      // and 42x1x32 — 42 rows leave m % 4 = 2 rows for the 1-row tile.
+      {42, 32, 32}, {42, 32, 1}, {42, 1, 32},
+      // transB's packed panels: m % 4 of 1, 2 and 3 rows; n past the
+      // 16- and 8-wide panels into the scalar columns (45 = 16 + 16 + 8 +
+      // 5, 13 = 8 + 5, 21 = 16 + 5); k = 700 and 1024, past what a
+      // fixed-size panel buffer would hold.
+      {5, 11, 45}, {6, 7, 13}, {43, 19, 21}, {9, 1024, 24}, {3, 700, 45},
   };
   return shapes;
 }
@@ -115,9 +124,16 @@ TEST(GemmParity, MatmulBitwiseAcrossShapes) {
       gemm::BackendScope scope(gemm::Backend::kBlocked);
       blocked = Tensor::matmul(a, b);
     }
-    expect_bitwise(naive, blocked,
-                   "matmul " + std::to_string(m) + "x" + std::to_string(k) +
-                       "x" + std::to_string(n));
+    const std::string shape = std::to_string(m) + "x" + std::to_string(k) +
+                              "x" + std::to_string(n);
+    expect_bitwise(naive, blocked, "matmul " + shape);
+    for (const auto* set : gemm::detail::supported_kernel_sets()) {
+      Tensor got(m, n, 0.0);
+      set->matmul(m, k, n, a.data().data(), b.data().data(), nullptr,
+                  got.data().data());
+      expect_bitwise(got, naive, std::string("matmul ") + set->isa + " " +
+                                     shape);
+    }
   }
 }
 
@@ -150,6 +166,9 @@ TEST(GemmParity, MatmulAddBiasBitwise) {
 }
 
 TEST(GemmParity, TransposeAccumulateBitwise) {
+  const auto sets = gemm::detail::supported_kernel_sets();
+  ASSERT_FALSE(sets.empty());
+  EXPECT_STREQ(sets.front()->isa, gemm::blocked_isa());
   metis::Rng rng(13);
   for (const auto& [m, k, n] : parity_shapes()) {
     const Tensor a = random_tensor(m, k, rng);      // transB: a (m x k)
@@ -167,18 +186,33 @@ TEST(GemmParity, TransposeAccumulateBitwise) {
       ref_transB += Tensor::matmul(a, bt.transposed());
       ref_transA += Tensor::matmul(at.transposed(), b2);
     }
+    const std::string shape = std::to_string(m) + "x" + std::to_string(k) +
+                              "x" + std::to_string(n);
     for (gemm::Backend backend :
          {gemm::Backend::kNaive, gemm::Backend::kBlocked}) {
       gemm::BackendScope scope(backend);
-      const std::string tag = std::string(gemm::to_string(backend)) + " " +
-                              std::to_string(m) + "x" + std::to_string(k) +
-                              "x" + std::to_string(n);
+      const std::string tag =
+          std::string(gemm::to_string(backend)) + " " + shape;
       Tensor got_b = acc0;
       gemm::matmul_transB_acc(a, bt, got_b);
       expect_bitwise(got_b, ref_transB, "matmul_transB_acc " + tag);
       Tensor got_a = acc0;
       gemm::matmul_transA_acc(at, b2, got_a);
       expect_bitwise(got_a, ref_transA, "matmul_transA_acc " + tag);
+    }
+    // Every kernel set the CPU runs, not only the one the dispatcher
+    // picked: an AVX-512 machine must still vouch for the avx2 and
+    // generic kernels.
+    for (const auto* set : sets) {
+      const std::string tag = std::string(set->isa) + " " + shape;
+      Tensor got_b = acc0;
+      set->transB_acc(m, k, n, a.data().data(), bt.data().data(),
+                      got_b.data().data());
+      expect_bitwise(got_b, ref_transB, "transB_acc " + tag);
+      Tensor got_a = acc0;
+      set->transA_acc(m, k, n, at.data().data(), b2.data().data(),
+                      got_a.data().data());
+      expect_bitwise(got_a, ref_transA, "transA_acc " + tag);
     }
   }
 }

@@ -8,10 +8,12 @@
 #include <set>
 #include <vector>
 
+#include "metis/api/registry.h"
 #include "metis/core/hypergraph_interpreter.h"
 #include "metis/routing/latency_model.h"
 #include "metis/routing/paths.h"
 #include "metis/routing/routenet.h"
+#include "metis/routing/scenario.h"
 #include "metis/routing/topology.h"
 #include "metis/routing/traffic.h"
 #include "metis/util/stats.h"
@@ -252,6 +254,40 @@ TEST(RoutingMaskModel, InterpreterProducesPolarizedMasks) {
   const double mid =
       metis::fraction_below(values, 0.8) - metis::fraction_below(values, 0.2);
   EXPECT_LT(mid, 0.6);
+}
+
+// The §4.2 search differentiates the mask only. The mask model runs a
+// weight-frozen copy of the RouteNet* delay net, taken once at
+// construction and shared by its clones, so a search on the scenario's
+// model or on a clone computes no weight gradient: neither the copy nor
+// RouteNetStar::delay_net() ends up with one.
+TEST(RoutingMaskModel, SearchLeavesTheDelayNetAlone) {
+  api::ScenarioOptions options;
+  options.scale = 0.05;
+  const api::GlobalSystem sys =
+      api::ScenarioRegistry::global().get("routing").make_global(options);
+  const auto ctx = routing_context(sys);
+  const auto clone = sys.model->clone();
+  const auto* model = dynamic_cast<const RoutingMaskModel*>(sys.model.get());
+  const auto* copy = dynamic_cast<const RoutingMaskModel*>(clone.get());
+  ASSERT_NE(model, nullptr);
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(&copy->delay_net(), &model->delay_net());
+  EXPECT_NE(&model->delay_net(), &ctx->model->delay_net());
+
+  core::InterpretConfig cfg = sys.interpret_defaults;
+  cfg.steps = 5;
+  (void)core::find_critical_connections(*sys.model, cfg);
+  (void)core::find_critical_connections(*clone, cfg);
+  for (const LinkDelayNet* net :
+       {&ctx->model->delay_net(), &model->delay_net()}) {
+    const auto params = net->net().parameters();
+    ASSERT_EQ(params.size(), 6u);  // 1-32-32-1: three weights, three biases
+    for (const nn::Var& p : params) {
+      EXPECT_FALSE(p->requires_grad());
+      EXPECT_FALSE(p->has_grad());
+    }
+  }
 }
 
 // Paper-result gate for Fig. 9a: the mask CDF is bimodal. Runs the

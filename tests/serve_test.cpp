@@ -12,6 +12,7 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -771,8 +772,10 @@ TEST(Service, DistillAndInterpretJobsRunConcurrently) {
   api::InterpretOverrides io;
   io.steps = 25;
   std::vector<serve::JobHandle> jobs;
-  for (const char* key : {"cluster", "nfv", "cellular"}) {
-    jobs.push_back(svc.submit_distill(key));
+  // routing both distills and interprets; the Appendix-B scenarios only
+  // interpret.
+  jobs.push_back(svc.submit_distill("routing"));
+  for (const char* key : {"cluster", "routing", "nfv", "cellular"}) {
     jobs.push_back(svc.submit_interpret(key, io));
   }
   svc.wait_all();
@@ -1051,6 +1054,34 @@ TEST(Service, ConcurrentSameKeyInterpretBitwiseIdenticalToSequential) {
           jobs[i].interpret_run().result, reference,
           std::string(key) + " concurrent job " + std::to_string(i));
     }
+  }
+}
+
+// λ1, λ2 and lr come off the wire through InterpretOverrides; a
+// non-finite one must fail the job with the search's check message
+// instead of finishing kDone with NaN masks.
+TEST(Service, NonFiniteInterpretOverridesFailTheJob) {
+  api::ScenarioRegistry reg;
+  reg.add(std::make_unique<NetMaskScenario>("netmask"));
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.registry = &reg;
+  serve::Service svc(cfg);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<api::InterpretOverrides, std::string>> cases(3);
+  cases[0].first.lambda1 = inf;
+  cases[0].second = "lambda1 and lambda2 must be finite";
+  cases[1].first.lambda2 = inf;
+  cases[1].second = "lambda1 and lambda2 must be finite";
+  cases[2].first.lr = inf;
+  cases[2].second = "lr must be finite";
+  for (const auto& [io, message] : cases) {
+    auto job = svc.submit_interpret("netmask", io);
+    job.wait();
+    EXPECT_EQ(job.status(), serve::JobStatus::kFailed) << message;
+    EXPECT_NE(job.error().find(message), std::string::npos) << job.error();
+    EXPECT_EQ(job.progress().steps_done, 0u) << message;
   }
 }
 
