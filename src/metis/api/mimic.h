@@ -1,26 +1,14 @@
-// Generic adapters that turn recorded or recomputed decisions into the
-// Teacher/RolloutEnv pair the §3.2 pipeline expects.
-//
-// Two uses inside the facade:
-//  * ReplayRolloutEnv — replays a fixed set of recorded states (e.g. the
-//    per-flow decision points an AuTO agent saw); the live teacher labels
-//    them. Decision systems whose state stream does not depend on the
-//    student's actions distill exactly this way in the paper (§6.4's
-//    flow scheduler).
-//  * TabularTeacher + mimic_local_system — wraps a global system's
-//    per-unit decision distributions (rows of MaskableModel::decisions
-//    under the full incidence mask) as a teacher over unit indices, so a
-//    hypergraph scenario can *also* be driven through
-//    Interpreter::distill. Only routing does; the Appendix-B scenarios
-//    offer interpretation only (scenarios/register.h).
+// ReplayRolloutEnv replays a fixed set of recorded states (e.g. the
+// per-flow decision points an AuTO agent saw) as the RolloutEnv the §3.2
+// pipeline expects; the live teacher labels them. Decision systems whose
+// state stream does not depend on the student's actions distill exactly
+// this way in the paper (§6.4's flow scheduler).
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "metis/api/scenario.h"
-#include "metis/nn/tensor.h"
 
 namespace metis::api {
 
@@ -57,32 +45,5 @@ class ReplayRolloutEnv final : public core::RolloutEnv {
   std::size_t start_ = 0;
   std::size_t walked_ = 0;
 };
-
-// Teacher defined by a fixed decision table: state[0] is the decision-unit
-// index, row `unit` of `probs` is π(·|unit). Values are zero (no critic),
-// so advantage weighting is uniform — matching the global systems, whose
-// interpretation weight lives in the hypergraph mask instead.
-class TabularTeacher final : public core::Teacher {
- public:
-  explicit TabularTeacher(nn::Tensor probs);
-
-  [[nodiscard]] std::size_t action_count() const override;
-  [[nodiscard]] std::size_t act(std::span<const double> state) const override;
-  [[nodiscard]] double value(std::span<const double> state) const override;
-
- private:
-  [[nodiscard]] std::size_t unit_of(std::span<const double> state) const;
-
-  nn::Tensor probs_;  // units x actions
-};
-
-// Builds the decision-mimic local system of a global scenario: evaluates
-// `model`'s decisions under the full incidence mask and exposes them as a
-// TabularTeacher over a ReplayRolloutEnv of unit indices. When the
-// hypergraph carries edge features and decisions are edge-major, the
-// feature rows are appended to the interpretable view so the student tree
-// can split on them (not just on the index).
-[[nodiscard]] LocalSystem mimic_local_system(
-    std::shared_ptr<core::MaskableModel> model, const std::string& unit_name);
 
 }  // namespace metis::api

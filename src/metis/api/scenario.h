@@ -65,8 +65,8 @@ class Scenario {
   [[nodiscard]] virtual std::string description() const = 0;
 
   // Which interpretation surfaces the scenario supports. abr and
-  // flowsched distill only; routing distills and exposes its hypergraph;
-  // cluster, nfv and cellular expose their hypergraph only.
+  // flowsched distill only; routing, cluster, nfv and cellular expose
+  // their hypergraph only.
   [[nodiscard]] virtual bool has_local() const { return true; }
   [[nodiscard]] virtual bool has_global() const { return false; }
 

@@ -49,12 +49,19 @@ InterpretResult find_critical_connections(const MaskableModel& model,
   const nn::CsrMatrix support(incidence);
 
   // Reference decisions Y_I with the unmasked incidence matrix, frozen as a
-  // constant target. For discrete systems the target's per-entry logs are
-  // frozen too: they are re-read every step by the KL term, so paying
-  // them once (instead of steps x |Y| log calls) is free accuracy-wise —
-  // the cached node holds exactly log_op(y_target)'s values.
-  nn::Var y_ref = model.decisions(nn::constant(incidence));
-  nn::Var y_target = nn::constant(y_ref->value());
+  // constant target. The forward runs with the tape off: a model with
+  // trainable weights would otherwise keep its whole reference graph
+  // alive for the entire search. For discrete systems the target's
+  // per-entry logs are frozen too: they are re-read every step by the KL
+  // term, so paying them once (instead of steps x |Y| log calls) is free
+  // accuracy-wise — the cached node holds exactly log_op(y_target)'s
+  // values.
+  nn::Var y_target;
+  {
+    nn::NoGradGuard no_grad;
+    nn::Var y_ref = model.decisions(nn::constant(incidence));
+    y_target = nn::constant(y_ref->value());
+  }
   const bool discrete = model.discrete_output();
   nn::Var log_target;
   if (discrete) log_target = nn::log_op(y_target);

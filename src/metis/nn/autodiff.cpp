@@ -7,6 +7,7 @@
 
 #include "metis/nn/arena.h"
 #include "metis/nn/gemm.h"
+#include "metis/nn/vmath.h"
 #include "metis/util/check.h"
 
 namespace metis::nn {
@@ -43,13 +44,10 @@ Var make_node(Tensor value, BackwardFn&& backward, const Parents&... parents) {
 }
 // metis-lint: end-hot-path
 
-// Element-wise unary op helper: out = f(a), da += g(a, out) * dout.
-template <typename FwdFn, typename BwdFn>
-Var unary(const Var& a, FwdFn f, BwdFn dfdx_of_in_out) {
-  Tensor out(a->value().rows(), a->value().cols());
-  auto in = a->value().data();
-  auto o = out.data();
-  for (std::size_t i = 0; i < in.size(); ++i) o[i] = f(in[i]);
+// Element-wise unary node over its computed values out = f(a):
+// da += g(a, out) * dout.
+template <typename BwdFn>
+Var unary_node(const Var& a, Tensor out, BwdFn dfdx_of_in_out) {
   return make_node(std::move(out),
                    [f = std::move(dfdx_of_in_out)](Node& n) {
                      auto& pa = *n.parents()[0];
@@ -63,6 +61,16 @@ Var unary(const Var& a, FwdFn f, BwdFn dfdx_of_in_out) {
                      }
                    },
                    a);
+}
+
+// Element-wise unary op helper: out = f(a), da += g(a, out) * dout.
+template <typename FwdFn, typename BwdFn>
+Var unary(const Var& a, FwdFn f, BwdFn dfdx_of_in_out) {
+  Tensor out(a->value().rows(), a->value().cols());
+  auto in = a->value().data();
+  auto o = out.data();
+  for (std::size_t i = 0; i < in.size(); ++i) o[i] = f(in[i]);
+  return unary_node(a, std::move(out), std::move(dfdx_of_in_out));
 }
 
 }  // namespace
@@ -243,15 +251,17 @@ Var relu(const Var& a) {
 }
 
 Var tanh_op(const Var& a) {
-  return unary(
-      a, [](double x) { return std::tanh(x); },
-      [](double, double y) { return 1.0 - y * y; });
+  Tensor out(a->value().rows(), a->value().cols());
+  vmath::tanh(a->value().data(), out.data());
+  return unary_node(a, std::move(out),
+                    [](double, double y) { return 1.0 - y * y; });
 }
 
 Var sigmoid(const Var& a) {
-  return unary(
-      a, [](double x) { return 1.0 / (1.0 + std::exp(-x)); },
-      [](double, double y) { return y * (1.0 - y); });
+  Tensor out(a->value().rows(), a->value().cols());
+  vmath::logistic(a->value().data(), out.data());
+  return unary_node(a, std::move(out),
+                    [](double, double y) { return y * (1.0 - y); });
 }
 
 Var exp_op(const Var& a) {
@@ -471,15 +481,23 @@ Var gated_sigmoid(const Var& x, const Var& support) {
   MET_CHECK(x->value().same_shape(support->value()));
   MET_CHECK_MSG(!support->requires_grad(),
                 "gated_sigmoid: support must be a constant");
-  Tensor out(x->value().rows(), x->value().cols());
+  // Support entries are exactly 0 or 1 (the incidence contract), so the
+  // gated product is sigmoid(x) or exactly 0 — identical to
+  // mul(support, sigmoid(x)). The logits on the support are gathered
+  // into one span, so the masked-out entries cost no logistic.
   auto in = x->value().data();
   auto sv = support->value().data();
-  auto o = out.data();
+  Tensor gate(1, in.size());
+  auto g = gate.data();
+  std::size_t n = 0;
   for (std::size_t i = 0; i < in.size(); ++i) {
-    // Support entries are exactly 0 or 1 (the incidence contract), so
-    // the gated product is sigmoid(x) or exactly 0 — identical to
-    // mul(support, sigmoid(x)) without the masked-out exp calls.
-    o[i] = sv[i] != 0.0 ? 1.0 / (1.0 + std::exp(-in[i])) : 0.0;
+    if (sv[i] != 0.0) g[n++] = in[i];
+  }
+  vmath::logistic(g.first(n), g.first(n));
+  Tensor out(x->value().rows(), x->value().cols(), 0.0);
+  auto o = out.data();
+  for (std::size_t i = 0, j = 0; i < o.size(); ++i) {
+    if (sv[i] != 0.0) o[i] = g[j++];
   }
   return make_node(
       std::move(out),
@@ -501,13 +519,13 @@ Var gated_sigmoid(const Var& x, const Var& support) {
 // metis-lint: begin-hot-path
 Var gated_sigmoid(const Var& x, const CsrMatrix& support) {
   MET_CHECK(x->value().rows() == 1 && x->value().cols() == support.nnz());
+  Tensor gate(1, support.nnz());
+  vmath::logistic(x->value().data(), gate.data());
   Tensor out(support.rows(), support.cols(), 0.0);
-  auto in = x->value().data();
+  auto g = gate.data();
   auto off = support.offsets();
   auto o = out.data();
-  for (std::size_t j = 0; j < in.size(); ++j) {
-    o[off[j]] = 1.0 / (1.0 + std::exp(-in[j]));
-  }
+  for (std::size_t j = 0; j < g.size(); ++j) o[off[j]] = g[j];
   const CsrMatrix* sp = &support;
   return make_node(
       std::move(out),

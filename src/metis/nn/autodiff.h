@@ -210,6 +210,8 @@ class Node {
 [[nodiscard]] Var add_scalar(const Var& a, double s);
 
 [[nodiscard]] Var relu(const Var& a);
+// tanh and the logistic sigmoid run nn/vmath.h's kernels (within 3 ulp,
+// the same bits on every CPU); the sigmoid gatings below do too.
 [[nodiscard]] Var tanh_op(const Var& a);
 [[nodiscard]] Var sigmoid(const Var& a);
 [[nodiscard]] Var exp_op(const Var& a);
@@ -270,8 +272,8 @@ class Node {
 // pointer to the CsrMatrix in the tape, not a copy: it must outlive every
 // backward() through the returned node.
 
-// Gating (Eq. 9): out = support ∘ sigmoid(x), with the sigmoid evaluated
-// only where support is non-zero (elsewhere the product is exactly 0).
+// Gating (Eq. 9): out = support ∘ sigmoid(x), exactly 0 where support is
+// 0 whatever x holds there.
 // Support entries must be 0 or 1 — the incidence matrix's contract — and
 // carry no gradient.
 [[nodiscard]] Var gated_sigmoid(const Var& x, const Var& support);

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "metis/api/mimic.h"
 #include "metis/util/check.h"
 
 namespace metis::routing {
@@ -33,6 +32,9 @@ class RoutingScenario final : public api::Scenario {
     return "DL-based routing: RouteNet*-style closed-loop optimizer on "
            "NSFNet, interpreted over the (path, link) hypergraph";
   }
+  // Interpretation only; make_local keeps the base class's "does not
+  // support local-system distillation" error.
+  bool has_local() const override { return false; }
   bool has_global() const override { return true; }
 
   api::GlobalSystem make_global(
@@ -47,17 +49,6 @@ class RoutingScenario final : public api::Scenario {
     sys.interpret_defaults.lambda2 = 1.0;
     sys.interpret_defaults.steps = 250;
     sys.interpret_defaults.seed = options.seed + 2;
-    return sys;
-  }
-
-  api::LocalSystem make_local(
-      const api::ScenarioOptions& options) const override {
-    auto ctx = build_context(options);
-    api::LocalSystem sys = api::mimic_local_system(
-        std::shared_ptr<core::MaskableModel>(ctx, ctx->mask_model.get()),
-        "demand");
-    sys.keepalive = ctx;
-    sys.distill_defaults.seed = options.seed;
     return sys;
   }
 };

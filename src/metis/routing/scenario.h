@@ -2,9 +2,10 @@
 //
 // make_global trains the link-delay model, routes a traffic matrix in
 // closed loop, and exposes the (path, link) hypergraph mask model for the
-// §4.2 search. make_local wraps the per-demand decision distributions as
-// a decision-mimic distillation surface. Registered under "routing"
-// (alias "routenet").
+// §4.2 search. The paper never distils RouteNet, and a tree over its
+// demands would memorise the decision table by demand index, so the
+// scenario offers interpretation only (has_local() is false). Registered
+// under "routing" (alias "routenet").
 #pragma once
 
 #include <memory>

@@ -31,11 +31,12 @@ TEST(Registry, GlobalHasAllSixFamilies) {
     ASSERT_TRUE(reg.contains(k)) << k;
     EXPECT_EQ(reg.get(k).key(), k);
     EXPECT_FALSE(reg.get(k).description().empty());
-    // The Appendix-B families are interpreted only (a distill of theirs
-    // would memorise a table over unit indices).
-    const bool appendix_b = k == "cellular" || k == "cluster" || k == "nfv";
-    EXPECT_EQ(reg.get(k).has_local(), !appendix_b) << k;
-    EXPECT_EQ(reg.get(k).has_global(), appendix_b || k == "routing") << k;
+    // The hypergraph families (routing and Appendix B) are interpreted
+    // only (a distill of theirs would memorise a table over unit indices).
+    const bool hypergraph = k == "cellular" || k == "cluster" || k == "nfv" ||
+                            k == "routing";
+    EXPECT_EQ(reg.get(k).has_local(), !hypergraph) << k;
+    EXPECT_EQ(reg.get(k).has_global(), hypergraph) << k;
   }
 }
 
@@ -226,14 +227,15 @@ TEST(Interpreter, DistilledAbrTreeFidelityStaysAboveFloor) {
   }
 }
 
-// The Appendix-B scenarios offer no distillation: a tree over their
-// decision units would be a fixed table over unit indices at 100%
-// fidelity. A distill request fails with the scenario's own error.
+// The hypergraph scenarios (routing and Appendix B) offer no
+// distillation: a tree over their decision units would be a fixed table
+// over unit indices at 100% fidelity. A distill request fails with the
+// scenario's own error.
 TEST(Interpreter, HypergraphOnlyScenariosRejectDistill) {
   api::ScenarioOptions opts;
   opts.scale = 0.5;
   Interpreter metis(opts);
-  for (const char* key : {"cluster", "nfv", "cellular"}) {
+  for (const char* key : {"cluster", "nfv", "cellular", "routing"}) {
     try {
       (void)metis.distill(key);
       ADD_FAILURE() << key << " distilled";
@@ -334,17 +336,6 @@ TEST(Mimic, ReplayEnvWalksEveryRowOncePerEpisode) {
     state = sr.next_state;
   }
   EXPECT_EQ(seen, (std::vector<double>{1.0, 2.0, 3.0, 0.0}));
-}
-
-TEST(Mimic, TabularTeacherReadsUnitIndex) {
-  nn::Tensor probs(2, 3, std::vector<double>{0.1, 0.7, 0.2,  //
-                                             0.6, 0.3, 0.1});
-  api::TabularTeacher teacher(probs);
-  EXPECT_EQ(teacher.action_count(), 3u);
-  EXPECT_EQ(teacher.act(std::vector<double>{0.0}), 1u);
-  EXPECT_EQ(teacher.act(std::vector<double>{1.0}), 0u);
-  EXPECT_THROW((void)teacher.act(std::vector<double>{5.0}),
-               std::logic_error);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "interpret_oracle.h"
@@ -18,8 +19,10 @@
 #include "metis/core/lemna.h"
 #include "metis/core/lime.h"
 #include "metis/core/linreg.h"
-#include "metis/scenarios/nfv.h"
+#include "metis/nn/arena.h"
 #include "metis/nn/gemm.h"
+#include "metis/nn/mlp.h"
+#include "metis/scenarios/nfv.h"
 #include "metis/util/stats.h"
 
 namespace metis::core {
@@ -343,6 +346,73 @@ TEST(HypergraphInterpreter, VertexMaskSumAggregates) {
   InterpretResult result = find_critical_connections(model, cfg);
   double manual = result.mask(0, 1) + result.mask(1, 1);
   EXPECT_NEAR(result.vertex_mask_sum(1), manual, 1e-12);
+}
+
+// A model with trainable weights, as a downstream model would have (a
+// 4 -> 8 -> 4 tanh net over the mask), or its weight-frozen twin.
+class NetToyModel final : public MaskableModel {
+ public:
+  explicit NetToyModel(bool frozen) : graph_(4, 3) {
+    graph_.connect(0, 0);
+    graph_.connect(0, 1);
+    graph_.connect(1, 1);
+    graph_.connect(1, 2);
+    graph_.connect(2, 2);
+    graph_.connect(2, 3);
+    metis::Rng rng(23);
+    nn::Mlp net({4, 8, 4}, nn::Activation::kTanh, rng);
+    net_ = std::make_shared<nn::Mlp>(frozen ? net.frozen() : std::move(net));
+  }
+
+  const hypergraph::Hypergraph& graph() const override { return graph_; }
+  nn::Var decisions(const nn::Var& mask) const override {
+    return nn::softmax_rows(net_->forward(mask));
+  }
+  std::shared_ptr<MaskableModel> clone() const override {
+    auto copy = std::make_shared<NetToyModel>(*this);
+    copy->net_ = std::make_shared<nn::Mlp>(net_->clone());
+    return copy;
+  }
+
+ private:
+  hypergraph::Hypergraph graph_;
+  std::shared_ptr<nn::Mlp> net_;
+};
+
+// The reference decisions Y_I are a constant target, so their forward
+// must not tape: with trainable weights a taped reference graph stays
+// alive for the whole search, and under a caller's arena::Scope (a serve
+// worker's) every one of its nodes is a fresh node-pool block the steps
+// cannot recycle. Each search runs on its own thread, so each starts
+// from an empty pool; the trainable model must then take exactly the
+// fresh blocks of its frozen twin, whose forwards never tape weights,
+// and produce the same mask bits as the frozen twin and the dense oracle.
+TEST(HypergraphInterpreter, ReferenceForwardKeepsNoGraphAlive) {
+  InterpretConfig cfg;
+  cfg.steps = 20;
+  auto search = [&](const MaskableModel& model, std::uint64_t& fresh) {
+    InterpretResult result;
+    std::thread worker([&] {
+      nn::arena::Scope outer;
+      const auto before = nn::arena::node_stats().fresh_allocs;
+      result = find_critical_connections(model, cfg);
+      fresh = nn::arena::node_stats().fresh_allocs - before;
+    });
+    worker.join();
+    return result;
+  };
+  const NetToyModel trainable(false), frozen(true);
+  std::uint64_t fresh_trainable = 0, fresh_frozen = 0;
+  const InterpretResult got = search(trainable, fresh_trainable);
+  const InterpretResult twin = search(frozen, fresh_frozen);
+  EXPECT_EQ(fresh_trainable, fresh_frozen);
+  const InterpretResult want = oracle::find_critical_connections(trainable, cfg);
+  for (const InterpretResult* other : {&twin, &want}) {
+    ASSERT_TRUE(got.mask.same_shape(other->mask));
+    EXPECT_EQ(std::memcmp(got.mask.data().data(), other->mask.data().data(),
+                          got.mask.size() * sizeof(double)),
+              0);
+  }
 }
 
 // A continuous-output model (Eq. 6's MSE branch, which no built-in

@@ -772,9 +772,8 @@ TEST(Service, DistillAndInterpretJobsRunConcurrently) {
   api::InterpretOverrides io;
   io.steps = 25;
   std::vector<serve::JobHandle> jobs;
-  // routing both distills and interprets; the Appendix-B scenarios only
-  // interpret.
-  jobs.push_back(svc.submit_distill("routing"));
+  // flowsched distills; the hypergraph scenarios only interpret.
+  jobs.push_back(svc.submit_distill("flowsched"));
   for (const char* key : {"cluster", "routing", "nfv", "cellular"}) {
     jobs.push_back(svc.submit_interpret(key, io));
   }
