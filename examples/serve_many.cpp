@@ -29,7 +29,6 @@ int main() {
 
   serve::ServiceConfig cfg;
   cfg.workers = 3;          // three scenario builds in flight at once
-  cfg.collect_workers = 2;  // and each collection round sharded two ways
   cfg.options.scale = 0.2;  // demo-grade teachers (seconds, not minutes)
   serve::Service svc(cfg);
 

@@ -14,7 +14,7 @@ class AbrRolloutEnv final : public core::RolloutEnv {
  public:
   // Borrows `env` (the caller keeps it alive, e.g. the scenario context).
   explicit AbrRolloutEnv(AbrEnv* env);
-  // Owns `env` — how clone() hands each collection worker its own copy.
+  // Owns `env` — how clone() hands each collected episode its own copy.
   explicit AbrRolloutEnv(std::unique_ptr<AbrEnv> env);
 
   [[nodiscard]] std::size_t action_count() const override;

@@ -266,8 +266,8 @@ std::vector<double> AbrEnv::reset(std::size_t episode_index) {
   active_trace_ = episode_index % corpus_->size();
   // Deterministic per-episode start offset: later laps over the corpus
   // start at different points of the (long) trace. Split-style derivation
-  // keeps the episode a pure function of its index, so sharded collection
-  // replays it identically on any worker.
+  // keeps the episode a pure function of its index, so it replays
+  // identically on any env clone.
   metis::Rng offset_rng = metis::Rng::derive(0x5eedULL, episode_index);
   const double max_offset =
       std::max((*corpus_)[active_trace_].duration_seconds() / 2.0, 1.0);

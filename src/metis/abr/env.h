@@ -152,8 +152,8 @@ class AbrEnv final : public nn::DiscreteEnv {
   // Fresh env with no live session, sharing this env's (immutable) video
   // and corpus rather than copying them. reset(e) on the clone replays
   // exactly the episode reset(e) starts here (episodes are pure functions
-  // of the index), which is what lets the sharded trace collector hand
-  // one cheap clone to each worker every round.
+  // of the index), which is what lets the trace collector hand one cheap
+  // clone to each episode every round.
   [[nodiscard]] std::unique_ptr<AbrEnv> clone_fresh() const {
     return std::unique_ptr<AbrEnv>(new AbrEnv(video_, corpus_));
   }

@@ -28,7 +28,7 @@ class ReplayRolloutEnv final : public core::RolloutEnv {
   nn::StepResult step(std::size_t action) override;
   [[nodiscard]] std::vector<double> interpretable_features() const override;
   // The replayed rows are immutable and behind shared_ptrs, so the
-  // member-wise copy shares them — clones per collection worker cost a
+  // member-wise copy shares them — a clone per collected episode costs a
   // few words, not a corpus copy.
   [[nodiscard]] std::shared_ptr<core::RolloutEnv> clone() const override {
     return std::make_shared<ReplayRolloutEnv>(*this);

@@ -8,7 +8,6 @@ void apply_overrides(core::DistillConfig& cfg, const DistillOverrides& o) {
   if (o.dagger_iterations) cfg.dagger_iterations = *o.dagger_iterations;
   if (o.max_leaves) cfg.max_leaves = *o.max_leaves;
   if (o.resample) cfg.resample = *o.resample;
-  if (o.collect_workers) cfg.collect.workers = *o.collect_workers;
   if (o.seed) cfg.seed = *o.seed;
 }
 

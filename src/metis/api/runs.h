@@ -19,7 +19,6 @@ struct DistillOverrides {
   std::optional<std::size_t> dagger_iterations;
   std::optional<std::size_t> max_leaves;
   std::optional<bool> resample;                  // Eq. 1 on/off
-  std::optional<std::size_t> collect_workers;    // episode shards per round
   std::optional<std::uint64_t> seed;
   // Wall-clock budget measured from job submission; a job past it stops
   // at its next checkpoint and reports kTimedOut. Consumed by

@@ -5,7 +5,6 @@
 
 #include "metis/nn/arena.h"
 #include "metis/util/check.h"
-#include "metis/util/parallel_for.h"
 
 namespace metis::core {
 namespace {
@@ -44,13 +43,11 @@ LemnaSurrogate LemnaSurrogate::fit(const std::vector<std::vector<double>>& x,
   const std::size_t dim = x.front().size();
   const std::size_t m = targets.cols();
 
-  // The per-cluster EM fits are independent given the clustering; they
-  // shard across workers, and each cluster draws its responsibility
-  // initialization from Rng::derive(seed, cluster) — a pure function of
-  // (seed, cluster) — so the mixtures are identical at any worker count.
+  // The per-cluster EM fits are independent given the clustering, and
+  // each cluster draws its responsibility initialization from
+  // Rng::derive(seed, cluster), a pure function of (seed, cluster).
   s.mixtures_.assign(k, Mixture{});
-  util::parallel_for(k, cfg.workers, [&](std::size_t c) {
-    nn::arena::Scope worker_arena;  // per-thread recycling on pool workers
+  for (std::size_t c = 0; c < k; ++c) {
     std::vector<std::vector<double>> cx;
     std::vector<std::size_t> rows;
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -64,7 +61,7 @@ LemnaSurrogate LemnaSurrogate::fit(const std::vector<std::vector<double>>& x,
       mix.coef.emplace_back(dim + 1, m, 0.0);
       mix.weight.push_back(1.0);
       s.mixtures_[c] = std::move(mix);
-      return;
+      continue;
     }
     nn::Tensor ct(cx.size(), m);
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -130,7 +127,7 @@ LemnaSurrogate LemnaSurrogate::fit(const std::vector<std::vector<double>>& x,
       }
     }
     s.mixtures_[c] = std::move(mix);
-  });
+  }
   return s;
 }
 

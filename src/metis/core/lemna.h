@@ -18,12 +18,9 @@ struct LemnaConfig {
   std::size_t components = 3;   // mixture size per cluster
   std::size_t em_iters = 25;
   double ridge = 1e-3;
+  // Cluster c's EM responsibilities are seeded from
+  // Rng::derive(seed, c).
   std::uint64_t seed = 11;
-  // Worker threads sharding the independent per-cluster EM fits (1 =
-  // sequential). Each cluster's responsibilities are seeded from
-  // Rng::derive(seed, cluster), so results are identical at any worker
-  // count.
-  std::size_t workers = 1;
 };
 
 class LemnaSurrogate {

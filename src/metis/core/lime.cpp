@@ -5,7 +5,6 @@
 
 #include "metis/nn/arena.h"
 #include "metis/util/check.h"
-#include "metis/util/parallel_for.h"
 
 namespace metis::core {
 
@@ -38,12 +37,9 @@ LimeSurrogate LimeSurrogate::fit(const std::vector<std::vector<double>>& x,
   mean_d2 /= static_cast<double>(x.size());
   const double bandwidth = std::max(mean_d2, 1e-6);
 
-  // Each cluster's fit depends only on the (already fixed) clustering, so
-  // the fits shard across workers with results identical at any count:
-  // cluster c writes only coef_[c].
+  // Each cluster's fit depends only on the (already fixed) clustering.
   s.coef_.assign(k, nn::Tensor());
-  util::parallel_for(k, cfg.workers, [&](std::size_t c) {
-    nn::arena::Scope worker_arena;  // per-thread recycling on pool workers
+  for (std::size_t c = 0; c < k; ++c) {
     std::vector<std::vector<double>> cx;
     std::vector<double> weights;
     std::vector<std::size_t> rows;
@@ -61,7 +57,7 @@ LimeSurrogate LimeSurrogate::fit(const std::vector<std::vector<double>>& x,
     if (cx.empty()) {
       // Empty cluster: a zero model that defers to the bias.
       s.coef_[c] = nn::Tensor(x.front().size() + 1, targets.cols(), 0.0);
-      return;
+      continue;
     }
     nn::Tensor ct(cx.size(), targets.cols());
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -70,7 +66,7 @@ LimeSurrogate LimeSurrogate::fit(const std::vector<std::vector<double>>& x,
       }
     }
     s.coef_[c] = ridge_fit(cx, ct, cfg.ridge, weights);
-  });
+  }
   return s;
 }
 

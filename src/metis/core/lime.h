@@ -16,11 +16,6 @@ struct SurrogateConfig {
   std::size_t clusters = 10;
   double ridge = 1e-3;
   std::uint64_t seed = 7;
-  // Worker threads sharding the independent per-cluster fits (1 =
-  // sequential). Results are identical at any worker count: each
-  // cluster's fit is a pure function of the clustering, which is computed
-  // up front.
-  std::size_t workers = 1;
 };
 
 class LimeSurrogate {

@@ -15,9 +15,9 @@
 
 namespace metis::core {
 
-// Teachers are shared read-only: collection workers and concurrent serve
-// jobs for one scenario call the same teacher's const methods at once, so
-// those must be pure functions of their inputs (no mutable scratch).
+// Teachers are shared read-only: concurrent serve jobs for one scenario
+// call the same teacher's const methods at once, so those must be pure
+// functions of their inputs (no mutable scratch).
 class Teacher {
  public:
   virtual ~Teacher() = default;
@@ -80,8 +80,8 @@ class RolloutEnv {
   // index: any stochastic choices (trace selection, start offsets, state
   // noise) must derive from it deterministically, e.g. via
   // Rng::derive(seed, episode) — never from generator state carried over
-  // from earlier episodes. This contract is what lets the sharded
-  // collector replay episodes on different workers bit-for-bit.
+  // from earlier episodes. This contract is what lets the lockstep
+  // collector match the per-episode reference loop bit for bit.
   virtual std::vector<double> reset(std::size_t episode) = 0;
   virtual nn::StepResult step(std::size_t action) = 0;
   // Interpretable features of the current (pre-action) state.

@@ -8,19 +8,17 @@
 #include "metis/nn/arena.h"
 #include "metis/nn/autodiff.h"
 #include "metis/util/check.h"
-#include "metis/util/parallel_for.h"
 
 namespace metis::core {
 namespace {
 
 // metis-lint: begin-deterministic — the §3.2/Eq. 1 collection pipeline:
-// datasets must be bitwise identical across worker counts, block cuts,
-// and with or without buffer recycling, so no nondeterminism source may
-// enter here. All
-// randomness flows through the envs' Rng::derive(seed, episode) streams;
-// episode k's trajectory is a pure function of (seed, k).
+// datasets must be bitwise identical to the per-episode reference loop,
+// with or without buffer recycling, so no nondeterminism source may enter
+// here. All randomness flows through the envs' Rng::derive(seed, episode)
+// streams; episode k's trajectory is a pure function of (seed, k).
 
-// Live state of one episode advancing in lockstep with its block.
+// Live state of one episode advancing in lockstep with the round.
 struct LiveEpisode {
   std::size_t slot = 0;  // index into the round's per_episode output
   RolloutEnv* env = nullptr;
@@ -29,22 +27,21 @@ struct LiveEpisode {
   std::size_t teacher_control_left = 0;
 };
 
-// §3.2 step 1 for episodes [first, first + envs.size()) of the round,
-// envs[i] driving episode first + i. All of them advance through step t
-// together, and each step asks the teacher one question: one
-// act_and_values_multi call with a group per live episode, [s,
-// s'_1..s'_A] when Eq. 1 is on and its env can look ahead, [s]
-// otherwise. Episodes that terminate drop out of the batch; per-episode
-// rows are independent, so each episode's samples do not depend on the
-// block it ran in.
+// §3.2 step 1 for the round's episodes, envs[i] driving episode i. All of
+// them advance through step t together, and each step asks the teacher
+// one question: one act_and_values_multi call with a group per live
+// episode, [s, s'_1..s'_A] when Eq. 1 is on and its env can look ahead,
+// [s] otherwise. Episodes that terminate drop out of the batch;
+// per-episode rows are independent, so each episode's samples do not
+// depend on which others share its steps.
 //
-// Callers hold an nn::arena::Scope across their blocks: every step
+// The caller holds an nn::arena::Scope across the round: every step
 // allocates the same tensor shapes, so after the first step the arena
 // serves each one from its free list (tests/alloc_test.cpp pins this to
 // zero fresh allocations).
 void collect_block(const Teacher& teacher, std::span<RolloutEnv* const> envs,
                    const CollectConfig& cfg, const StudentPolicy* student,
-                   std::size_t episode_offset, std::size_t first,
+                   std::size_t episode_offset,
                    std::vector<std::vector<CollectedSample>>& out) {
   // Collection never backpropagates: tape-free forwards skip parent
   // wiring and gradient tensors.
@@ -53,9 +50,9 @@ void collect_block(const Teacher& teacher, std::span<RolloutEnv* const> envs,
   active.reserve(envs.size());
   for (std::size_t i = 0; i < envs.size(); ++i) {
     LiveEpisode ep;
-    ep.slot = first + i;
+    ep.slot = i;
     ep.env = envs[i];
-    ep.state = ep.env->reset(episode_offset + first + i);
+    ep.state = ep.env->reset(episode_offset + i);
     active.push_back(std::move(ep));
   }
 
@@ -65,10 +62,10 @@ void collect_block(const Teacher& teacher, std::span<RolloutEnv* const> envs,
   std::vector<std::vector<Lookahead>> lookaheads;
   std::vector<LiveEpisode> still;
   for (std::size_t t = 0; t < cfg.max_steps && !active.empty(); ++t) {
-    // Every episode of the block is mid-flight at once, so the natural
+    // Every episode of the round is mid-flight at once, so the natural
     // cancellation boundary is the step.
     cfg.cancel.check();
-    // Phase 1: assemble the step's one teacher query across the block.
+    // Phase 1: assemble the step's one teacher query across the round.
     rows.clear();
     groups.clear();
     lookaheads.resize(active.size());
@@ -171,7 +168,7 @@ std::vector<CollectedSample> collect_traces(const Teacher& teacher,
   MET_CHECK(teacher.action_count() == env.action_count());
   std::vector<std::vector<CollectedSample>> per_episode(cfg.episodes);
 
-  // Every episode of a block is live at once, so each runs on its own
+  // Every episode of the round is live at once, so each runs on its own
   // clone of the caller's env.
   std::vector<std::shared_ptr<RolloutEnv>> clones;
   std::vector<RolloutEnv*> envs;
@@ -182,21 +179,8 @@ std::vector<CollectedSample> collect_traces(const Teacher& teacher,
     MET_CHECK(clones.back() != nullptr);
     envs.push_back(clones.back().get());
   }
-  // One contiguous block per worker (the whole round when workers <= 1,
-  // on the calling thread), each under its own arena scope: arenas are
-  // per-thread.
-  const std::size_t workers =
-      std::min(std::max<std::size_t>(cfg.workers, 1), cfg.episodes);
-  const std::size_t base = cfg.episodes / workers;
-  const std::size_t rem = cfg.episodes % workers;
-  const std::span<RolloutEnv* const> all(envs);
-  util::parallel_for(workers, workers, [&](std::size_t w) {
-    const std::size_t block_first = w * base + std::min(w, rem);
-    const std::size_t count = base + (w < rem ? 1 : 0);
-    nn::arena::Scope arena;
-    collect_block(teacher, all.subspan(block_first, count), cfg, student,
-                  episode_offset, block_first, per_episode);
-  });
+  nn::arena::Scope arena;
+  collect_block(teacher, envs, cfg, student, episode_offset, per_episode);
   return merge_in_episode_order(std::move(per_episode));
 }
 

@@ -17,31 +17,23 @@
 namespace metis::core {
 
 // How one collection round is executed. There is a single engine: the
-// episodes of a block advance step-for-step together, and each step asks
+// episodes of a round advance step-for-step together, and each step asks
 // the teacher one question, a Teacher::act_and_values_multi call with one
 // group per live episode: [s, s'_1..s'_A] when Eq. 1 is on and the
 // episode's env can look ahead, the 1-row group [s] otherwise. A DNN
-// teacher thus runs ~steps trunk forwards per block instead of episodes x
+// teacher thus runs ~steps trunk forwards per round instead of episodes x
 // steps. The trunk and value head run on every row of a group and the
 // policy head on its first row only. For ABR the A successor states come
 // from AbrEnv::peek_step, which steps a copy of the session (its histories
-// are inline arrays) and featurizes it directly. Each episode runs on its
-// own clone of the caller's env; at workers <= 1 the whole round is one
-// block on the calling thread, at workers > 1 it is split into `workers`
-// contiguous blocks run on `workers` threads.
+// are inline arrays) and featurizes it directly. The round runs on the
+// calling thread, each episode on its own clone of the caller's env.
 //
-// The cut cannot affect the result: every episode derives its randomness
-// from its index (the RolloutEnv episode-determinism contract), per-row
-// teacher outputs are independent of the batch they sit in, and the
-// output is merged in episode order. The dataset is therefore bitwise
-// identical to the scalar per-episode reference loop at any worker count
+// The lockstep cannot affect the result: every episode derives its
+// randomness from its index (the RolloutEnv episode-determinism
+// contract), per-row teacher outputs are independent of the batch they
+// sit in, and the output is merged in episode order. The dataset is
+// therefore bitwise identical to the scalar per-episode reference loop
 // (tests/collect_oracle.h is that reference).
-//
-// Precondition at workers > 1: the Teacher and (in DAgger rounds) the
-// StudentPolicy are invoked from several threads at once, so their const
-// call paths must be safe to call concurrently — pure functions of their
-// inputs, no internal mutable scratch. Teachers are held to this anyway
-// (core::Teacher: shared read-only); tree-backed students qualify.
 struct CollectConfig {
   std::size_t episodes = 32;      // per collection round
   std::size_t max_steps = 1000;   // per-episode cap
@@ -54,15 +46,11 @@ struct CollectConfig {
   std::size_t deviation_limit = 3;
   // …and keeps it for this many steps before handing back.
   std::size_t takeover_steps = 8;
-  // Collection threads; <= 1 runs the round as one block on the calling
-  // thread.
-  std::size_t workers = 1;
-  // Invoked once per completed episode (serve-path progress reporting).
-  // Called from worker threads when workers > 1, possibly concurrently —
-  // the callback must be thread-safe.
+  // Invoked once per completed episode (serve-path progress reporting),
+  // on the calling thread.
   std::function<void()> on_episode_done;
-  // Cooperative cancellation, polled before every lockstep step of a
-  // block. Checkpoints never alter the computation — a round that runs to
+  // Cooperative cancellation, polled before every lockstep step of the
+  // round. Checkpoints never alter the computation — a round that runs to
   // completion is bitwise identical with or without a token attached; a
   // fired token aborts the round via CancelledError.
   util::CancelToken cancel;

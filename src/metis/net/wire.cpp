@@ -216,7 +216,6 @@ void put_distill_overrides(PayloadWriter& w, const api::DistillOverrides& o) {
   put_opt(w, o.dagger_iterations, size);
   put_opt(w, o.max_leaves, size);
   put_opt(w, o.resample, [&](bool v) { w.u8(v ? 1 : 0); });
-  put_opt(w, o.collect_workers, size);
   put_opt(w, o.seed, [&](std::uint64_t v) { w.u64(v); });
   put_opt(w, o.deadline_ms, [&](std::uint64_t v) { w.u64(v); });
 }
@@ -230,7 +229,6 @@ api::DistillOverrides get_distill_overrides(PayloadReader& r) {
   o.dagger_iterations = get_opt<std::size_t>(r, size);
   o.max_leaves = get_opt<std::size_t>(r, size);
   o.resample = get_opt<bool>(r, flag);
-  o.collect_workers = get_opt<std::size_t>(r, size);
   o.seed = get_opt<std::uint64_t>(r, [&] { return r.u64(); });
   o.deadline_ms = get_opt<std::uint64_t>(r, [&] { return r.u64(); });
   return o;

@@ -30,7 +30,7 @@ constexpr std::size_t kMaxPooledNodeBlocks = std::size_t{1} << 18;
 // free list, and this thread's counters. Blocks parked here all came from
 // ::operator new, so draining (at outermost-scope exit or thread exit)
 // releases them the ordinary way.
-struct ThreadPool {
+struct ThreadCache {
   // metis-lint: allow(iterated only by drain(), which frees every block;
   // free() order is invisible to any output, so hashed order is fine)
   std::unordered_map<std::size_t, std::vector<void*>> buckets;
@@ -59,14 +59,14 @@ struct ThreadPool {
     node_stats.pooled = 0;
   }
 
-  ~ThreadPool() {
+  ~ThreadCache() {
     drain();
     t_pool_destroyed = true;
   }
 };
 
-ThreadPool& pool() {
-  thread_local ThreadPool p;
+ThreadCache& pool() {
+  thread_local ThreadCache p;
   return p;
 }
 
@@ -96,7 +96,7 @@ void reset_node_stats() {
 
 void* node_allocate(std::size_t bytes) {
   if (t_pool_destroyed) return ::operator new(bytes);
-  ThreadPool& p = pool();
+  ThreadCache& p = pool();
   if (p.depth > 0 && bytes == p.node_block_size && !p.node_free.empty()) {
     void* block = p.node_free.back();
     p.node_free.pop_back();
@@ -114,7 +114,7 @@ void node_deallocate(void* block, std::size_t bytes) noexcept {
     ::operator delete(block);
     return;
   }
-  ThreadPool& p = pool();
+  ThreadCache& p = pool();
   if (p.node_block_size == 0) p.node_block_size = bytes;
   if (p.depth > 0 && bytes == p.node_block_size &&
       p.node_free.size() < kMaxPooledNodeBlocks) {
@@ -137,13 +137,13 @@ Scope::Scope() : active_(!t_pool_destroyed) {
 
 Scope::~Scope() {
   if (!active_ || t_pool_destroyed) return;
-  ThreadPool& p = pool();
+  ThreadCache& p = pool();
   if (--p.depth == 0) p.drain();
 }
 
 void* allocate(std::size_t bytes) {
   if (t_pool_destroyed) return ::operator new(bytes);
-  ThreadPool& p = pool();
+  ThreadCache& p = pool();
   if (p.depth > 0) {
     auto it = p.buckets.find(bytes);
     if (it != p.buckets.end() && !it->second.empty()) {
@@ -166,7 +166,7 @@ void deallocate(void* block, std::size_t bytes) noexcept {
     ::operator delete(block);
     return;
   }
-  ThreadPool& p = pool();
+  ThreadCache& p = pool();
   if (p.depth > 0 && p.pooled_bytes + bytes <= kMaxPooledBytes) {
     // Parking can itself allocate (bucket-vector growth, map node); if
     // that throws under memory pressure, releasing the block outright is

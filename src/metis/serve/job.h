@@ -68,7 +68,7 @@ struct JobProgress {
 
 namespace detail {
 
-// Lock-free progress counters written by the collection threads and read
+// Lock-free progress counters written by the job's worker thread and read
 // by any number of handle holders. Kept behind its own shared_ptr (not
 // inline in JobState) so the collector callbacks that update it can
 // outlive the job table entry without keeping the whole job alive.

@@ -1,6 +1,8 @@
 #include "metis/serve/service.h"
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <utility>
 
 #include "metis/core/distill.h"
@@ -52,13 +54,20 @@ namespace {
 
 // Deadlines are measured from submission (queue time counts against the
 // budget — a deadline is a promise to the caller, not to the worker).
+// `deadline_ms` comes off the wire unchecked: a delay past the last
+// instant steady_clock can represent means no deadline, and is compared
+// before any chrono arithmetic so the sum cannot overflow.
 void arm_deadline(detail::JobState& state,
                   const std::optional<std::uint64_t>& deadline_ms) {
-  state.submitted_at = std::chrono::steady_clock::now();
-  if (deadline_ms.has_value()) {
-    state.cancel_source.set_deadline(state.submitted_at +
-                                     std::chrono::milliseconds(*deadline_ms));
-  }
+  using std::chrono::steady_clock;
+  state.submitted_at = steady_clock::now();
+  if (!deadline_ms.has_value()) return;
+  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+      steady_clock::time_point::max() - state.submitted_at);
+  if (*deadline_ms > static_cast<std::uint64_t>(headroom.count())) return;
+  state.cancel_source.set_deadline(
+      state.submitted_at +
+      std::chrono::milliseconds(static_cast<std::int64_t>(*deadline_ms)));
 }
 
 }  // namespace
@@ -267,9 +276,6 @@ void Service::run_distill(const detail::JobState& state,
   }
 
   core::DistillConfig cfg = sys.distill_defaults;
-  if (config_.collect_workers > 0) {
-    cfg.collect.workers = config_.collect_workers;
-  }
   api::apply_overrides(cfg, state.distill_overrides);
 
   // Progress counters for JobHandle::progress(). The callbacks capture

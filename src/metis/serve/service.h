@@ -48,10 +48,6 @@ struct ServiceConfig {
   const api::ScenarioRegistry* registry = nullptr;
   // Build options (seed, teacher-training scale) for cached systems.
   api::ScenarioOptions options;
-  // Default episode shards per distill collection round (see
-  // CollectConfig::workers); jobs may override per submission via
-  // DistillOverrides::collect_workers. 0 keeps each scenario's default.
-  std::size_t collect_workers = 0;
 };
 
 class Service {

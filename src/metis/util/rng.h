@@ -60,11 +60,10 @@ class Rng {
   Rng split();
 
   // Stateless split(): derives stream `stream` of `seed` without
-  // constructing (or advancing) a parent generator. Shards that process
-  // per-index work units in parallel (e.g. the episode-sharded trace
-  // collector) use this so episode k's randomness is a pure function of
-  // (seed, k) — identical no matter which worker runs it, or how many
-  // workers there are.
+  // constructing (or advancing) a parent generator. Per-index work units
+  // (trace-collection episodes, LEMNA clusters) use this so unit k's
+  // randomness is a pure function of (seed, k), independent of which
+  // other units run beside it or in what order.
   static Rng derive(std::uint64_t seed, std::uint64_t stream);
 
  private:

@@ -1,8 +1,8 @@
 // Minimal fixed-size worker pool.
 //
-// Backs metis::serve::Service's job execution and any other component that
-// needs "run these closures on N long-lived threads" without re-spawning
-// threads per task. Tasks are run in FIFO submission order (each worker
+// Backs metis::serve::Service's job execution, the library's one level of
+// parallelism: metis-lint check 11 bans constructing a pool (or starting a
+// thread) outside serve/. Tasks are run in FIFO submission order (each worker
 // pops the oldest queued task); there is deliberately no future/result
 // plumbing — callers that need completion signalling layer their own
 // (Service's job table does).

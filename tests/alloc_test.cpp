@@ -250,7 +250,6 @@ core::CollectConfig collect_config() {
   core::CollectConfig cc;
   cc.episodes = 4;
   cc.max_steps = 16;
-  cc.workers = 1;  // stats are thread-local: stay on this thread
   return cc;
 }
 

@@ -685,59 +685,40 @@ TEST(Linreg, BatchPredictBitwiseMatchesPerRow) {
   }
 }
 
-TEST(Lime, BatchPredictBitwiseMatchesPerRowAndWorkersAreDeterministic) {
+TEST(Lime, BatchPredictBitwiseMatchesPerRow) {
   metis::Rng rng(13);
   auto [x, y] = piecewise_data(rng, 200);
   SurrogateConfig cfg;
   cfg.clusters = 6;
-  LimeSurrogate sequential = LimeSurrogate::fit(x, y, cfg);
+  LimeSurrogate surrogate = LimeSurrogate::fit(x, y, cfg);
 
-  const nn::Tensor batch = sequential.predict_batch(x);
+  const nn::Tensor batch = surrogate.predict_batch(x);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto row = sequential.predict_row(x[i]);
+    const auto row = surrogate.predict_row(x[i]);
     for (std::size_t m = 0; m < row.size(); ++m) {
       EXPECT_EQ(batch(i, m), row[m]) << i;  // bitwise
     }
   }
-  const auto classes = sequential.predict_classes(x);
+  const auto classes = surrogate.predict_classes(x);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(classes[i], sequential.predict_class(x[i])) << i;
-  }
-
-  // Sharding the per-cluster fits cannot change the surrogate.
-  cfg.workers = 4;
-  LimeSurrogate sharded = LimeSurrogate::fit(x, y, cfg);
-  const nn::Tensor sharded_batch = sharded.predict_batch(x);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    for (std::size_t m = 0; m < batch.cols(); ++m) {
-      EXPECT_EQ(sharded_batch(i, m), batch(i, m)) << i;  // bitwise
-    }
+    EXPECT_EQ(classes[i], surrogate.predict_class(x[i])) << i;
   }
 }
 
-TEST(Lemna, BatchPredictBitwiseMatchesPerRowAndWorkersAreDeterministic) {
+TEST(Lemna, BatchPredictBitwiseMatchesPerRow) {
   metis::Rng rng(14);
   auto [x, y] = piecewise_data(rng, 150);
   LemnaConfig cfg;
   cfg.clusters = 4;
   cfg.components = 2;
   cfg.em_iters = 8;
-  LemnaSurrogate sequential = LemnaSurrogate::fit(x, y, cfg);
+  LemnaSurrogate surrogate = LemnaSurrogate::fit(x, y, cfg);
 
-  const nn::Tensor batch = sequential.predict_batch(x);
+  const nn::Tensor batch = surrogate.predict_batch(x);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto row = sequential.predict_row(x[i]);
+    const auto row = surrogate.predict_row(x[i]);
     for (std::size_t m = 0; m < row.size(); ++m) {
       EXPECT_EQ(batch(i, m), row[m]) << i;  // bitwise
-    }
-  }
-
-  cfg.workers = 3;
-  LemnaSurrogate sharded = LemnaSurrogate::fit(x, y, cfg);
-  const nn::Tensor sharded_batch = sharded.predict_batch(x);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    for (std::size_t m = 0; m < batch.cols(); ++m) {
-      EXPECT_EQ(sharded_batch(i, m), batch(i, m)) << i;  // bitwise
     }
   }
 }

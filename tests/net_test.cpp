@@ -289,7 +289,36 @@ TEST(Wire, SubmitRequestsRoundTripSparseOverrides) {
   EXPECT_EQ(out.overrides.seed, in.overrides.seed);
   EXPECT_FALSE(out.overrides.max_steps.has_value());
   EXPECT_FALSE(out.overrides.dagger_iterations.has_value());
-  EXPECT_FALSE(out.overrides.collect_workers.has_value());
+  EXPECT_FALSE(out.overrides.max_leaves.has_value());
+  EXPECT_FALSE(out.overrides.deadline_ms.has_value());
+
+  // The older 8-optional layout carried a collection-shard count between
+  // resample and seed; no payload in it may decode into a job. The first five
+  // fields parse alike in both layouts. After them the old payload holds
+  // three optionals of 1 or 9 bytes (3 + 8p bytes) where the parser reads
+  // two (2 + 8q bytes); the counts never agree, so every such payload
+  // either runs out early or leaves trailing bytes.
+  for (int layout = 0; layout < 16; ++layout) {
+    net::PayloadWriter w;
+    w.str("abr");
+    const auto opt_u64 = [&w](bool present, std::uint64_t v) {
+      w.u8(present ? 1 : 0);
+      if (present) w.u64(v);
+    };
+    const bool prefix = (layout & 1) != 0;
+    opt_u64(prefix, 12);    // episodes
+    opt_u64(false, 0);      // max_steps
+    opt_u64(false, 0);      // dagger_iterations
+    opt_u64(prefix, 16);    // max_leaves
+    w.u8(prefix ? 1 : 0);   // resample
+    if (prefix) w.u8(0);
+    opt_u64((layout & 2) != 0, 2);                  // shard count
+    opt_u64((layout & 4) != 0, 0xdeadbeefcafeULL);  // seed
+    opt_u64((layout & 8) != 0, 5000);               // deadline_ms
+    const net::Frame old{net::MsgType::kSubmitDistill, w.take()};
+    EXPECT_THROW((void)net::SubmitDistillRequest::decode(old), net::WireError)
+        << "old layout " << layout;
+  }
 
   net::SubmitInterpretRequest iin;
   iin.scenario = "nfv";

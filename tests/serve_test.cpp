@@ -51,7 +51,7 @@ class RuleTeacher final : public core::Teacher {
 
 // Stochastic episodes that honour the episode-determinism contract: every
 // random draw comes from Rng::derive(seed, episode), so episode k replays
-// identically on any worker.
+// identically on any env clone.
 class SplitLineEnv final : public core::RolloutEnv {
  public:
   explicit SplitLineEnv(std::uint64_t seed) : seed_(seed) {}
@@ -118,11 +118,11 @@ void expect_identical(const std::vector<core::CollectedSample>& a,
   }
 }
 
-// ---- collection: every block cut matches the scalar oracle ------------------
+// ---- collection: the lockstep round matches the scalar oracle --------------
 
 // One row of the collection battery: a teacher/env pair, a round config,
 // and an optional DAgger student. `make_env` builds a fresh env so the
-// oracle and every engine run start from the same construction.
+// oracle and the engine start from the same construction.
 struct CollectCase {
   std::string name;
   std::shared_ptr<core::Teacher> teacher;
@@ -203,11 +203,11 @@ std::vector<CollectCase> collect_battery(AbrWorld& abr_world) {
   return cases;
 }
 
-TEST(Collection, EveryCaseBitwiseIdenticalToOracleAtEveryWorkerCount) {
+TEST(Collection, EveryCaseBitwiseIdenticalToOracle) {
   AbrWorld abr_world;
   for (CollectCase& c : collect_battery(abr_world)) {
     // Counts student queries, so a case can show takeovers happened.
-    std::atomic<std::size_t> student_calls{0};
+    std::size_t student_calls = 0;
     const core::StudentPolicy counted = [&](std::span<const double> f) {
       ++student_calls;
       return c.student(f);
@@ -218,26 +218,22 @@ TEST(Collection, EveryCaseBitwiseIdenticalToOracleAtEveryWorkerCount) {
         *c.teacher, *oracle_env, c.config, student, c.episode_offset);
     ASSERT_GT(reference.size(), c.min_samples) << c.name;
     if (c.expect_takeovers) {
-      EXPECT_GT(student_calls.load(), 0u) << c.name;
-      EXPECT_LT(student_calls.load(), reference.size() * 3 / 4) << c.name;
+      EXPECT_GT(student_calls, 0u) << c.name;
+      EXPECT_LT(student_calls, reference.size() * 3 / 4) << c.name;
     }
     if (c.expect_nonuniform_weights) {
       bool nonuniform = false;
       for (const auto& s : reference) nonuniform |= s.weight != 1.0;
       EXPECT_TRUE(nonuniform) << c.name << ": Eq. 1 weighting should be active";
     }
-    for (std::size_t workers : {1u, 2u, 3u, 4u, 8u}) {
-      c.config.workers = workers;
-      const auto env = c.make_env();
-      const auto collected = core::collect_traces(
-          *c.teacher, *env, c.config, student, c.episode_offset);
-      expect_identical(reference, collected,
-                       c.name + " workers=" + std::to_string(workers));
-    }
+    const auto env = c.make_env();
+    const auto collected = core::collect_traces(
+        *c.teacher, *env, c.config, student, c.episode_offset);
+    expect_identical(reference, collected, c.name);
   }
 }
 
-// Counts teacher queries by delegation, to pin the claimed win: a block
+// Counts teacher queries by delegation, to pin the claimed win: a round
 // asks the teacher one act_and_values_multi call per step, covering all
 // its live episodes, and never a scalar act() or value().
 class CountingTeacher final : public core::Teacher {
@@ -260,9 +256,9 @@ class CountingTeacher final : public core::Teacher {
     return inner_->act_and_values_multi(states, group_sizes);
   }
 
-  mutable std::atomic<std::size_t> multi_calls{0};
-  mutable std::atomic<std::size_t> scalar_calls{0};
-  mutable std::atomic<std::size_t> rows{0};
+  mutable std::size_t multi_calls = 0;
+  mutable std::size_t scalar_calls = 0;
+  mutable std::size_t rows = 0;
 
  private:
   const core::Teacher* inner_;
@@ -292,82 +288,68 @@ TEST(Collection, TrunkForwardsCollapseFromEpisodesXStepsToSteps) {
        [] { return std::make_unique<SplitLineEnv>(55); }, true, 25, 1},
   };
   for (const Case& c : cases) {
-    for (std::size_t workers : {1u, 4u}) {
-      const std::string tag = c.name + " workers=" + std::to_string(workers);
-      core::CollectConfig cc;
-      cc.episodes = 6;
-      cc.max_steps = c.max_steps;
-      cc.weight_by_advantage = c.weight_by_advantage;
-      cc.workers = workers;
-      const auto reference =
-          oracle::collect_traces(*c.teacher, *c.make_env(), cc, nullptr, 0);
+    core::CollectConfig cc;
+    cc.episodes = 6;
+    cc.max_steps = c.max_steps;
+    cc.weight_by_advantage = c.weight_by_advantage;
+    const auto reference =
+        oracle::collect_traces(*c.teacher, *c.make_env(), cc, nullptr, 0);
 
-      CountingTeacher counting(c.teacher);
-      const auto samples =
-          core::collect_traces(counting, *c.make_env(), cc, nullptr, 0);
-      expect_identical(reference, samples, tag);
-      ASSERT_EQ(samples.size(), cc.episodes * cc.max_steps) << tag;
-      // Each of the min(workers, episodes) blocks steps max_steps times
-      // and asks one question a step: calls scale with steps, not with
-      // (episode, step) samples.
-      EXPECT_EQ(counting.multi_calls.load(),
-                std::min<std::size_t>(workers, cc.episodes) * cc.max_steps)
-          << tag;
-      EXPECT_EQ(counting.rows.load(), samples.size() * c.rows_per_group)
-          << tag;
-      EXPECT_EQ(counting.scalar_calls.load(), 0u) << tag;
-    }
+    CountingTeacher counting(c.teacher);
+    const auto samples =
+        core::collect_traces(counting, *c.make_env(), cc, nullptr, 0);
+    expect_identical(reference, samples, c.name);
+    ASSERT_EQ(samples.size(), cc.episodes * cc.max_steps) << c.name;
+    // The round steps max_steps times and asks one question a step:
+    // calls scale with steps, not with (episode, step) samples.
+    EXPECT_EQ(counting.multi_calls, cc.max_steps) << c.name;
+    EXPECT_EQ(counting.rows, samples.size() * c.rows_per_group)
+        << c.name;
+    EXPECT_EQ(counting.scalar_calls, 0u) << c.name;
   }
 }
 
 // ---- episode completion and cancellation -----------------------------------
 
-TEST(Collection, ReportsEveryEpisodeDoneAtEveryWorkerCount) {
+TEST(Collection, ReportsEveryEpisodeDone) {
   RuleTeacher teacher;
   SplitLineEnv env(55);
   // 25 steps: every episode terminates (done); 10: every one exhausts
   // max_steps instead.
-  for (std::size_t workers : {1u, 4u}) {
-    for (std::size_t max_steps : {25u, 10u}) {
-      core::CollectConfig cc;
-      cc.episodes = 5;
-      cc.max_steps = max_steps;
-      cc.workers = workers;
-      std::atomic<std::size_t> done{0};
-      cc.on_episode_done = [&done] { ++done; };
-      const auto samples = core::collect_traces(teacher, env, cc, nullptr, 0);
-      EXPECT_EQ(done.load(), cc.episodes)
-          << "workers=" << workers << " max_steps=" << max_steps;
-      EXPECT_EQ(samples.size(), cc.episodes * max_steps);
-    }
+  for (std::size_t max_steps : {25u, 10u}) {
+    core::CollectConfig cc;
+    cc.episodes = 5;
+    cc.max_steps = max_steps;
+    std::size_t done = 0;
+    cc.on_episode_done = [&done] { ++done; };
+    const auto samples = core::collect_traces(teacher, env, cc, nullptr, 0);
+    EXPECT_EQ(done, cc.episodes) << "max_steps=" << max_steps;
+    EXPECT_EQ(samples.size(), cc.episodes * max_steps);
   }
 }
 
-TEST(Collection, CancelledMidRoundThrowsAtEveryWorkerCount) {
+TEST(Collection, CancelledMidRoundThrows) {
   RuleTeacher teacher;
   SplitLineEnv env(55);
-  for (std::size_t workers : {1u, 4u}) {
-    util::CancelSource source;
-    core::CollectConfig cc;
-    cc.episodes = 5;
-    cc.max_steps = 25;
-    cc.workers = workers;
-    cc.cancel = source.token();
-    std::atomic<std::size_t> done{0};
-    cc.on_episode_done = [&done] { ++done; };
-    // The student agrees with the teacher, so it drives every step of
-    // every episode; it cancels on its 10th query. Every block checks the
-    // token before each step, so none runs more than 11 of 25 steps.
-    std::atomic<std::size_t> queries{0};
-    const core::StudentPolicy student = [&](std::span<const double> f) {
-      if (++queries == 10) source.cancel();
-      return f[0] > 0.5 ? std::size_t{1} : std::size_t{0};
-    };
-    EXPECT_THROW((void)core::collect_traces(teacher, env, cc, &student, 0),
-                 util::CancelledError)
-        << "workers=" << workers;
-    EXPECT_EQ(done.load(), 0u) << "workers=" << workers;
-  }
+  util::CancelSource source;
+  core::CollectConfig cc;
+  cc.episodes = 5;
+  cc.max_steps = 25;
+  cc.cancel = source.token();
+  std::size_t done = 0;
+  cc.on_episode_done = [&done] { ++done; };
+  // The student agrees with the teacher, so it drives every step of every
+  // episode; it cancels on its 10th query. The round checks the token
+  // before each step, so it runs 2 of 25 steps and no episode finishes.
+  std::size_t queries = 0;
+  const core::StudentPolicy student = [&](std::span<const double> f) {
+    if (++queries == 10) source.cancel();
+    return f[0] > 0.5 ? std::size_t{1} : std::size_t{0};
+  };
+  EXPECT_THROW((void)core::collect_traces(teacher, env, cc, &student, 0),
+               util::CancelledError);
+  EXPECT_EQ(done, 0u);
+  EXPECT_EQ(queries, 10u);
 }
 
 // ---- fused act_and_values_multi ---------------------------------------------
@@ -790,44 +772,6 @@ TEST(Service, DistillAndInterpretJobsRunConcurrently) {
   }
 }
 
-// The sync facade and a parallel-collection service must produce the very
-// same dataset/tree: sharding cannot leak into results, whether it comes
-// from the ServiceConfig default or a per-job override.
-TEST(Service, ShardedCollectionMatchesFacadeBitwise) {
-  api::ScenarioRegistry reg;
-  reg.add(std::make_unique<LineScenario>("line"));
-
-  Interpreter facade(&reg);
-  api::DistillOverrides o;
-  o.seed = 5;
-  auto reference = facade.distill("line", o);
-
-  serve::ServiceConfig cfg;
-  cfg.workers = 2;
-  cfg.registry = &reg;
-  cfg.collect_workers = 4;  // shard every collection round four ways
-  serve::Service svc(cfg);
-  auto sharded = svc.submit_distill("line", o).take_distill_run();
-  EXPECT_EQ(sharded.config.collect.workers, 4u);
-
-  // Per-job override through the facade path, no service default.
-  api::DistillOverrides o2 = o;
-  o2.collect_workers = 3;
-  auto overridden = facade.distill("line", o2);
-  EXPECT_EQ(overridden.config.collect.workers, 3u);
-
-  for (const api::DistillRun* run : {&sharded, &overridden}) {
-    ASSERT_EQ(run->result.samples_collected,
-              reference.result.samples_collected);
-    ASSERT_EQ(run->result.fidelity, reference.result.fidelity);  // bitwise
-    const auto& a = run->result.train_data;
-    const auto& b = reference.result.train_data;
-    ASSERT_EQ(a.x, b.x);
-    ASSERT_EQ(a.y, b.y);
-    ASSERT_EQ(a.weight, b.weight);
-  }
-}
-
 // ---- job progress -----------------------------------------------------------
 
 TEST(Service, ProgressCountersReachTheirTotals) {
@@ -855,7 +799,7 @@ TEST(Service, ProgressCountersReachTheirTotals) {
 }
 
 // Regression for the concurrency audit: ProgressCounters are written by
-// the collection threads and polled lock-free by any number of handle
+// the job's worker thread and polled lock-free by any number of handle
 // holders, under an explicit ordering contract — done counters bump with
 // release AFTER the totals are stored, so an acquire reader that sees a
 // non-zero done count must also see the totals, and a snapshot can never
@@ -873,7 +817,6 @@ TEST(Service, ProgressSnapshotsNeverExceedTotalsUnderConcurrentReads) {
   api::DistillOverrides o;
   o.episodes = 8;
   o.dagger_iterations = 3;
-  o.collect_workers = 2;  // done ticks come from collection worker threads
   auto job = svc.submit_distill("line", o);
 
   std::atomic<bool> done{false};
@@ -920,7 +863,6 @@ TEST(Service, ProgressRespectsOverridesAndStaysZeroOnFailure) {
   api::DistillOverrides o;
   o.episodes = 4;
   o.dagger_iterations = 3;
-  o.collect_workers = 2;  // episode ticks come from worker threads
   auto job = svc.submit_distill("line", o);
   job.wait();
   ASSERT_EQ(job.status(), serve::JobStatus::kDone) << job.error();
@@ -1056,6 +998,38 @@ TEST(Service, ConcurrentSameKeyInterpretBitwiseIdenticalToSequential) {
   }
 }
 
+// deadline_ms arrives off the wire unchecked. A delay past what
+// steady_clock can represent from submission means no deadline: these
+// jobs must run to kDone, not overflow the deadline sum into a token that
+// has already fired.
+TEST(Service, FarFutureDeadlinesMeanNoDeadline) {
+  api::ScenarioRegistry reg;
+  reg.add(std::make_unique<LineScenario>("line"));
+  reg.add(std::make_unique<NetMaskScenario>("netmask"));
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.registry = &reg;
+  serve::Service svc(cfg);
+
+  for (const std::uint64_t ms :
+       {std::numeric_limits<std::uint64_t>::max(),
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()),
+        std::uint64_t{10'000'000'000'000}}) {
+    api::DistillOverrides d;
+    d.deadline_ms = ms;
+    api::InterpretOverrides i;
+    i.deadline_ms = ms;
+    auto distill = svc.submit_distill("line", d);
+    auto interpret = svc.submit_interpret("netmask", i);
+    distill.wait();
+    interpret.wait();
+    EXPECT_EQ(distill.status(), serve::JobStatus::kDone)
+        << "deadline_ms=" << ms << ": " << distill.error();
+    EXPECT_EQ(interpret.status(), serve::JobStatus::kDone)
+        << "deadline_ms=" << ms << ": " << interpret.error();
+  }
+}
+
 // λ1, λ2 and lr come off the wire through InterpretOverrides; a
 // non-finite one must fail the job with the search's check message
 // instead of finishing kDone with NaN masks.
@@ -1167,9 +1141,8 @@ TEST(Registry, ConcurrentLookupsAndRegistrationsAreSafe) {
 
 // ---- the shared teacher -----------------------------------------------------
 
-// Concurrent same-key distills share the cached teacher read-only, each
-// job collecting on two threads of its own: every run holds the same
-// teacher and matches a sequential run bit for bit.
+// Concurrent same-key distills share the cached teacher read-only: every
+// run holds the same teacher and matches a sequential run bit for bit.
 TEST(Service, ConcurrentSameKeyAbrDistillsShareOneTeacherBitwise) {
   api::ScenarioOptions options;
   options.scale = 0.05;  // smoke-scale teacher
@@ -1194,7 +1167,6 @@ TEST(Service, ConcurrentSameKeyAbrDistillsShareOneTeacherBitwise) {
 
   serve::ServiceConfig cfg;
   cfg.workers = 3;
-  cfg.collect_workers = 2;
   cfg.registry = &reg;
   cfg.options = options;
   serve::Service svc(cfg);

@@ -1,6 +1,6 @@
 // Unit + property tests for metis/util: RNG distributions, statistics,
 // the table printer, the annotated concurrency primitives
-// (Mutex/CondVar wrappers, ExceptionSlot), cooperative cancellation,
+// (Mutex/CondVar wrappers), cooperative cancellation,
 // deterministic fault plans, and crash-safe atomic file writes.
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "metis/util/cancel.h"
 #include "metis/util/check.h"
 #include "metis/util/checksum.h"
-#include "metis/util/exception_slot.h"
 #include "metis/util/fault.h"
 #include "metis/util/lock_graph.h"
 #include "metis/util/mutex.h"
@@ -410,45 +409,6 @@ TEST_F(LockGraphTest, DisabledModeRecordsNothingAndNeverAborts) {
 }
 
 #endif  // METIS_LOCK_GRAPH_AVAILABLE
-
-TEST(ExceptionSlot, FirstCaptureWinsAcrossThreads) {
-  util::ExceptionSlot slot;
-  EXPECT_FALSE(slot.failed());
-  EXPECT_NO_THROW(slot.rethrow_if_set());
-
-  std::vector<std::thread> throwers;
-  for (int t = 0; t < 4; ++t) {
-    throwers.emplace_back([&slot, t] {
-      try {
-        throw std::runtime_error("thrower " + std::to_string(t));
-      } catch (...) {
-        slot.capture();
-      }
-    });
-  }
-  for (auto& t : throwers) t.join();
-
-  EXPECT_TRUE(slot.failed());
-  try {
-    slot.rethrow_if_set();
-    FAIL() << "expected the captured exception";
-  } catch (const std::runtime_error& e) {
-    // Exactly one thrower's exception survived, with its message intact.
-    EXPECT_EQ(std::string(e.what()).rfind("thrower ", 0), 0u) << e.what();
-  }
-  // The slot keeps its exception: rethrow is repeatable, not one-shot.
-  EXPECT_THROW(slot.rethrow_if_set(), std::runtime_error);
-}
-
-TEST(ExceptionSlot, PreservesExceptionType) {
-  util::ExceptionSlot slot;
-  try {
-    throw std::invalid_argument("typed");
-  } catch (...) {
-    slot.capture();
-  }
-  EXPECT_THROW(slot.rethrow_if_set(), std::invalid_argument);
-}
 
 // ---- cooperative cancellation ----------------------------------------------
 
