@@ -1,10 +1,12 @@
 #include "metis/abr/oracle.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
 #include "metis/abr/baselines.h"
+#include "metis/abr/qoe.h"
 #include "metis/util/check.h"
 #include "metis/util/stats.h"
 
@@ -28,6 +30,62 @@ double best_tail(const AbrSession& session, std::size_t depth,
   }
   return best;
 }
+
+// CausalMpcExpert's plan search: every sequence of `steps` ladder levels
+// scored by simulating its chunks over the predicted bandwidth `pred`.
+// Plans are visited depth first, so the buffer, previous quality and
+// running score of each prefix are computed once and shared by all its
+// extensions (6 + 36 + ... + 6^steps chunk simulations instead of
+// steps * 6^steps), each with the same operations in the same order as a
+// plan scored on its own; the per-level quantities every chunk after the
+// first reuses (quality term, nominal download time) are computed once per
+// decision, from the same operands. A plan's code is sum_i level_i * 6^i;
+// the winner is the highest score, ties going to the lowest code — the
+// plan a scan over ascending codes with a strict `>` keeps.
+struct PlanSearch {
+  std::size_t steps;
+  double terminal_bonus;
+  double terminal_cap_s;
+  // Per level: quality(rate); the first chunk's previous quality (the
+  // last played bitrate's, else its own); and the download seconds of the
+  // first chunk (its true VBR size when observed) and of any later one
+  // (nominal size).
+  std::array<double, kLevels> level_quality{};
+  std::array<double, kLevels> first_prev_quality{};
+  std::array<double, kLevels> first_dl{};
+  std::array<double, kLevels> nominal_dl{};
+  double best_score = -std::numeric_limits<double>::infinity();
+  std::size_t best_code = 0;
+
+  // Extends the `depth`-chunk prefix `code` (`place` = 6^depth), whose
+  // last chunk has quality `prev_q`, by each ladder level.
+  void extend(std::size_t depth, std::size_t code, std::size_t place,
+              double buffer, double prev_q, double score) {
+    for (std::size_t level = 0; level < kLevels; ++level) {
+      const bool first = depth == 0;
+      const double q = level_quality[level];
+      const double dl = first ? first_dl[level] : nominal_dl[level];
+      const double rebuffer = std::max(dl - buffer, 0.0);
+      const double next_buffer = std::max(buffer - dl, 0.0) + kChunkSeconds;
+      const double next_score =
+          score + chunk_qoe_from_quality(
+                      q, first ? first_prev_quality[level] : prev_q, rebuffer);
+      const std::size_t next_code = code + level * place;
+      if (depth + 1 < steps) {
+        extend(depth + 1, next_code, place * kLevels, next_buffer, q,
+               next_score);
+        continue;
+      }
+      const double total =
+          next_score + terminal_bonus * std::min(next_buffer, terminal_cap_s);
+      if (total > best_score ||
+          (total == best_score && next_code < best_code)) {
+        best_score = total;
+        best_code = next_code;
+      }
+    }
+  }
+};
 
 }  // namespace
 
@@ -109,44 +167,26 @@ std::size_t CausalMpcExpert::decide(const AbrObservation& obs) {
   const std::size_t steps =
       std::min<std::size_t>(cfg_.horizon,
                             std::max<std::size_t>(obs.chunks_remaining, 1));
-  double best_score = -std::numeric_limits<double>::infinity();
-  std::size_t best_first = 0;
-  std::vector<std::size_t> seq(steps, 0);
-  std::size_t total = 1;
-  for (std::size_t i = 0; i < steps; ++i) total *= ladder.size();
-  for (std::size_t code = 0; code < total; ++code) {
-    std::size_t c = code;
-    for (std::size_t i = 0; i < steps; ++i) {
-      seq[i] = c % ladder.size();
-      c /= ladder.size();
-    }
-    double buffer = obs.buffer_seconds;
-    double prev_rate =
-        obs.last_bitrate_kbps > 0.0 ? obs.last_bitrate_kbps : ladder[seq[0]];
-    double score = 0.0;
-    for (std::size_t i = 0; i < steps; ++i) {
-      const double rate = ladder[seq[i]];
-      // The immediate chunk's true VBR size is observable; later chunks
-      // use the nominal rate * duration size.
-      const double kbits =
-          (i == 0 && seq[i] < obs.next_chunk_sizes_kbits.size() &&
-           obs.next_chunk_sizes_kbits[seq[i]] > 0.0)
-              ? obs.next_chunk_sizes_kbits[seq[i]]
-              : rate * kChunkSeconds;
-      const double dl = kbits / pred;
-      const double rebuffer = std::max(dl - buffer, 0.0);
-      buffer = std::max(buffer - dl, 0.0) + kChunkSeconds;
-      score += chunk_qoe(rate, prev_rate, rebuffer);
-      prev_rate = rate;
-    }
-    score += cfg_.terminal_buffer_bonus *
-             std::min(buffer, cfg_.terminal_buffer_cap_s);
-    if (score > best_score) {
-      best_score = score;
-      best_first = seq[0];
-    }
+  PlanSearch search{steps, cfg_.terminal_buffer_bonus,
+                    cfg_.terminal_buffer_cap_s};
+  MET_CHECK(ladder.size() == kLevels);
+  for (std::size_t level = 0; level < kLevels; ++level) {
+    const double rate = ladder[level];
+    search.level_quality[level] = quality(rate);
+    search.first_prev_quality[level] =
+        obs.last_bitrate_kbps > 0.0 ? quality(obs.last_bitrate_kbps)
+                                    : search.level_quality[level];
+    search.nominal_dl[level] = rate * kChunkSeconds / pred;
+    // The immediate chunk's true VBR size is observable; later chunks
+    // use the nominal rate * duration size.
+    search.first_dl[level] =
+        level < obs.next_chunk_sizes_kbits.size() &&
+                obs.next_chunk_sizes_kbits[level] > 0.0
+            ? obs.next_chunk_sizes_kbits[level] / pred
+            : search.nominal_dl[level];
   }
-  return best_first;
+  search.extend(0, 0, 1, obs.buffer_seconds, 0.0, 0.0);
+  return search.best_code % kLevels;
 }
 
 std::vector<DemoStep> collect_oracle_demos(

@@ -41,6 +41,13 @@ struct OraclePlanConfig {
 // that stops the plan from draining the buffer at its horizon. Being
 // causal, it can be behavior-cloned without the optimism bias an
 // omniscient teacher imprints on its student.
+//
+// decide() searches the 6^horizon plans depth first over shared plan
+// prefixes (each prefix's chunks simulated once) and returns the first
+// level of the best plan, ties going to the lowest plan code
+// sum_i level_i * 6^i: the same choice, bit for bit, as scoring every plan
+// from scratch in ascending code order (tests/abr_test.cpp keeps that scan
+// as the reference).
 struct CausalMpcConfig {
   std::size_t horizon = 5;
   std::size_t window = 5;            // throughput history for prediction

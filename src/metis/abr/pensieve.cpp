@@ -18,11 +18,12 @@ double PensieveAgent::pretrain(const AbrEnv& env, const PretrainConfig& cfg) {
   std::vector<DemoStep> demos;
 
   // Appends one episode's demonstrations; `actor` picks the executed
-  // action (the expert itself for the seed rounds, the current clone for
-  // DAgger rounds), while the recorded label is always the expert's.
+  // action from the observation and the expert's label for it (the label
+  // itself for the seed rounds, the current clone's choice for DAgger
+  // rounds), while the recorded label is always the expert's.
   auto roll = [&](const NetworkTrace& trace, double offset,
-                  const std::function<std::size_t(const AbrObservation&)>&
-                      actor) {
+                  const std::function<std::size_t(const AbrObservation&,
+                                                  std::size_t)>& actor) {
     AbrSession session(&video, &trace, offset);
     const std::size_t first = demos.size();
     std::vector<double> rewards;
@@ -31,8 +32,9 @@ double PensieveAgent::pretrain(const AbrEnv& env, const PretrainConfig& cfg) {
       DemoStep d;
       d.state = featurize(obs, video);
       d.action = expert.decide(obs);
+      const std::size_t action = actor(obs, d.action);
       demos.push_back(std::move(d));
-      rewards.push_back(session.step(actor(obs)).qoe);
+      rewards.push_back(session.step(action).qoe);
     }
     double g = 0.0;
     for (std::size_t i = rewards.size(); i-- > 0;) {
@@ -62,7 +64,7 @@ double PensieveAgent::pretrain(const AbrEnv& env, const PretrainConfig& cfg) {
                             static_cast<double>(k) /
                             static_cast<double>(cfg.offsets_per_trace);
       roll(trace, offset,
-           [&](const AbrObservation& obs) { return expert.decide(obs); });
+           [](const AbrObservation&, std::size_t label) { return label; });
     }
   }
   double ce = refit();
@@ -74,7 +76,7 @@ double PensieveAgent::pretrain(const AbrEnv& env, const PretrainConfig& cfg) {
         const double offset = trace.duration_seconds() * 0.5 *
                               (static_cast<double>(k) + 0.3) /
                               static_cast<double>(cfg.dagger_offsets_per_trace);
-        roll(trace, offset, [&](const AbrObservation& obs) {
+        roll(trace, offset, [&](const AbrObservation& obs, std::size_t) {
           return net_.greedy_action(featurize(obs, video));
         });
       }

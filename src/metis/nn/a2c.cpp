@@ -97,11 +97,15 @@ A2cResult train_a2c(PolicyNet& net, DiscreteEnv& env, const A2cConfig& cfg,
     // ---- Advantage (treated as a constant for the actor) -------------------
     // Standardized per batch: raw returns reach tens of QoE units, and
     // unnormalized advantages act as a huge effective learning rate on the
-    // policy gradient, saturating the softmax onto one action.
-    Var v_pred_const = net.values(s_var);
+    // policy gradient, saturating the softmax onto one action. Only the
+    // baseline's values are read, so its forward records no tape.
     Tensor adv(n, 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      adv(i, 0) = ret_col(i, 0) - v_pred_const->value()(i, 0);
+    {
+      NoGradGuard no_grad;
+      const Var v_pred = net.values(s_var);
+      for (std::size_t i = 0; i < n; ++i) {
+        adv(i, 0) = ret_col(i, 0) - v_pred->value()(i, 0);
+      }
     }
     {
       double m = 0.0;

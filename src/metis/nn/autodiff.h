@@ -93,7 +93,9 @@ class BackwardFn {
 // to plain eager evaluation (values bitwise identical, no tape, no grads).
 // Every value-returning inference entry point (PolicyNet::action_probs,
 // value and act_and_values_multi, Mlp::predict_row, the Teacher batch
-// default, trace collection) runs under one; training and the §4.2 mask optimization never do.
+// default, trace collection) runs under one, and so does train_a2c's
+// advantage baseline (its values are read, never differentiated); the
+// training losses and the §4.2 mask optimization never do.
 [[nodiscard]] bool grad_enabled();
 
 class NoGradGuard {

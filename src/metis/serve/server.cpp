@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "metis/net/io.h"
@@ -442,12 +443,19 @@ void Server::handle_submit(Connection& conn, const net::Frame& frame) {
   }
 
   JobHandle job;
-  if (frame.type == net::MsgType::kSubmitDistill) {
-    const auto req = net::SubmitDistillRequest::decode(frame);
-    job = service_.submit_distill(req.scenario, req.overrides);
-  } else {
-    const auto req = net::SubmitInterpretRequest::decode(frame);
-    job = service_.submit_interpret(req.scenario, req.overrides);
+  try {
+    if (frame.type == net::MsgType::kSubmitDistill) {
+      const auto req = net::SubmitDistillRequest::decode(frame);
+      job = service_.submit_distill(req.scenario, req.overrides);
+    } else {
+      const auto req = net::SubmitInterpretRequest::decode(frame);
+      job = service_.submit_interpret(req.scenario, req.overrides);
+    }
+  } catch (const std::invalid_argument& e) {
+    // Over the service's JobLimits: refused before any job exists.
+    stats_.error_replies.fetch_add(1, std::memory_order_relaxed);
+    reply(conn, net::ErrorReply{e.what()}.encode());
+    return;
   }
   inflight_.push_back(job);
   conn.jobs.push_back(job);

@@ -41,6 +41,21 @@
 
 namespace metis::serve {
 
+// Caps on the size of one job. Overrides come off the wire unchecked, and
+// a distill job makes `episodes` env clones and collects up to episodes x
+// max_steps x dagger_iterations samples, so submit_* checks every set
+// override against these before anything is allocated. The caps are fixed
+// (not scaled by ScenarioOptions::scale) and sit far above every built-in
+// scenario's defaults; scenario defaults themselves are trusted code and
+// not checked.
+struct JobLimits {
+  std::size_t max_episodes = 256;           // per collection round
+  std::size_t max_steps = 1024;             // per episode
+  std::size_t max_dagger_iterations = 16;   // collection rounds
+  std::size_t max_leaves = 4096;
+  std::size_t max_interpret_steps = 10000;  // §4.2 mask-optimization steps
+};
+
 struct ServiceConfig {
   // Fixed worker pool size: how many jobs make progress concurrently.
   std::size_t workers = 2;
@@ -48,6 +63,7 @@ struct ServiceConfig {
   const api::ScenarioRegistry* registry = nullptr;
   // Build options (seed, teacher-training scale) for cached systems.
   api::ScenarioOptions options;
+  JobLimits limits;
 };
 
 class Service {
@@ -75,7 +91,8 @@ class Service {
   // Enqueue the §3.2 conversion / the Figure-6 hypergraph search for the
   // scenario under `key`. Unknown keys are reported through the handle
   // (the job fails), not at submit time — submission never blocks on the
-  // registry or the build cache.
+  // registry or the build cache. An override past config().limits throws
+  // std::invalid_argument naming the field, and no job is created.
   JobHandle submit_distill(std::string_view key,
                            const api::DistillOverrides& overrides = {});
   JobHandle submit_interpret(std::string_view key,
@@ -102,6 +119,7 @@ class Service {
   [[nodiscard]] const api::ScenarioOptions& options() const {
     return config_.options;
   }
+  [[nodiscard]] const JobLimits& limits() const { return config_.limits; }
 
  private:
   // Per-scenario cache slot. `build_mu` serializes the (expensive) build

@@ -2,8 +2,11 @@
 // dynamics, QoE, heuristic baselines, and the Pensieve teacher.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "metis/abr/baselines.h"
 #include "metis/abr/env.h"
@@ -14,6 +17,7 @@
 #include "metis/abr/tree_policy.h"
 #include "metis/abr/video.h"
 #include "metis/tree/prune.h"
+#include "metis/util/rng.h"
 #include "metis/util/stats.h"
 
 namespace metis::abr {
@@ -581,6 +585,170 @@ TEST(CausalExpert, OmniscientOracleDominatesIt) {
     q_expert += run_abr_episode(v, t, expert).mean_qoe();
   }
   EXPECT_GT(q_oracle, q_expert - 0.1);
+}
+
+// The exhaustive planner CausalMpcExpert::decide replaced: every plan
+// scored from scratch, codes scanned in ascending order, the first strict
+// maximum kept. Returns the chosen level; `scores`, if given, receives
+// every plan's score by code.
+std::size_t reference_mpc_decide(const CausalMpcConfig& cfg,
+                                 const AbrObservation& obs,
+                                 std::vector<double>* scores = nullptr) {
+  const auto& ladder = bitrate_ladder_kbps();
+  const double hm = harmonic_mean_recent(obs.throughput_kbps, cfg.window);
+  if (hm <= 0.0) return 0;
+  std::vector<double> errs;
+  const std::size_t n = obs.throughput_kbps.size();
+  const std::size_t w = std::min(cfg.window, n);
+  for (std::size_t i = n - w; i < n; ++i) {
+    errs.push_back(std::abs(obs.throughput_kbps[i] - hm) /
+                   std::max(obs.throughput_kbps[i], 1e-9));
+  }
+  const double pred =
+      hm / (1.0 + metis::percentile(errs, cfg.error_percentile));
+  const std::size_t steps = std::min<std::size_t>(
+      cfg.horizon, std::max<std::size_t>(obs.chunks_remaining, 1));
+  double best_score = -std::numeric_limits<double>::infinity();
+  std::size_t best_first = 0;
+  std::vector<std::size_t> seq(steps, 0);
+  std::size_t total = 1;
+  for (std::size_t i = 0; i < steps; ++i) total *= ladder.size();
+  for (std::size_t code = 0; code < total; ++code) {
+    std::size_t c = code;
+    for (std::size_t i = 0; i < steps; ++i) {
+      seq[i] = c % ladder.size();
+      c /= ladder.size();
+    }
+    double buffer = obs.buffer_seconds;
+    double prev_rate =
+        obs.last_bitrate_kbps > 0.0 ? obs.last_bitrate_kbps : ladder[seq[0]];
+    double score = 0.0;
+    for (std::size_t i = 0; i < steps; ++i) {
+      const double rate = ladder[seq[i]];
+      const double kbits =
+          (i == 0 && seq[i] < obs.next_chunk_sizes_kbits.size() &&
+           obs.next_chunk_sizes_kbits[seq[i]] > 0.0)
+              ? obs.next_chunk_sizes_kbits[seq[i]]
+              : rate * kChunkSeconds;
+      const double dl = kbits / pred;
+      const double rebuffer = std::max(dl - buffer, 0.0);
+      buffer = std::max(buffer - dl, 0.0) + kChunkSeconds;
+      score += chunk_qoe(rate, prev_rate, rebuffer);
+      prev_rate = rate;
+    }
+    score += cfg.terminal_buffer_bonus *
+             std::min(buffer, cfg.terminal_buffer_cap_s);
+    if (scores != nullptr) scores->push_back(score);
+    if (score > best_score) {
+      best_score = score;
+      best_first = seq[0];
+    }
+  }
+  return best_first;
+}
+
+// A seeded observation spread over the planner's branches: empty
+// histories (hm <= 0), no previous chunk, fewer chunks left than the
+// horizon (down to 0), next-chunk size lists short, empty or with zero
+// (unobserved) entries, and buffers from empty to far past the cap.
+AbrObservation random_observation(metis::Rng& rng) {
+  const auto& ladder = bitrate_ladder_kbps();
+  AbrObservation obs;
+  obs.buffer_seconds = rng.bernoulli(0.1)   ? 0.0
+                       : rng.bernoulli(0.1) ? rng.uniform(30.0, 120.0)
+                                            : rng.uniform(0.0, 30.0);
+  if (rng.bernoulli(0.85)) {
+    obs.last_level = rng.uniform_int(kLevels);
+    obs.last_bitrate_kbps = ladder[obs.last_level];
+  }
+  const std::size_t history =
+      rng.bernoulli(0.05) ? 0 : 1 + rng.uniform_int(kHistoryLen);
+  for (std::size_t i = 0; i < history; ++i) {
+    obs.throughput_kbps.push_back(std::exp(rng.uniform(std::log(150.0),
+                                                       std::log(9000.0))));
+    obs.download_seconds.push_back(rng.uniform(0.2, 12.0));
+  }
+  const std::size_t sizes = rng.bernoulli(0.15)
+                                ? rng.uniform_int(kLevels)
+                                : kLevels;
+  for (std::size_t l = 0; l < sizes; ++l) {
+    obs.next_chunk_sizes_kbits.push_back(
+        rng.bernoulli(0.1) ? 0.0
+                           : ladder[l] * kChunkSeconds * rng.uniform(0.7, 1.3));
+  }
+  obs.chunks_remaining = rng.uniform_int(12);
+  obs.next_chunk = 30 - std::min<std::size_t>(obs.chunks_remaining, 30);
+  return obs;
+}
+
+TEST(CausalExpert, PrefixSearchMatchesExhaustiveScan) {
+  struct Case {
+    CausalMpcConfig cfg;
+    std::size_t observations;
+  };
+  std::vector<Case> cases = {{CausalMpcConfig{}, 2000}};
+  {
+    CausalMpcConfig c;
+    c.horizon = 3;
+    c.error_percentile = 50.0;
+    c.window = 3;
+    cases.push_back({c, 300});
+  }
+  {
+    CausalMpcConfig c;
+    c.horizon = 1;
+    c.terminal_buffer_bonus = 0.0;
+    cases.push_back({c, 200});
+  }
+  {
+    CausalMpcConfig c;
+    c.horizon = 6;
+    c.terminal_buffer_cap_s = 8.0;
+    cases.push_back({c, 40});
+  }
+  metis::Rng rng(2026);
+  std::size_t short_horizon = 0, no_history = 0, missing_sizes = 0;
+  for (const Case& c : cases) {
+    CausalMpcExpert expert(c.cfg);
+    for (std::size_t i = 0; i < c.observations; ++i) {
+      const AbrObservation obs = random_observation(rng);
+      short_horizon += obs.chunks_remaining < c.cfg.horizon ? 1 : 0;
+      no_history += obs.throughput_kbps.empty() ? 1 : 0;
+      missing_sizes += obs.next_chunk_sizes_kbits.size() < kLevels ? 1 : 0;
+      ASSERT_EQ(expert.decide(obs), reference_mpc_decide(c.cfg, obs))
+          << "horizon " << c.cfg.horizon << ", observation " << i;
+    }
+  }
+  EXPECT_GT(short_horizon, 100u);
+  EXPECT_GT(no_history, 20u);
+  EXPECT_GT(missing_sizes, 100u);
+}
+
+TEST(CausalExpert, ScoreTiesGoToTheLowestPlanCode) {
+  // One chunk left and a buffer far past the terminal cap: no plan
+  // rebuffers and every plan earns the same capped bonus. From the lowest
+  // bitrate, a level's score is q - (q - q_0): equal to q_0 in exact
+  // arithmetic, so several levels tie at the top after rounding too.
+  AbrObservation obs;
+  obs.buffer_seconds = 200.0;
+  obs.last_level = 0;
+  obs.last_bitrate_kbps = bitrate_ladder_kbps()[0];
+  obs.throughput_kbps = {5000.0, 5000.0, 5000.0};
+  obs.download_seconds = {1.0, 1.0, 1.0};
+  obs.chunks_remaining = 1;
+  CausalMpcConfig cfg;
+  std::vector<double> scores;
+  const std::size_t want = reference_mpc_decide(cfg, obs, &scores);
+  ASSERT_EQ(scores.size(), kLevels);
+  const double top = *std::max_element(scores.begin(), scores.end());
+  std::vector<std::size_t> tied;
+  for (std::size_t l = 0; l < kLevels; ++l) {
+    if (scores[l] == top) tied.push_back(l);
+  }
+  ASSERT_GE(tied.size(), 2u) << "the observation no longer builds a tie";
+  EXPECT_EQ(want, tied.front());
+  CausalMpcExpert expert(cfg);
+  EXPECT_EQ(expert.decide(obs), want);
 }
 
 // ---- behavior-cloned teacher ----------------------------------------------------

@@ -217,6 +217,60 @@ TEST(GemmParity, TransposeAccumulateBitwise) {
   }
 }
 
+// Outputs narrower than a register tile (n = 1 .. 7) run lanes over rows:
+// every kernel set, for all four products, against the naive loop, with m
+// on and off the 4- and 8-row lane groups and k from empty to a 512-row
+// minibatch (the dW of a policy or value head).
+TEST(GemmParity, NarrowOutputsEveryKernelSetBitwise) {
+  const auto sets = gemm::detail::supported_kernel_sets();
+  metis::Rng rng(18);
+  for (std::size_t n = 1; n <= 7; ++n) {
+    for (std::size_t m : {1u, 3u, 4u, 7u, 8u, 13u, 37u, 64u, 67u}) {
+      for (std::size_t k : {0u, 1u, 25u, 64u, 512u}) {
+        const Tensor a = random_tensor(m, k, rng);     // a (m x k)
+        const Tensor b = random_tensor(k, n, rng);     // b (k x n)
+        const Tensor bias = random_tensor(1, n, rng);
+        const Tensor bt = random_tensor(n, k, rng);    // transB: b (n x k)
+        const Tensor at = random_tensor(k, m, rng);    // transA: a (k x m)
+        const Tensor acc0 = random_tensor(m, n, rng);
+
+        Tensor ref, ref_bias, ref_transB = acc0, ref_transA = acc0;
+        {
+          gemm::BackendScope scope(gemm::Backend::kNaive);
+          ref = Tensor::matmul(a, b);
+          ref_bias = ref;
+          for (std::size_t r = 0; r < m; ++r) {
+            for (std::size_t c = 0; c < n; ++c) ref_bias(r, c) += bias(0, c);
+          }
+          ref_transB += Tensor::matmul(a, bt.transposed());
+          ref_transA += Tensor::matmul(at.transposed(), b);
+        }
+        const std::string shape = std::to_string(m) + "x" + std::to_string(k) +
+                                  "x" + std::to_string(n);
+        for (const auto* set : sets) {
+          const std::string tag = std::string(set->isa) + " " + shape;
+          Tensor got(m, n, 0.0);
+          set->matmul(m, k, n, a.data().data(), b.data().data(), nullptr,
+                      got.data().data());
+          expect_bitwise(got, ref, "matmul " + tag);
+          Tensor got_bias(m, n, 0.0);
+          set->matmul(m, k, n, a.data().data(), b.data().data(),
+                      bias.data().data(), got_bias.data().data());
+          expect_bitwise(got_bias, ref_bias, "matmul_add_bias " + tag);
+          Tensor got_b = acc0;
+          set->transB_acc(m, k, n, a.data().data(), bt.data().data(),
+                          got_b.data().data());
+          expect_bitwise(got_b, ref_transB, "transB_acc " + tag);
+          Tensor got_a = acc0;
+          set->transA_acc(m, k, n, at.data().data(), b.data().data(),
+                          got_a.data().data());
+          expect_bitwise(got_a, ref_transA, "transA_acc " + tag);
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmParity, LinearOpMatchesUnfusedGraphBitwise) {
   metis::Rng rng(14);
   for (std::size_t batch : {1u, 3u, 9u}) {

@@ -665,6 +665,42 @@ TEST(Server, UnknownScenarioSubmitsButFailsThroughPoll) {
   server.stop();
 }
 
+TEST(Server, SubmitPastJobLimitsIsAnErrorReply) {
+  // The cap is admitted (this job then fails on its unknown key, as any
+  // would); cap + 1 never becomes a job and the connection keeps serving.
+  serve::ServerConfig cfg;
+  cfg.unix_path = unique_socket_path();
+  cfg.service.workers = 1;
+  cfg.service.limits.max_episodes = 3;
+  cfg.service.limits.max_interpret_steps = 5;
+  serve::Server server(cfg);
+  server.start();
+  net::Client client = net::Client::connect_unix(cfg.unix_path);
+  api::DistillOverrides d;
+  d.episodes = 3;
+  EXPECT_TRUE(client.submit_distill("no-such-scenario", d).has_value());
+  d.episodes = 4;
+  try {
+    (void)client.submit_distill("no-such-scenario", d);
+    ADD_FAILURE() << "episodes = 4 was admitted";
+  } catch (const net::WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("job over limits: episodes"),
+              std::string::npos)
+        << e.what();
+  }
+  api::InterpretOverrides i;
+  i.steps = 5;
+  EXPECT_TRUE(client.submit_interpret("no-such-scenario", i).has_value());
+  i.steps = 6;
+  EXPECT_THROW((void)client.submit_interpret("no-such-scenario", i),
+               net::WireError);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.jobs_admitted, 2u);
+  EXPECT_EQ(stats.error_replies, 2u);
+  EXPECT_EQ(server.service().jobs().size(), 2u);
+  server.stop();
+}
+
 TEST(Server, CleanShutdownWithInflightJobs) {
   auto gate = std::make_shared<Gate>();
   api::ScenarioRegistry registry;

@@ -14,9 +14,11 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "metis/abr/distill_adapter.h"
@@ -1028,6 +1030,64 @@ TEST(Service, FarFutureDeadlinesMeanNoDeadline) {
     EXPECT_EQ(interpret.status(), serve::JobStatus::kDone)
         << "deadline_ms=" << ms << ": " << interpret.error();
   }
+}
+
+// JobLimits: every capped override runs at its cap and is refused at
+// cap + 1 by submit_* itself — std::invalid_argument naming the field, no
+// job in the table.
+TEST(Service, JobLimitsAdmitTheCapAndRefuseCapPlusOne) {
+  api::ScenarioRegistry reg;
+  reg.add(std::make_unique<LineScenario>("line"));
+  reg.add(std::make_unique<NetMaskScenario>("netmask"));
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.registry = &reg;
+  cfg.limits = {.max_episodes = 3,
+                .max_steps = 5,
+                .max_dagger_iterations = 2,
+                .max_leaves = 4,
+                .max_interpret_steps = 7};
+  serve::Service svc(cfg);
+
+  using Field = std::optional<std::size_t> api::DistillOverrides::*;
+  const std::vector<std::tuple<Field, std::size_t, std::string>> fields = {
+      {&api::DistillOverrides::episodes, 3, "episodes"},
+      {&api::DistillOverrides::max_steps, 5, "max_steps"},
+      {&api::DistillOverrides::dagger_iterations, 2, "dagger_iterations"},
+      {&api::DistillOverrides::max_leaves, 4, "max_leaves"},
+  };
+  for (const auto& [field, cap, name] : fields) {
+    api::DistillOverrides at;
+    at.*field = cap;
+    auto job = svc.submit_distill("line", at);
+    job.wait();
+    EXPECT_EQ(job.status(), serve::JobStatus::kDone) << name << ": "
+                                                     << job.error();
+    const std::size_t table = svc.jobs().size();
+    api::DistillOverrides over;
+    over.*field = cap + 1;
+    try {
+      (void)svc.submit_distill("line", over);
+      ADD_FAILURE() << name << " = cap + 1 was admitted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(svc.jobs().size(), table) << name;
+  }
+
+  api::InterpretOverrides at;
+  at.steps = 7;
+  auto job = svc.submit_interpret("netmask", at);
+  job.wait();
+  EXPECT_EQ(job.status(), serve::JobStatus::kDone) << job.error();
+  EXPECT_EQ(job.interpret_run().config.steps, 7u);
+  const std::size_t table = svc.jobs().size();
+  api::InterpretOverrides over;
+  over.steps = 8;
+  EXPECT_THROW((void)svc.submit_interpret("netmask", over),
+               std::invalid_argument);
+  EXPECT_EQ(svc.jobs().size(), table);
 }
 
 // λ1, λ2 and lr come off the wire through InterpretOverrides; a
