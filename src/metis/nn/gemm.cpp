@@ -210,12 +210,12 @@ __attribute__((always_inline)) inline void stream_region(
   }
 }
 
-// Skinny shapes — fewer than kMR rows, or fewer than kNR columns and one
-// lane group of rows (1-row inference; narrow_matmul's leftover rows) —
-// cannot fill a register tile, and the streaming fallback's per-k
-// load/store of the output row made the blocked backend LOSE to naive
-// there. Dedicated kernel: one register accumulator per output element,
-// held across the whole k loop (vector 4-lanes while >= 4 columns remain,
+// Skinny shapes — fewer than kMR rows or kNR columns — cannot fill a
+// register tile, and the streaming fallback's per-k load/store of the
+// output row made the blocked backend LOSE to naive there (1-row
+// inference and the 6-wide policy head).
+// Dedicated kernel: one register accumulator per output element, held
+// across the whole k loop (vector 4-lanes while >= 4 columns remain,
 // scalar tail after), with the bias landing as a single add once the
 // k-sum completes. Every element is still the same strictly k-ascending
 // chain, so the bitwise contract with the other kernels holds.
@@ -243,20 +243,18 @@ __attribute__((always_inline)) inline void skinny_matmul(
   }
 }
 
-// Outputs narrower than a register tile (n < kNR: the 6-wide policy
+// dW outputs narrower than a register tile (n < kNR: the 6-wide policy
 // head, the 1-wide value head and delay net output). Column lanes would
 // leave the vector mostly empty and each row's elements single
 // latency-bound chains, so lanes run over L consecutive output rows
-// instead, all N columns at once: out(i, c) is lane i of acc[c], the
-// k-ascending chain sum_kk p[kk * ldp + i] * b(kk, c), finished by one add
-// (out += for Acc, else + bias) — the header's recipe. The left operand's
-// L values at step kk are contiguous at p + kk * ldp: a row of A^T itself
-// for transA, a transposed pack of A's rows for matmul.
-template <class V, std::size_t N, bool Acc>
+// instead, all N columns at once: out(i, c) += lane i of acc[c], the
+// k-ascending chain sum_kk p[kk * ldp + i] * b(kk, c) finished by one add
+// — the header's recipe. The L values at step kk are contiguous at
+// p + kk * ldp, a row of A^T.
+template <class V, std::size_t N>
 __attribute__((always_inline)) inline void narrow_lane_rows(
     std::size_t k, const double* __restrict p, std::size_t ldp,
-    const double* __restrict b, const double* __restrict bias,
-    double* __restrict out) {
+    const double* __restrict b, double* __restrict out) {
   constexpr std::size_t L = kLanes<V>;
   V acc[N] = {};
   for (std::size_t kk = 0; kk < k; ++kk) {
@@ -265,14 +263,7 @@ __attribute__((always_inline)) inline void narrow_lane_rows(
     for (std::size_t c = 0; c < N; ++c) acc[c] += pv * b_row[c];
   }
   for (std::size_t i = 0; i < L; ++i) {
-    for (std::size_t c = 0; c < N; ++c) {
-      double& o = out[i * N + c];
-      if (Acc) {
-        o += acc[c][i];
-      } else {
-        o = bias != nullptr ? acc[c][i] + bias[c] : acc[c][i];
-      }
-    }
+    for (std::size_t c = 0; c < N; ++c) out[i * N + c] += acc[c][i];
   }
 }
 
@@ -284,11 +275,11 @@ __attribute__((always_inline)) inline void narrow_transA_acc(
     const double* __restrict b, double* __restrict out) {
   std::size_t r = 0;
   for (; r + kLanes<V> <= m; r += kLanes<V>) {
-    narrow_lane_rows<V, N, true>(k, a + r, m, b, nullptr, out + r * N);
+    narrow_lane_rows<V, N>(k, a + r, m, b, out + r * N);
   }
   if constexpr (kLanes<V> > 4) {
     for (; r + 4 <= m; r += 4) {
-      narrow_lane_rows<v4df, N, true>(k, a + r, m, b, nullptr, out + r * N);
+      narrow_lane_rows<v4df, N>(k, a + r, m, b, out + r * N);
     }
   }
   for (; r < m; ++r) {
@@ -298,66 +289,6 @@ __attribute__((always_inline)) inline void narrow_transA_acc(
       out[r * N + c] += s;
     }
   }
-}
-
-// Scratch for packed panels (narrow matmul's k x L row packs, transB's
-// k x 2L panels of B^T): thread-local, grown to the largest panel seen and
-// kept, so a steady-state forward or backward never allocates.
-double* panel_scratch(std::size_t count) {
-  thread_local std::vector<double> buf;
-  if (buf.size() < count) buf.resize(count);
-  return buf.data();
-}
-
-// Copies the L rows of A (row-major, k columns) at `a` transposed into
-// `panel` (k x L): panel[kk * L + i] = a(i, kk). Four rows at a time go
-// through registers in 4 x 4 blocks (four row loads, a shuffle transpose,
-// four stores); the last k % 4 columns are copied one by one.
-template <std::size_t L>
-__attribute__((always_inline)) inline void pack_rows_transposed(
-    std::size_t k, const double* __restrict a, double* __restrict panel) {
-  for (std::size_t i = 0; i < L; i += 4) {
-    const double* r0 = a + i * k;
-    std::size_t kk = 0;
-    for (; kk + 4 <= k; kk += 4) {
-      const v4df x0 = loadu<v4df>(r0 + kk);
-      const v4df x1 = loadu<v4df>(r0 + k + kk);
-      const v4df x2 = loadu<v4df>(r0 + 2 * k + kk);
-      const v4df x3 = loadu<v4df>(r0 + 3 * k + kk);
-      const v4df t0 = __builtin_shufflevector(x0, x1, 0, 4, 2, 6);
-      const v4df t1 = __builtin_shufflevector(x0, x1, 1, 5, 3, 7);
-      const v4df t2 = __builtin_shufflevector(x2, x3, 0, 4, 2, 6);
-      const v4df t3 = __builtin_shufflevector(x2, x3, 1, 5, 3, 7);
-      double* p = panel + kk * L + i;
-      storeu(p, __builtin_shufflevector(t0, t2, 0, 1, 4, 5));
-      storeu(p + L, __builtin_shufflevector(t1, t3, 0, 1, 4, 5));
-      storeu(p + 2 * L, __builtin_shufflevector(t0, t2, 2, 3, 6, 7));
-      storeu(p + 3 * L, __builtin_shufflevector(t1, t3, 2, 3, 6, 7));
-    }
-    for (; kk < k; ++kk) {
-      for (std::size_t j = 0; j < 4; ++j) {
-        panel[kk * L + i + j] = r0[j * k + kk];
-      }
-    }
-  }
-}
-
-// C = A * B (+ bias) for n = N < kNR: each lane group of A's rows is
-// packed transposed (k x L) into the thread-local panel, then runs the
-// lane-over-rows kernel; rows short of a lane group go to skinny_matmul.
-template <class V, std::size_t N>
-__attribute__((always_inline)) inline void narrow_matmul(
-    std::size_t m, std::size_t k, const double* __restrict a,
-    const double* __restrict b, const double* __restrict bias,
-    double* __restrict out) {
-  constexpr std::size_t L = kLanes<V>;
-  double* panel = panel_scratch(k * L);
-  std::size_t r = 0;
-  for (; r + L <= m; r += L) {
-    pack_rows_transposed<L>(k, a + r * k, panel);
-    narrow_lane_rows<V, N, false>(k, panel, L, b, bias, out + r * N);
-  }
-  if (r < m) skinny_matmul(m - r, k, N, a + r * k, b, bias, out + r * N);
 }
 
 // Instantiates `kernel<V, N>` for the runtime width n (1 <= n < kNR), so
@@ -382,10 +313,6 @@ __attribute__((always_inline)) inline void matmul_kernel(
     std::size_t m, std::size_t k, std::size_t n, const double* __restrict a,
     const double* __restrict b, const double* __restrict bias,
     double* __restrict out) {
-  if (n < kNR && m >= kLanes<V>) {
-    METIS_GEMM_NARROW(narrow_matmul, V, n, m, k, a, b, bias, out)
-    return;
-  }
   if (m < kMR || n < kNR) {
     skinny_matmul(m, k, n, a, b, bias, out);
     return;
@@ -431,6 +358,14 @@ __attribute__((always_inline)) inline void transA_acc_kernel(
       out[r * n + c] += s;
     }
   }
+}
+
+// Scratch for transB's packed panels: thread-local, grown to the largest
+// k x 2L panel seen and kept, so a steady-state backward never allocates.
+double* panel_scratch(std::size_t count) {
+  thread_local std::vector<double> buf;
+  if (buf.size() < count) buf.resize(count);
+  return buf.data();
 }
 
 // Covers columns [c, n) of C += A * B^T with 2L-wide column panels while

@@ -452,7 +452,7 @@ void Server::handle_submit(Connection& conn, const net::Frame& frame) {
       job = service_.submit_interpret(req.scenario, req.overrides);
     }
   } catch (const std::invalid_argument& e) {
-    // Over the service's JobLimits: refused before any job exists.
+    // Outside the service's job limits: refused before any job exists.
     stats_.error_replies.fetch_add(1, std::memory_order_relaxed);
     reply(conn, net::ErrorReply{e.what()}.encode());
     return;

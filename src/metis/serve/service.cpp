@@ -73,13 +73,13 @@ void arm_deadline(detail::JobState& state,
       std::chrono::milliseconds(static_cast<std::int64_t>(*deadline_ms)));
 }
 
-// Throws std::invalid_argument if a set override exceeds its cap.
+// Throws std::invalid_argument if a set override is 0 or exceeds its cap.
 void check_limit(const std::optional<std::size_t>& value, std::size_t cap,
                  const char* field) {
-  if (value.has_value() && *value > cap) {
-    throw std::invalid_argument("job over limits: " + std::string(field) +
-                                " = " + std::to_string(*value) +
-                                " exceeds " + std::to_string(cap));
+  if (value.has_value() && (*value == 0 || *value > cap)) {
+    throw std::invalid_argument("job limits: " + std::string(field) + " = " +
+                                std::to_string(*value) + " is outside [1, " +
+                                std::to_string(cap) + "]");
   }
 }
 
@@ -87,12 +87,11 @@ void check_limit(const std::optional<std::size_t>& value, std::size_t cap,
 
 JobHandle Service::submit_distill(std::string_view key,
                                   const api::DistillOverrides& overrides) {
-  const JobLimits& lim = config_.limits;
-  check_limit(overrides.episodes, lim.max_episodes, "episodes");
-  check_limit(overrides.max_steps, lim.max_steps, "max_steps");
-  check_limit(overrides.dagger_iterations, lim.max_dagger_iterations,
+  check_limit(overrides.episodes, kMaxEpisodes, "episodes");
+  check_limit(overrides.max_steps, kMaxSteps, "max_steps");
+  check_limit(overrides.dagger_iterations, kMaxDaggerIterations,
               "dagger_iterations");
-  check_limit(overrides.max_leaves, lim.max_leaves, "max_leaves");
+  check_limit(overrides.max_leaves, kMaxLeaves, "max_leaves");
   auto state = std::make_shared<detail::JobState>();
   state->kind = JobKind::kDistill;
   state->scenario = std::string(key);
@@ -103,7 +102,7 @@ JobHandle Service::submit_distill(std::string_view key,
 
 JobHandle Service::submit_interpret(std::string_view key,
                                     const api::InterpretOverrides& overrides) {
-  check_limit(overrides.steps, config_.limits.max_interpret_steps, "steps");
+  check_limit(overrides.steps, kMaxInterpretSteps, "steps");
   auto state = std::make_shared<detail::JobState>();
   state->kind = JobKind::kInterpret;
   state->scenario = std::string(key);

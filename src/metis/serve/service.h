@@ -41,20 +41,19 @@
 
 namespace metis::serve {
 
-// Caps on the size of one job. Overrides come off the wire unchecked, and
-// a distill job makes `episodes` env clones and collects up to episodes x
-// max_steps x dagger_iterations samples, so submit_* checks every set
-// override against these before anything is allocated. The caps are fixed
-// (not scaled by ScenarioOptions::scale) and sit far above every built-in
-// scenario's defaults; scenario defaults themselves are trusted code and
-// not checked.
-struct JobLimits {
-  std::size_t max_episodes = 256;           // per collection round
-  std::size_t max_steps = 1024;             // per episode
-  std::size_t max_dagger_iterations = 16;   // collection rounds
-  std::size_t max_leaves = 4096;
-  std::size_t max_interpret_steps = 10000;  // §4.2 mask-optimization steps
-};
+// Job limits: caps on the size of one job. Overrides come off the wire
+// unchecked, and a distill job makes `episodes` env clones and collects up
+// to episodes x max_steps x dagger_iterations samples, so submit_* checks
+// every set override against these before anything is allocated and
+// refuses values outside [1, cap]. The caps are fixed (not scaled by
+// ScenarioOptions::scale); scenario defaults are trusted code and not
+// checked. At these caps a distill job collects at most 256 x 256 x 8 =
+// 524,288 samples (ABR's 30-chunk episodes stop it at 61,440).
+inline constexpr std::size_t kMaxEpisodes = 256;           // per round
+inline constexpr std::size_t kMaxSteps = 256;              // per episode
+inline constexpr std::size_t kMaxDaggerIterations = 8;     // rounds
+inline constexpr std::size_t kMaxLeaves = 4096;
+inline constexpr std::size_t kMaxInterpretSteps = 10000;   // §4.2 steps
 
 struct ServiceConfig {
   // Fixed worker pool size: how many jobs make progress concurrently.
@@ -63,7 +62,6 @@ struct ServiceConfig {
   const api::ScenarioRegistry* registry = nullptr;
   // Build options (seed, teacher-training scale) for cached systems.
   api::ScenarioOptions options;
-  JobLimits limits;
 };
 
 class Service {
@@ -91,8 +89,8 @@ class Service {
   // Enqueue the §3.2 conversion / the Figure-6 hypergraph search for the
   // scenario under `key`. Unknown keys are reported through the handle
   // (the job fails), not at submit time — submission never blocks on the
-  // registry or the build cache. An override past config().limits throws
-  // std::invalid_argument naming the field, and no job is created.
+  // registry or the build cache. An override of 0 or past its job limit
+  // throws std::invalid_argument naming the field, and no job is created.
   JobHandle submit_distill(std::string_view key,
                            const api::DistillOverrides& overrides = {});
   JobHandle submit_interpret(std::string_view key,
@@ -119,7 +117,6 @@ class Service {
   [[nodiscard]] const api::ScenarioOptions& options() const {
     return config_.options;
   }
-  [[nodiscard]] const JobLimits& limits() const { return config_.limits; }
 
  private:
   // Per-scenario cache slot. `build_mu` serializes the (expensive) build

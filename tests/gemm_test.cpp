@@ -217,8 +217,9 @@ TEST(GemmParity, TransposeAccumulateBitwise) {
   }
 }
 
-// Outputs narrower than a register tile (n = 1 .. 7) run lanes over rows:
-// every kernel set, for all four products, against the naive loop, with m
+// Outputs narrower than a register tile (n = 1 .. 7; transA runs lanes
+// over rows, the others the skinny and streaming paths): every kernel
+// set, for all four products, against the naive loop, with m
 // on and off the 4- and 8-row lane groups and k from empty to a 512-row
 // minibatch (the dW of a policy or value head).
 TEST(GemmParity, NarrowOutputsEveryKernelSetBitwise) {

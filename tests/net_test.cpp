@@ -667,36 +667,38 @@ TEST(Server, UnknownScenarioSubmitsButFailsThroughPoll) {
 
 TEST(Server, SubmitPastJobLimitsIsAnErrorReply) {
   // The cap is admitted (this job then fails on its unknown key, as any
-  // would); cap + 1 never becomes a job and the connection keeps serving.
+  // would); 0 and cap + 1 never become jobs and the connection keeps
+  // serving.
   serve::ServerConfig cfg;
   cfg.unix_path = unique_socket_path();
   cfg.service.workers = 1;
-  cfg.service.limits.max_episodes = 3;
-  cfg.service.limits.max_interpret_steps = 5;
   serve::Server server(cfg);
   server.start();
   net::Client client = net::Client::connect_unix(cfg.unix_path);
   api::DistillOverrides d;
-  d.episodes = 3;
+  d.episodes = serve::kMaxEpisodes;
   EXPECT_TRUE(client.submit_distill("no-such-scenario", d).has_value());
-  d.episodes = 4;
+  d.episodes = serve::kMaxEpisodes + 1;
   try {
     (void)client.submit_distill("no-such-scenario", d);
-    ADD_FAILURE() << "episodes = 4 was admitted";
+    ADD_FAILURE() << "episodes = cap + 1 was admitted";
   } catch (const net::WireError& e) {
-    EXPECT_NE(std::string(e.what()).find("job over limits: episodes"),
+    EXPECT_NE(std::string(e.what()).find("job limits: episodes"),
               std::string::npos)
         << e.what();
   }
+  d.episodes = 0;
+  EXPECT_THROW((void)client.submit_distill("no-such-scenario", d),
+               net::WireError);
   api::InterpretOverrides i;
-  i.steps = 5;
+  i.steps = serve::kMaxInterpretSteps;
   EXPECT_TRUE(client.submit_interpret("no-such-scenario", i).has_value());
-  i.steps = 6;
+  i.steps = serve::kMaxInterpretSteps + 1;
   EXPECT_THROW((void)client.submit_interpret("no-such-scenario", i),
                net::WireError);
   const auto stats = server.stats();
   EXPECT_EQ(stats.jobs_admitted, 2u);
-  EXPECT_EQ(stats.error_replies, 2u);
+  EXPECT_EQ(stats.error_replies, 3u);
   EXPECT_EQ(server.service().jobs().size(), 2u);
   server.stop();
 }

@@ -1032,62 +1032,74 @@ TEST(Service, FarFutureDeadlinesMeanNoDeadline) {
   }
 }
 
-// JobLimits: every capped override runs at its cap and is refused at
-// cap + 1 by submit_* itself — std::invalid_argument naming the field, no
-// job in the table.
+// Job limits: an override at its cap is admitted (it queues behind a gated
+// job and is cancelled before it runs); 0 and cap + 1 are refused by
+// submit_* itself — std::invalid_argument naming the field, no job in the
+// table.
 TEST(Service, JobLimitsAdmitTheCapAndRefuseCapPlusOne) {
+  std::promise<void> release;
   api::ScenarioRegistry reg;
-  reg.add(std::make_unique<LineScenario>("line"));
-  reg.add(std::make_unique<NetMaskScenario>("netmask"));
+  reg.add(std::make_unique<GatedScenario>("gated",
+                                          release.get_future().share()));
   serve::ServiceConfig cfg;
   cfg.workers = 1;
   cfg.registry = &reg;
-  cfg.limits = {.max_episodes = 3,
-                .max_steps = 5,
-                .max_dagger_iterations = 2,
-                .max_leaves = 4,
-                .max_interpret_steps = 7};
   serve::Service svc(cfg);
+  auto blocker = svc.submit_distill("gated");  // holds the one worker
+  while (blocker.status() == serve::JobStatus::kQueued) {
+    std::this_thread::yield();
+  }
 
-  using Field = std::optional<std::size_t> api::DistillOverrides::*;
-  const std::vector<std::tuple<Field, std::size_t, std::string>> fields = {
-      {&api::DistillOverrides::episodes, 3, "episodes"},
-      {&api::DistillOverrides::max_steps, 5, "max_steps"},
-      {&api::DistillOverrides::dagger_iterations, 2, "dagger_iterations"},
-      {&api::DistillOverrides::max_leaves, 4, "max_leaves"},
+  const auto admitted = [](const serve::JobHandle& job,
+                           const std::string& name) {
+    EXPECT_EQ(job.status(), serve::JobStatus::kQueued) << name;
+    EXPECT_TRUE(job.cancel()) << name;
   };
-  for (const auto& [field, cap, name] : fields) {
-    api::DistillOverrides at;
-    at.*field = cap;
-    auto job = svc.submit_distill("line", at);
-    job.wait();
-    EXPECT_EQ(job.status(), serve::JobStatus::kDone) << name << ": "
-                                                     << job.error();
+  const auto refused = [&svc](const std::function<void()>& submit,
+                              const std::string& name, std::size_t value) {
     const std::size_t table = svc.jobs().size();
-    api::DistillOverrides over;
-    over.*field = cap + 1;
     try {
-      (void)svc.submit_distill("line", over);
-      ADD_FAILURE() << name << " = cap + 1 was admitted";
+      submit();
+      ADD_FAILURE() << name << " = " << value << " was admitted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
           << e.what();
     }
-    EXPECT_EQ(svc.jobs().size(), table) << name;
+    EXPECT_EQ(svc.jobs().size(), table) << name << " = " << value;
+  };
+
+  using Field = std::optional<std::size_t> api::DistillOverrides::*;
+  const std::vector<std::tuple<Field, std::size_t, std::string>> fields = {
+      {&api::DistillOverrides::episodes, serve::kMaxEpisodes, "episodes"},
+      {&api::DistillOverrides::max_steps, serve::kMaxSteps, "max_steps"},
+      {&api::DistillOverrides::dagger_iterations,
+       serve::kMaxDaggerIterations, "dagger_iterations"},
+      {&api::DistillOverrides::max_leaves, serve::kMaxLeaves, "max_leaves"},
+  };
+  for (const auto& [field, cap, name] : fields) {
+    api::DistillOverrides o;
+    o.*field = cap;
+    admitted(svc.submit_distill("gated", o), name);
+    for (const std::size_t bad : {std::size_t{0}, cap + 1}) {
+      o.*field = bad;
+      refused([&] { (void)svc.submit_distill("gated", o); }, name, bad);
+    }
+  }
+  api::InterpretOverrides io;
+  io.steps = serve::kMaxInterpretSteps;
+  admitted(svc.submit_interpret("gated", io), "steps");
+  for (const std::size_t bad : {std::size_t{0}, serve::kMaxInterpretSteps + 1}) {
+    io.steps = bad;
+    refused([&] { (void)svc.submit_interpret("gated", io); }, "steps", bad);
   }
 
-  api::InterpretOverrides at;
-  at.steps = 7;
-  auto job = svc.submit_interpret("netmask", at);
-  job.wait();
-  EXPECT_EQ(job.status(), serve::JobStatus::kDone) << job.error();
-  EXPECT_EQ(job.interpret_run().config.steps, 7u);
-  const std::size_t table = svc.jobs().size();
-  api::InterpretOverrides over;
-  over.steps = 8;
-  EXPECT_THROW((void)svc.submit_interpret("netmask", over),
-               std::invalid_argument);
-  EXPECT_EQ(svc.jobs().size(), table);
+  EXPECT_TRUE(blocker.cancel());
+  release.set_value();
+  svc.wait_all();
+  for (const auto& job : svc.jobs()) {
+    EXPECT_EQ(job.status(), serve::JobStatus::kCancelled);
+  }
+  EXPECT_EQ(svc.jobs().size(), 6u);  // the blocker and five admitted
 }
 
 // λ1, λ2 and lr come off the wire through InterpretOverrides; a
