@@ -1,20 +1,30 @@
 #include "metis/core/distill.h"
 
+#include <utility>
+
 #include "metis/util/check.h"
 
 namespace metis::core {
 namespace {
 
-double fidelity_on(const tree::DecisionTree& tree,
-                   const std::vector<CollectedSample>& samples) {
-  MET_CHECK(!samples.empty());
+// Fraction of rows where the tree predicts the label, the teacher's action.
+double fidelity_on(const tree::DecisionTree& tree, const tree::Dataset& data) {
+  MET_CHECK(data.size() > 0);
   std::size_t hit = 0;
-  for (const auto& s : samples) {
-    if (static_cast<std::size_t>(tree.predict(s.features)) == s.action) {
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (static_cast<std::size_t>(tree.predict(data.x[i])) ==
+        static_cast<std::size_t>(data.y[i])) {
       ++hit;
     }
   }
-  return static_cast<double>(hit) / static_cast<double>(samples.size());
+  return static_cast<double>(hit) / static_cast<double>(data.size());
+}
+
+// Appends one round's samples to the job's dataset, moving their features.
+void append(tree::Dataset& data, std::vector<CollectedSample> round) {
+  for (CollectedSample& s : round) {
+    data.add(std::move(s.features), static_cast<double>(s.action), s.weight);
+  }
 }
 
 tree::DecisionTree fit_and_prune(const tree::Dataset& data,
@@ -38,16 +48,18 @@ DistillResult distill_policy(const Teacher& teacher, RolloutEnv& env,
   CollectConfig collect = cfg.collect;
   collect.weight_by_advantage = cfg.resample;
   collect.cancel = cfg.cancel;  // episode-level checkpoints inside rounds
-  auto dataset_of = [&](const std::vector<CollectedSample>& samples) {
-    return to_dataset(samples, cfg.feature_names);
-  };
+
+  // The job's one dataset: every round is appended to it, and each fit
+  // sees every sample collected so far (DAgger's aggregation). fit()
+  // validates it and refuses it empty.
+  tree::Dataset data;
+  data.feature_names = cfg.feature_names;
 
   // Round 0: pure teacher trajectories.
-  std::vector<CollectedSample> all =
-      collect_traces(teacher, env, collect, nullptr, 0);
+  append(data, collect_traces(teacher, env, collect, nullptr, 0));
   if (cfg.on_round_done) cfg.on_round_done();
 
-  tree::DecisionTree student = fit_and_prune(dataset_of(all), cfg);
+  tree::DecisionTree student = fit_and_prune(data, cfg);
 
   // DAgger rounds: the student drives (with teacher takeover), every
   // visited state gets a teacher label, the dataset is aggregated, and the
@@ -60,25 +72,25 @@ DistillResult distill_policy(const Teacher& teacher, RolloutEnv& env,
     auto round = collect_traces(teacher, env, collect, &policy,
                                 iter * cfg.collect.episodes);
     if (cfg.on_round_done) cfg.on_round_done();
-    all.insert(all.end(), round.begin(), round.end());
-    student = fit_and_prune(dataset_of(all), cfg);
+    append(data, std::move(round));
+    student = fit_and_prune(data, cfg);
   }
 
   // Final fit. With resampling on, the Eq.-1 probabilities act as CART
   // sample weights — the deterministic, variance-free equivalent of the
   // multinomial draw in [7] (resample_by_weight implements the literal
-  // procedure; cfg.resample_size > 0 opts into it).
+  // procedure; cfg.resample_size > 0 opts into it). Fidelity is measured
+  // on the collected rows either way.
   cfg.cancel.check();  // last boundary before the final fit
-  tree::Dataset data = dataset_of(all);
-  if (cfg.resample && cfg.resample_size > 0) {
-    data = resample_by_weight(data, cfg.resample_size, rng);
-  }
-
+  const bool draw = cfg.resample && cfg.resample_size > 0;
   DistillResult result;
-  result.tree = fit_and_prune(data, cfg);
-  result.train_data = std::move(data);
-  result.samples_collected = all.size();
-  result.fidelity = fidelity_on(result.tree, all);
+  if (draw) {
+    result.train_data = resample_by_weight(data, cfg.resample_size, rng);
+  }
+  result.tree = fit_and_prune(draw ? result.train_data : data, cfg);
+  result.samples_collected = data.size();
+  result.fidelity = fidelity_on(result.tree, data);
+  if (!draw) result.train_data = std::move(data);
   return result;
 }
 

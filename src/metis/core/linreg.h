@@ -18,7 +18,7 @@ namespace metis::core {
 
 // Applies a fitted coefficient matrix to one input row: returns m outputs.
 // Accumulates features in ascending order with the bias last — the exact
-// per-element chain the GEMM backends use — so a row of
+// per-element chain the GEMM kernels use — so a row of
 // ridge_predict_batch is bitwise identical to this call.
 [[nodiscard]] std::vector<double> ridge_predict(const nn::Tensor& coef,
                                                 std::span<const double> x);
@@ -27,10 +27,10 @@ namespace metis::core {
 [[nodiscard]] nn::Tensor ridge_design_matrix(
     const std::vector<std::vector<double>>& x);
 
-// Matrix-level batch prediction: X~ · B -> n x m, one GEMM on the
-// blocked backend instead of n ridge_predict calls. Row i is bitwise
-// identical to ridge_predict(coef, x[i]) (same k-ascending accumulation
-// per output element; the backends guarantee no FMA contraction).
+// Matrix-level batch prediction: X~ · B -> n x m, one GEMM instead of n
+// ridge_predict calls. Row i is bitwise identical to
+// ridge_predict(coef, x[i]) (same k-ascending accumulation per output
+// element; the GEMM kernels guarantee no FMA contraction).
 [[nodiscard]] nn::Tensor ridge_predict_batch(const nn::Tensor& coef,
                                              const nn::Tensor& design);
 

@@ -95,7 +95,7 @@ Var matmul(const Var& a, const Var& b) {
   return make_node(
       std::move(out),
       [](Node& n) {
-        // dA += dY * B^T and dB += A^T * dY through the gemm backend's
+        // dA += dY * B^T and dB += A^T * dY through nn/gemm.h's
         // transpose kernels — no transposed() copies on the backward path.
         auto& pa = *n.parents()[0];
         auto& pb = *n.parents()[1];

@@ -200,7 +200,7 @@ class Node {
 // Fused affine map x * w + b with the 1 x C bias row broadcast over rows —
 // one node where Linear's forward previously built matmul + add. Forward
 // and backward are bitwise identical to add(matmul(x, w), b), but the
-// backward runs the gemm backend's transpose kernels instead of
+// backward runs nn/gemm.h's transpose kernels instead of
 // materializing transposed() copies.
 [[nodiscard]] Var linear(const Var& x, const Var& w, const Var& b);
 // Element-wise add; also supports adding a 1 x C bias row to an R x C matrix.

@@ -1,34 +1,22 @@
 #include "metis/nn/gemm.h"
 
-#include <atomic>
-#include <cstdlib>
+#include <algorithm>
 #include <vector>
 
 #include "metis/util/check.h"
+#include "metis/util/isa.h"
 
 namespace metis::nn::gemm {
 namespace {
 
-Backend initial_backend() {
-  if (const char* env = std::getenv("METIS_GEMM_BACKEND")) {
-    if (auto parsed = parse_backend(env)) return *parsed;
-  }
-  return Backend::kBlocked;
-}
-
-std::atomic<Backend>& backend_slot() {
-  static std::atomic<Backend> slot{initial_backend()};
-  return slot;
-}
-
-// metis-lint: begin-deterministic — the GEMM kernels: the blocked
-// backend must be bitwise identical to the naive reference (same
-// floating-point operations in the same order), so kernel code may not
-// consult clocks, addresses, or any other run-varying input.
+// metis-lint: begin-deterministic — the GEMM kernels: every level must
+// be bitwise identical to the reference loops (same floating-point
+// operations in the same order), so kernel code may not consult clocks,
+// addresses, or any other run-varying input.
 // metis-lint: begin-hot-path
-// ---- naive kernels ----------------------------------------------------------
+// ---- naive loops ------------------------------------------------------------
 // The seed's reference loop, order (r, k, c) with the zero-skip on a —
-// kept operation-for-operation so the naive backend IS the old
+// kept operation-for-operation so the kReference level IS the old
 // Tensor::matmul, minus the per-element bounds checks.
 
 void naive_matmul(std::size_t m, std::size_t k, std::size_t n,
@@ -81,7 +69,7 @@ void naive_matmul_transA(std::size_t m, std::size_t k, std::size_t n,
 // vector lanes. Each lane is still a strictly k-ascending scalar mul+add
 // chain — nothing is reassociated, and gemm.cpp is compiled with
 // -ffp-contract=off so no mul+add pair is fused into an FMA (AVX-512F
-// implies FMA) — which keeps the bitwise contract; only the naive
+// implies FMA) — which keeps the bitwise contract; only the reference's
 // zero-skip is dropped, see gemm.h.
 
 constexpr std::size_t kMR = 4;  // rows per register tile
@@ -212,8 +200,8 @@ __attribute__((always_inline)) inline void stream_region(
 
 // Skinny shapes — fewer than kMR rows or kNR columns — cannot fill a
 // register tile, and the streaming fallback's per-k load/store of the
-// output row made the blocked backend LOSE to naive there (1-row
-// inference and the 6-wide policy head).
+// output row made the tiled kernels LOSE to the reference loop there
+// (1-row inference and the 6-wide policy head).
 // Dedicated kernel: one register accumulator per output element, held
 // across the whole k loop (vector 4-lanes while >= 4 columns remain,
 // scalar tail after), with the bias landing as a single add once the
@@ -360,9 +348,10 @@ __attribute__((always_inline)) inline void transA_acc_kernel(
   }
 }
 
-// Scratch for transB's packed panels: thread-local, grown to the largest
-// k x 2L panel seen and kept, so a steady-state backward never allocates.
-double* panel_scratch(std::size_t count) {
+// Scratch for transB's packed panels and the reference _acc products:
+// thread-local, grown to the largest request seen and kept, so a
+// steady-state backward never allocates.
+double* scratch(std::size_t count) {
   thread_local std::vector<double> buf;
   if (buf.size() < count) buf.resize(count);
   return buf.data();
@@ -404,7 +393,7 @@ template <class V>
 __attribute__((always_inline)) inline void transB_acc_kernel(
     std::size_t m, std::size_t k, std::size_t n, const double* __restrict a,
     const double* __restrict b, double* __restrict out) {
-  double* panel = panel_scratch(k * 2 * kLanes<V>);
+  double* panel = scratch(k * 2 * kLanes<V>);
   std::size_t c = transB_panels<V>(0, m, k, n, a, b, panel, out);
   if constexpr (kLanes<V> > 4) {
     c = transB_panels<v4df>(c, m, k, n, a, b, panel, out);
@@ -421,11 +410,47 @@ __attribute__((always_inline)) inline void transB_acc_kernel(
 }
 
 // ---- ISA dispatch -----------------------------------------------------------
-// Each kernel set instantiates the templates above inside one entry point
-// per kernel, compiled for one instruction set; kernels() picks a set once
-// per process from the running CPU. A plain function-pointer table (not
-// target_clones/ifunc) keeps the choice out of the dynamic linker, so
-// sanitized builds run the same kernels as release builds.
+// One kernel set per isa::Level, over raw row-major operands with the
+// shapes of the public entry points: matmul (a m x k, b k x n, optional
+// 1 x n bias, out = a * b + bias), transB_acc (a m x k, b n x k,
+// out += a * b^T) and transA_acc (a k x m, b k x n, out += a^T * b).
+struct KernelSet {
+  void (*matmul)(std::size_t m, std::size_t k, std::size_t n, const double* a,
+                 const double* b, const double* bias, double* out);
+  void (*transB_acc)(std::size_t m, std::size_t k, std::size_t n,
+                     const double* a, const double* b, double* out);
+  void (*transA_acc)(std::size_t m, std::size_t k, std::size_t n,
+                     const double* a, const double* b, double* out);
+};
+
+// kReference: the naive loops, with the bias and the += each one
+// elementwise add once the products are complete — the old
+// Tensor::matmul + broadcast add and acc += matmul(...) spellings.
+void reference_matmul(std::size_t m, std::size_t k, std::size_t n,
+                      const double* a, const double* b, const double* bias,
+                      double* out) {
+  std::fill_n(out, m * n, 0.0);
+  naive_matmul(m, k, n, a, b, out);
+  if (bias == nullptr) return;
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < n; ++c) out[r * n + c] += bias[c];
+  }
+}
+
+template <void (*Naive)(std::size_t, std::size_t, std::size_t, const double*,
+                        const double*, double*)>
+void reference_acc(std::size_t m, std::size_t k, std::size_t n,
+                   const double* a, const double* b, double* out) {
+  double* tmp = scratch(m * n);
+  std::fill_n(tmp, m * n, 0.0);
+  Naive(m, k, n, a, b, tmp);
+  for (std::size_t i = 0; i < m * n; ++i) out[i] += tmp[i];
+}
+
+// The other levels instantiate the templates above inside one entry point
+// per kernel, compiled for one instruction set. A plain function-pointer
+// table (not target_clones/ifunc) keeps the choice out of the dynamic
+// linker, so sanitized builds run the same kernels as release builds.
 #define METIS_GEMM_KERNEL_SET(name, attr, V)                                  \
   attr void name##_matmul(std::size_t m, std::size_t k, std::size_t n,        \
                           const double* a, const double* b,                   \
@@ -441,9 +466,7 @@ __attribute__((always_inline)) inline void transB_acc_kernel(
                               const double* a, const double* b,               \
                               double* out) {                                  \
     transA_acc_kernel<V>(m, k, n, a, b, out);                                 \
-  }                                                                           \
-  constexpr detail::KernelSet name##_kernels = {                              \
-      #name, name##_matmul, name##_transB_acc, name##_transA_acc};
+  }
 
 METIS_GEMM_KERNEL_SET(generic, , v4df)
 #if defined(__x86_64__)
@@ -453,60 +476,29 @@ METIS_GEMM_KERNEL_SET(avx512f, __attribute__((target("avx512f"))), v8df)
 #undef METIS_GEMM_KERNEL_SET
 #undef METIS_GEMM_NARROW
 
-const detail::KernelSet& kernels() {
-  static const detail::KernelSet& selected =
-      *detail::supported_kernel_sets().front();
-  return selected;
+// Indexed by isa::Level.
+constexpr KernelSet kKernels[] = {
+    {reference_matmul, reference_acc<naive_matmul_transB>,
+     reference_acc<naive_matmul_transA>},
+    {generic_matmul, generic_transB_acc, generic_transA_acc},
+#if defined(__x86_64__)
+    {avx2_matmul, avx2_transB_acc, avx2_transA_acc},
+    {avx512f_matmul, avx512f_transB_acc, avx512f_transA_acc},
+#endif
+};
+
+const KernelSet& kernels() {
+  return kKernels[static_cast<std::size_t>(isa::active())];
 }
 
 }  // namespace
-
-std::vector<const detail::KernelSet*> detail::supported_kernel_sets() {
-  std::vector<const KernelSet*> sets;
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) sets.push_back(&avx512f_kernels);
-  if (__builtin_cpu_supports("avx2")) sets.push_back(&avx2_kernels);
-#endif
-  sets.push_back(&generic_kernels);
-  return sets;
-}
-
-const char* to_string(Backend backend) {
-  switch (backend) {
-    case Backend::kNaive: return "naive";
-    case Backend::kBlocked: return "blocked";
-  }
-  return "unknown";
-}
-
-std::optional<Backend> parse_backend(std::string_view name) {
-  if (name == "naive") return Backend::kNaive;
-  if (name == "blocked") return Backend::kBlocked;
-  return std::nullopt;
-}
-
-Backend backend() {
-  return backend_slot().load(std::memory_order_relaxed);
-}
-
-void set_backend(Backend backend) {
-  backend_slot().store(backend, std::memory_order_relaxed);
-}
-
-const char* blocked_isa() { return kernels().isa; }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   MET_CHECK_MSG(a.cols() == b.rows(), "matmul inner dimensions must agree");
   Tensor out(a.rows(), b.cols(), 0.0);
   if (out.empty() || a.cols() == 0) return out;
-  if (backend() == Backend::kBlocked) {
-    kernels().matmul(a.rows(), a.cols(), b.cols(), a.data().data(),
-                     b.data().data(), nullptr, out.data().data());
-  } else {
-    naive_matmul(a.rows(), a.cols(), b.cols(), a.data().data(),
-                 b.data().data(), out.data().data());
-  }
+  kernels().matmul(a.rows(), a.cols(), b.cols(), a.data().data(),
+                   b.data().data(), nullptr, out.data().data());
   return out;
 }
 
@@ -516,16 +508,8 @@ Tensor matmul_add_bias(const Tensor& a, const Tensor& b, const Tensor& bias) {
                 "matmul_add_bias: bias must be 1 x cols(b)");
   Tensor out(a.rows(), b.cols(), 0.0);
   if (out.empty()) return out;
-  if (backend() == Backend::kBlocked) {
-    kernels().matmul(a.rows(), a.cols(), b.cols(), a.data().data(),
-                     b.data().data(), bias.data().data(), out.data().data());
-  } else {
-    naive_matmul(a.rows(), a.cols(), b.cols(), a.data().data(),
-                 b.data().data(), out.data().data());
-    for (std::size_t r = 0; r < out.rows(); ++r) {
-      for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += bias(0, c);
-    }
-  }
+  kernels().matmul(a.rows(), a.cols(), b.cols(), a.data().data(),
+                   b.data().data(), bias.data().data(), out.data().data());
   return out;
 }
 
@@ -535,17 +519,8 @@ void matmul_transB_acc(const Tensor& a, const Tensor& b, Tensor& acc) {
   MET_CHECK_MSG(acc.rows() == a.rows() && acc.cols() == b.rows(),
                 "matmul_transB_acc: acc shape mismatch");
   if (acc.empty()) return;
-  if (backend() == Backend::kBlocked) {
-    kernels().transB_acc(a.rows(), a.cols(), b.rows(), a.data().data(),
-                         b.data().data(), acc.data().data());
-  } else {
-    // Product into a fresh temp, then one elementwise add — exactly
-    // acc += matmul(a, b.transposed()) as the old backward spelled it.
-    Tensor tmp(acc.rows(), acc.cols(), 0.0);
-    naive_matmul_transB(a.rows(), a.cols(), b.rows(), a.data().data(),
-                        b.data().data(), tmp.data().data());
-    acc += tmp;
-  }
+  kernels().transB_acc(a.rows(), a.cols(), b.rows(), a.data().data(),
+                       b.data().data(), acc.data().data());
 }
 
 void matmul_transA_acc(const Tensor& a, const Tensor& b, Tensor& acc) {
@@ -554,15 +529,8 @@ void matmul_transA_acc(const Tensor& a, const Tensor& b, Tensor& acc) {
   MET_CHECK_MSG(acc.rows() == a.cols() && acc.cols() == b.cols(),
                 "matmul_transA_acc: acc shape mismatch");
   if (acc.empty()) return;
-  if (backend() == Backend::kBlocked) {
-    kernels().transA_acc(a.cols(), a.rows(), b.cols(), a.data().data(),
-                         b.data().data(), acc.data().data());
-  } else {
-    Tensor tmp(acc.rows(), acc.cols(), 0.0);
-    naive_matmul_transA(a.cols(), a.rows(), b.cols(), a.data().data(),
-                        b.data().data(), tmp.data().data());
-    acc += tmp;
-  }
+  kernels().transA_acc(a.cols(), a.rows(), b.cols(), a.data().data(),
+                       b.data().data(), acc.data().data());
 }
 
 // metis-lint: end-hot-path

@@ -17,7 +17,7 @@
 // finished by at most one extra add — so for finite operands they are
 // bitwise identical to the dense kernels on the matrix the CsrMatrix was
 // built from (skipping a zero entry skips an exact +0 or -0 term, which
-// the naive GEMM's zero-skip already does). tests/nn_test.cpp pins this.
+// the reference GEMM's zero-skip already does). tests/nn_test.cpp pins this.
 //
 // Immutable after construction: any number of threads and tapes may share
 // one instance read-only.

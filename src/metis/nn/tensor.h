@@ -62,9 +62,9 @@ class Tensor {
 
   [[nodiscard]] Tensor transposed() const;
 
-  // Matrix product: (r x k) * (k x c) -> (r x c). Dispatches to the
-  // runtime-selected dense-kernel backend (see nn/gemm.h); all backends
-  // produce bitwise-identical results.
+  // Matrix product: (r x k) * (k x c) -> (r x c). Runs nn/gemm.h's
+  // kernels for isa::active(); every level produces bitwise-identical
+  // results.
   [[nodiscard]] static Tensor matmul(const Tensor& a, const Tensor& b);
 
   // Frobenius-norm squared sum of all entries.

@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "metis/util/check.h"
+#include "metis/util/isa.h"
 
 namespace metis::nn::vmath {
 namespace {
@@ -188,6 +189,13 @@ __attribute__((always_inline)) inline void logistic_kernel(const double* x,
 }
 
 // ---- ISA dispatch -----------------------------------------------------------
+// One set per isa::Level; kReference runs the scalar instance over the
+// span.
+
+struct VmathSet {
+  void (*tanh)(const double* x, double* y, std::size_t n);
+  void (*logistic)(const double* x, double* y, std::size_t n);
+};
 
 #define METIS_VMATH_KERNEL_SET(name, attr, V)                               \
   attr void name##_tanh(const double* x, double* y, std::size_t n) {       \
@@ -195,10 +203,9 @@ __attribute__((always_inline)) inline void logistic_kernel(const double* x,
   }                                                                         \
   attr void name##_logistic(const double* x, double* y, std::size_t n) {   \
     logistic_kernel<V>(x, y, n);                                            \
-  }                                                                         \
-  constexpr detail::VmathSet name##_kernels = {#name, name##_tanh,          \
-                                               name##_logistic};
+  }
 
+METIS_VMATH_KERNEL_SET(reference, , double)
 METIS_VMATH_KERNEL_SET(generic, , v2df)
 #if defined(__x86_64__)
 METIS_VMATH_KERNEL_SET(avx2, __attribute__((target("avx2"))), v4df)
@@ -206,13 +213,21 @@ METIS_VMATH_KERNEL_SET(avx512f, __attribute__((target("avx512f"))), v8df)
 #endif
 #undef METIS_VMATH_KERNEL_SET
 
+// Indexed by isa::Level.
+constexpr VmathSet kKernels[] = {
+    {reference_tanh, reference_logistic},
+    {generic_tanh, generic_logistic},
+#if defined(__x86_64__)
+    {avx2_tanh, avx2_logistic},
+    {avx512f_tanh, avx512f_logistic},
+#endif
+};
+
 // metis-lint: end-hot-path
 // metis-lint: end-deterministic
 
-const detail::VmathSet& kernels() {
-  static const detail::VmathSet& selected =
-      *detail::supported_vmath_sets().front();
-  return selected;
+const VmathSet& kernels() {
+  return kKernels[static_cast<std::size_t>(isa::active())];
 }
 
 }  // namespace
@@ -225,17 +240,6 @@ void tanh(std::span<const double> x, std::span<double> y) {
 void logistic(std::span<const double> x, std::span<double> y) {
   MET_CHECK(x.size() == y.size());
   kernels().logistic(x.data(), y.data(), x.size());
-}
-
-std::vector<const detail::VmathSet*> detail::supported_vmath_sets() {
-  std::vector<const VmathSet*> sets;
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) sets.push_back(&avx512f_kernels);
-  if (__builtin_cpu_supports("avx2")) sets.push_back(&avx2_kernels);
-#endif
-  sets.push_back(&generic_kernels);
-  return sets;
 }
 
 double detail::tanh_reference(double x) { return tanh_lanes(x); }

@@ -19,18 +19,17 @@
 //  - a NaN input comes back unchanged.
 //
 // The kernels are compiled once per instruction set (avx512f on 8 lanes,
-// avx2 on 4, generic on 2, in vmath.cpp) and one set is picked per
-// process from the running CPU, as nn/gemm.cpp does. Lanes past the last
-// whole vector run the scalar instance of the same template, and the file
-// is built with -ffp-contract=off (CMakeLists.txt; metis-lint check 10
-// pins it), so every set returns the scalar reference's bits: results,
-// and the masks built on them, do not depend on the CPU or the host's
-// libm.
+// avx2 on 4, generic on 2, in vmath.cpp), and the entry points run the
+// set of isa::active() (util/isa.h); at kReference they run the scalar
+// instance of the same template, tanh_reference/logistic_reference, over
+// the span. Lanes past the last whole vector run that scalar instance
+// too, and the file is built with -ffp-contract=off (CMakeLists.txt;
+// metis-lint check 10 pins it), so every level returns the scalar
+// reference's bits: results, and the masks built on them, do not depend
+// on the CPU or the host's libm.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace metis::nn::vmath {
 
@@ -42,17 +41,7 @@ void logistic(std::span<const double> x, std::span<double> y);
 
 namespace detail {
 
-// One instruction set's kernels over n doubles (y may equal x).
-struct VmathSet {
-  const char* isa;  // "avx512f", "avx2" or "generic"
-  void (*tanh)(const double* x, double* y, std::size_t n);
-  void (*logistic)(const double* x, double* y, std::size_t n);
-};
-
-// For tests: every compiled set the running CPU supports, best first (the
-// entry points above run the first), and the scalar reference every set
-// must match bit for bit.
-[[nodiscard]] std::vector<const VmathSet*> supported_vmath_sets();
+// The scalar reference every level must match bit for bit.
 [[nodiscard]] double tanh_reference(double x);
 [[nodiscard]] double logistic_reference(double x);
 

@@ -150,11 +150,12 @@ class RadixSort {
 // [lo, hi) of every row; a split stable-partitions all F+1 rows, so both
 // children inherit sorted ranges and no node sorts again. Classification
 // with up to detail::kKernelClasses classes scans with the vector
-// kernels of split_kernel.h; regression and more classes take the scalar
-// scan, which the kernels reproduce bit for bit.
+// kernel of split_kernel.h for isa::active(); regression, more classes
+// and the kReference level take the scalar scan, which the kernels
+// reproduce bit for bit.
 struct Builder {
   const FitConfig& cfg;
-  const detail::SplitKernelSet* kernels;  // null: the scalar scan
+  detail::SplitScanFn kernel;  // null: the scalar scan
   std::size_t classes;
   std::size_t n;
   std::size_t features;
@@ -170,26 +171,25 @@ struct Builder {
   // node_stats in the kernels' side layout (split_kernel.h).
   alignas(64) double lanes[detail::kSplitLanes] = {};
 
-  Builder(const Dataset& data, const FitConfig& cfg, std::size_t classes,
-          const detail::SplitKernelSet& kernel_set)
+  Builder(const Dataset& data, const FitConfig& cfg, std::size_t classes)
       : cfg(cfg),
-        kernels(cfg.task == Task::kClassification &&
-                        classes <= detail::kKernelClasses
-                    ? &kernel_set
-                    : nullptr),
+        kernel(cfg.task == Task::kClassification &&
+                       classes <= detail::kKernelClasses
+                   ? detail::split_scan()
+                   : nullptr),
         classes(classes),
         n(data.size()),
         features(data.feature_count()),
         cols(features * n),
         y(data.y),
         w(n),
-        cls(kernels != nullptr ? n : 0),
+        cls(kernel != nullptr ? n : 0),
         ord((features + 1) * n),
         goes_left(n),
         spill(n) {
     for (std::size_t i = 0; i < n; ++i) {
       w[i] = data.weight_of(i);
-      if (kernels != nullptr) cls[i] = static_cast<std::uint8_t>(y[i]);
+      if (kernel != nullptr) cls[i] = static_cast<std::uint8_t>(y[i]);
       for (std::size_t f = 0; f < features; ++f) cols[f * n + i] = data.x[i][f];
     }
     RadixSort radix(n);
@@ -233,7 +233,7 @@ struct Builder {
                            .hi = hi,
                            .min_leaf = min_leaf,
                            .parent_mass = parent_mass};
-    if (kernels != nullptr) {
+    if (kernel != nullptr) {
       std::copy_n(node_stats.class_w.begin(), classes, lanes);
       lanes[detail::kSplitLanes - 1] = node_stats.weight;
       scan.cls = cls.data();
@@ -242,8 +242,8 @@ struct Builder {
     for (std::size_t f = 0; f < features; ++f) {
       scan.sorted = &ord[f * n];
       scan.col = &cols[f * n];
-      const std::size_t k = kernels != nullptr
-                                ? kernels->scan(scan, best_decrease)
+      const std::size_t k = kernel != nullptr
+                                ? kernel(scan, best_decrease)
                                 : scalar_scan(scan, best_decrease);
       if (k != detail::kNoCut) {
         best_feature = static_cast<int>(f);
@@ -276,7 +276,7 @@ struct Builder {
   }
 
   // One feature's cut points in (value, row index) order, with the same
-  // contract as detail::SplitKernelSet::scan.
+  // contract as detail::SplitScanFn.
   std::size_t scalar_scan(const detail::SplitScan& s, double& best) {
     left.clear(cfg.task);
     right = node_stats;
@@ -366,18 +366,13 @@ std::size_t max_depth(const TreeNode* node) {
 }  // namespace
 
 DecisionTree DecisionTree::fit(const Dataset& data, const FitConfig& cfg) {
-  return detail::fit_with(data, cfg, detail::split_kernels());
-}
-
-DecisionTree detail::fit_with(const Dataset& data, const FitConfig& cfg,
-                              const SplitKernelSet& kernels) {
   data.validate();
   MET_CHECK_MSG(data.size() > 0, "cannot fit a tree on an empty dataset");
   MET_CHECK_MSG(data.size() <= std::numeric_limits<std::uint32_t>::max(),
                 "row ids are 32-bit");
   const std::size_t classes =
       cfg.task == Task::kClassification ? data.class_count() : 0;
-  Builder builder(data, cfg, classes, kernels);
+  Builder builder(data, cfg, classes);
   return DecisionTree::from_parts(builder.build(0, data.size(), 0), cfg.task,
                                   classes, data.feature_names);
 }

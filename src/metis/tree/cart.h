@@ -17,13 +17,14 @@
 // rows by (value, row index) exactly as a comparison sort would, in at
 // most six passes; a pass whose digit every key shares is skipped.
 // Classification with up to 7 classes scans its cut points with the
-// vector kernels of tree/split_kernel.h, compiled for avx512f, avx2 and
-// generic SSE2 and picked once per process from the CPU: each side of a
-// cut is one 8-lane vector (per-class weights, total weight in the last
-// lane), and every lane repeats the scalar scan's adds, squares, divides
-// and comparisons in the same order under -ffp-contract=off, so every
-// kernel set fits the tree the scalar scan fits, bit for bit. Regression
-// and more classes take the scalar scan. A node with fewer than
+// vector kernel of tree/split_kernel.h for isa::active() (util/isa.h),
+// compiled for avx512f, avx2 and generic SSE2 and looked up once per fit:
+// each side of a cut is one 8-lane vector (per-class weights, total
+// weight in the last lane), and every lane repeats the scalar scan's
+// adds, squares, divides and comparisons in the same order under
+// -ffp-contract=off, so every level fits the tree the scalar scan fits,
+// bit for bit. Regression, more classes and the kReference level take
+// the scalar scan. A node with fewer than
 // 2·max(min_samples_leaf, 1) rows is a leaf at once. The fit holds about
 // F·n doubles (the features, column-major) plus (F+1)·n 32-bit row ids
 // and n one-byte class ids beside the dataset, so n must fit in 32 bits.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "metis/util/isa.h"
+
 namespace metis::tree::detail {
 namespace {
 
@@ -232,8 +234,7 @@ __attribute__((always_inline)) inline std::size_t scan_kernel(
 #define METIS_SPLIT_KERNEL_SET(name, attr, V)                       \
   attr std::size_t name##_scan(const SplitScan& s, double& best) { \
     return scan_kernel<V>(s, best);                                 \
-  }                                                                 \
-  constexpr SplitKernelSet name##_kernels = {#name, name##_scan};
+  }
 
 METIS_SPLIT_KERNEL_SET(generic, , v2df)
 #if defined(__x86_64__)
@@ -242,25 +243,24 @@ METIS_SPLIT_KERNEL_SET(avx512f, __attribute__((target("avx512f"))), v8df)
 #endif
 #undef METIS_SPLIT_KERNEL_SET
 
+// Indexed by isa::Level; kReference has no kernel (cart.cpp's scalar
+// scan runs instead).
+constexpr SplitScanFn kScans[] = {
+    nullptr,
+    generic_scan,
+#if defined(__x86_64__)
+    avx2_scan,
+    avx512f_scan,
+#endif
+};
+
 // metis-lint: end-hot-path
 // metis-lint: end-deterministic
 
 }  // namespace
 
-std::vector<const SplitKernelSet*> supported_split_kernels() {
-  std::vector<const SplitKernelSet*> sets;
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) sets.push_back(&avx512f_kernels);
-  if (__builtin_cpu_supports("avx2")) sets.push_back(&avx2_kernels);
-#endif
-  sets.push_back(&generic_kernels);
-  return sets;
-}
-
-const SplitKernelSet& split_kernels() {
-  static const SplitKernelSet& selected = *supported_split_kernels().front();
-  return selected;
+SplitScanFn split_scan() {
+  return kScans[static_cast<std::size_t>(isa::active())];
 }
 
 }  // namespace metis::tree::detail

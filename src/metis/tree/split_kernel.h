@@ -24,18 +24,16 @@
 //    order, against the best decrease of the features scanned before.
 //
 // The kernels are compiled once per instruction set (avx512f, avx2 and
-// generic, in split_kernel.cpp) and split_kernels() picks one set per
-// process from the running CPU, as nn/gemm.cpp does. The file is built
-// with -ffp-contract=off (CMakeLists.txt; metis-lint check 10 pins it):
-// a fused multiply-add would round sq once where the recipe rounds twice.
+// generic, in split_kernel.cpp), and split_scan() returns the one for
+// isa::active() (util/isa.h); at kReference it returns null and cart.cpp
+// runs its scalar scan. The file is built with -ffp-contract=off
+// (CMakeLists.txt; metis-lint check 10 pins it): a fused multiply-add
+// would round sq once where the recipe rounds twice.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
-
-#include "metis/tree/cart.h"
 
 namespace metis::tree::detail {
 
@@ -58,21 +56,13 @@ struct SplitScan {
 
 inline constexpr std::size_t kNoCut = std::numeric_limits<std::size_t>::max();
 
-struct SplitKernelSet {
-  const char* isa;  // "avx512f", "avx2" or "generic"
-  // If some admissible cut's decrease is greater than `best`, sets `best`
-  // to the first strict maximum and returns its position k: the cut lies
-  // between sorted[k] and sorted[k + 1]. Returns kNoCut otherwise.
-  std::size_t (*scan)(const SplitScan& scan, double& best);
-};
+// If some admissible cut's decrease is greater than `best`, sets `best` to
+// the first strict maximum and returns its position k: the cut lies
+// between sorted[k] and sorted[k + 1]. Returns kNoCut otherwise.
+using SplitScanFn = std::size_t (*)(const SplitScan& scan, double& best);
 
-// The set this process runs, chosen once from the CPU.
-[[nodiscard]] const SplitKernelSet& split_kernels();
-
-// For tests: every compiled set the running CPU supports, best first,
-// and DecisionTree::fit with a given set in place of split_kernels().
-[[nodiscard]] std::vector<const SplitKernelSet*> supported_split_kernels();
-[[nodiscard]] DecisionTree fit_with(const Dataset& data, const FitConfig& cfg,
-                                    const SplitKernelSet& kernels);
+// The kernel of isa::active(), or null at isa::Level::kReference. The
+// builder asks once per fit.
+[[nodiscard]] SplitScanFn split_scan();
 
 }  // namespace metis::tree::detail

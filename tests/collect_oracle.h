@@ -1,8 +1,8 @@
 // Parity oracle for core::collect_traces: the §3.2 collection loop written
 // as plainly as possible. One episode at a time on the caller's env, one
 // scalar teacher query per call (act, and Eq. 1's Q(s,a) = r + γ·V(s′)
-// over RolloutEnv::lookahead()), no batching, no threads, and the naive
-// GEMM kernels underneath. collect_traces must reproduce its dataset bit for
+// over RolloutEnv::lookahead()), no batching, no threads, and every
+// kernel family at isa::Level::kReference underneath. collect_traces must reproduce its dataset bit for
 // bit however the round is cut into blocks.
 #pragma once
 
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "metis/core/trace_collector.h"
-#include "metis/nn/gemm.h"
+#include "metis/util/isa.h"
 
 namespace metis::oracle {
 
@@ -19,7 +19,7 @@ inline std::vector<core::CollectedSample> collect_traces(
     const core::Teacher& teacher, core::RolloutEnv& env,
     const core::CollectConfig& cfg, const core::StudentPolicy* student,
     std::size_t episode_offset) {
-  nn::gemm::BackendScope naive(nn::gemm::Backend::kNaive);
+  isa::ScopedLevel reference(isa::Level::kReference);
   std::vector<core::CollectedSample> samples;
   for (std::size_t ep = 0; ep < cfg.episodes; ++ep) {
     std::vector<double> state = env.reset(episode_offset + ep);

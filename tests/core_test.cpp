@@ -20,9 +20,9 @@
 #include "metis/core/lime.h"
 #include "metis/core/linreg.h"
 #include "metis/nn/arena.h"
-#include "metis/nn/gemm.h"
 #include "metis/nn/mlp.h"
 #include "metis/scenarios/nfv.h"
+#include "metis/util/isa.h"
 #include "metis/util/stats.h"
 
 namespace metis::core {
@@ -453,7 +453,7 @@ void expect_same_bits(double a, double b, const std::string& what) {
 // The sparse search (one logit per connection) against the dense
 // |E| x |V| loop of tests/interpret_oracle.h: every built-in hypergraph
 // model, both toys (discrete and MSE), several seeds and λ settings, and
-// both GEMM backends underneath the sparse side.
+// every ISA level the CPU supports underneath the sparse side.
 TEST(InterpretOracle, EveryModelBitwiseIdenticalToDenseLoop) {
   api::ScenarioOptions options;
   options.scale = 0.05;
@@ -482,11 +482,10 @@ TEST(InterpretOracle, EveryModelBitwiseIdenticalToDenseLoop) {
       cfg.lambda2 = s.lambda2;
       const InterpretResult want =
           oracle::find_critical_connections(*model, cfg);
-      for (const auto backend :
-           {nn::gemm::Backend::kNaive, nn::gemm::Backend::kBlocked}) {
-        nn::gemm::BackendScope scope(backend);
+      for (const isa::Level level : isa::supported_levels()) {
+        isa::ScopedLevel scope(level);
         const std::string what = name + " seed " + std::to_string(s.seed) +
-                                 " / " + nn::gemm::to_string(backend);
+                                 " / " + isa::to_string(level);
         const InterpretResult got = find_critical_connections(*model, cfg);
         ASSERT_TRUE(got.mask.same_shape(want.mask)) << what;
         EXPECT_EQ(std::memcmp(got.mask.data().data(), want.mask.data().data(),

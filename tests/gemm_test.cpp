@@ -1,18 +1,20 @@
-// Parity suite for the pluggable dense-kernel backend (nn/gemm.h): the
-// blocked/register-tiled kernels must be bitwise identical to the naive
-// reference loop over randomized shapes (including degenerate 1xN, Nx1,
-// and empty operands), for the fused bias/transpose variants, and for
-// whole-network forward + backward passes.
+// Parity suite for the dense kernels (nn/gemm.h): at every level the CPU
+// supports (tests/every_level.h), the register-tiled kernels must be
+// bitwise identical to the kReference loops over randomized shapes
+// (including degenerate 1xN, Nx1, and empty operands), for the fused
+// bias/transpose variants, and for whole-network forward + backward
+// passes.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "every_level.h"
 #include "metis/nn/autodiff.h"
 #include "metis/nn/gemm.h"
 #include "metis/nn/mlp.h"
+#include "metis/util/isa.h"
 #include "metis/util/rng.h"
 
 namespace metis::nn {
@@ -28,14 +30,25 @@ void expect_bitwise(const Tensor& a, const Tensor& b, const std::string& what) {
       << what;
 }
 
-// Random tensor with exact zeros sprinkled in (the naive loop's zero-skip
-// and relu-style activations make zeros the interesting case).
+// Random tensor with exact zeros sprinkled in (the reference loop's
+// zero-skip and relu-style activations make zeros the interesting case).
 Tensor random_tensor(std::size_t rows, std::size_t cols, metis::Rng& rng) {
   Tensor t(rows, cols);
   for (double& v : t.data()) {
     v = rng.bernoulli(0.25) ? 0.0 : rng.uniform(-2.0, 2.0);
   }
   return t;
+}
+
+// f() computed by the kReference loops, whatever level the test runs at.
+template <class F>
+auto at_reference(F f) {
+  isa::ScopedLevel reference(isa::Level::kReference);
+  return f();
+}
+
+std::string describe(std::size_t m, std::size_t k, std::size_t n) {
+  return std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
 }
 
 struct Shape {
@@ -77,98 +90,38 @@ const std::vector<Shape>& parity_shapes() {
   return shapes;
 }
 
-TEST(GemmBackend, ParseAndToString) {
-  EXPECT_EQ(gemm::parse_backend("naive"), gemm::Backend::kNaive);
-  EXPECT_EQ(gemm::parse_backend("blocked"), gemm::Backend::kBlocked);
-  EXPECT_EQ(gemm::parse_backend("vectorized"), std::nullopt);
-  EXPECT_STREQ(gemm::to_string(gemm::Backend::kNaive), "naive");
-  EXPECT_STREQ(gemm::to_string(gemm::Backend::kBlocked), "blocked");
-}
+METIS_AT_EVERY_LEVEL(GemmParity);
 
-// Names the kernel set the dispatcher picked, so a test log shows which
-// instruction set the parity tests below actually exercised.
-TEST(GemmBackend, ReportsDispatchedKernels) {
-  const std::string isa = gemm::blocked_isa();
-  std::printf("[ gemm ] blocked kernels: %s\n", isa.c_str());
-  EXPECT_TRUE(isa == "avx512f" || isa == "avx2" || isa == "generic") << isa;
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) {
-    EXPECT_EQ(isa, "avx512f");
-  } else if (__builtin_cpu_supports("avx2")) {
-    EXPECT_EQ(isa, "avx2");
-  }
-#endif
-}
-
-TEST(GemmBackend, ScopeRestores) {
-  const gemm::Backend before = gemm::backend();
-  {
-    gemm::BackendScope scope(gemm::Backend::kBlocked);
-    EXPECT_EQ(gemm::backend(), gemm::Backend::kBlocked);
-  }
-  EXPECT_EQ(gemm::backend(), before);
-}
-
-TEST(GemmParity, MatmulBitwiseAcrossShapes) {
+TEST_P(GemmParity, MatmulBitwiseAcrossShapes) {
   metis::Rng rng(11);
   for (const auto& [m, k, n] : parity_shapes()) {
     const Tensor a = random_tensor(m, k, rng);
     const Tensor b = random_tensor(k, n, rng);
-    Tensor naive, blocked;
-    {
-      gemm::BackendScope scope(gemm::Backend::kNaive);
-      naive = Tensor::matmul(a, b);
-    }
-    {
-      gemm::BackendScope scope(gemm::Backend::kBlocked);
-      blocked = Tensor::matmul(a, b);
-    }
-    const std::string shape = std::to_string(m) + "x" + std::to_string(k) +
-                              "x" + std::to_string(n);
-    expect_bitwise(naive, blocked, "matmul " + shape);
-    for (const auto* set : gemm::detail::supported_kernel_sets()) {
-      Tensor got(m, n, 0.0);
-      set->matmul(m, k, n, a.data().data(), b.data().data(), nullptr,
-                  got.data().data());
-      expect_bitwise(got, naive, std::string("matmul ") + set->isa + " " +
-                                     shape);
-    }
+    const Tensor want = at_reference([&] { return Tensor::matmul(a, b); });
+    expect_bitwise(Tensor::matmul(a, b), want, "matmul " + describe(m, k, n));
   }
 }
 
-TEST(GemmParity, MatmulAddBiasBitwise) {
+TEST_P(GemmParity, MatmulAddBiasBitwise) {
   metis::Rng rng(12);
   for (const auto& [m, k, n] : parity_shapes()) {
     const Tensor a = random_tensor(m, k, rng);
     const Tensor b = random_tensor(k, n, rng);
     const Tensor bias = random_tensor(1, n, rng);
-    // Reference: the unfused spelling under the naive backend.
-    Tensor reference;
-    {
-      gemm::BackendScope scope(gemm::Backend::kNaive);
-      reference = Tensor::matmul(a, b);
-      for (std::size_t r = 0; r < reference.rows(); ++r) {
-        for (std::size_t c = 0; c < reference.cols(); ++c) {
-          reference(r, c) += bias(0, c);
-        }
+    // Reference: the unfused spelling on the reference loops.
+    const Tensor want = at_reference([&] {
+      Tensor out = Tensor::matmul(a, b);
+      for (std::size_t r = 0; r < out.rows(); ++r) {
+        for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += bias(0, c);
       }
-    }
-    for (gemm::Backend backend :
-         {gemm::Backend::kNaive, gemm::Backend::kBlocked}) {
-      gemm::BackendScope scope(backend);
-      expect_bitwise(gemm::matmul_add_bias(a, b, bias), reference,
-                     std::string("matmul_add_bias ") +
-                         gemm::to_string(backend) + " " + std::to_string(m) +
-                         "x" + std::to_string(k) + "x" + std::to_string(n));
-    }
+      return out;
+    });
+    expect_bitwise(gemm::matmul_add_bias(a, b, bias), want,
+                   "matmul_add_bias " + describe(m, k, n));
   }
 }
 
-TEST(GemmParity, TransposeAccumulateBitwise) {
-  const auto sets = gemm::detail::supported_kernel_sets();
-  ASSERT_FALSE(sets.empty());
-  EXPECT_STREQ(sets.front()->isa, gemm::blocked_isa());
+TEST_P(GemmParity, TransposeAccumulateBitwise) {
   metis::Rng rng(13);
   for (const auto& [m, k, n] : parity_shapes()) {
     const Tensor a = random_tensor(m, k, rng);      // transB: a (m x k)
@@ -178,52 +131,30 @@ TEST(GemmParity, TransposeAccumulateBitwise) {
     const Tensor acc0 = random_tensor(m, n, rng);   // pre-existing gradient
 
     // Reference: the old backward's spelling — materialize the transpose,
-    // multiply naively, add elementwise.
+    // multiply on the reference loops, add elementwise.
     Tensor ref_transB = acc0;
     Tensor ref_transA = acc0;
-    {
-      gemm::BackendScope scope(gemm::Backend::kNaive);
+    at_reference([&] {
       ref_transB += Tensor::matmul(a, bt.transposed());
       ref_transA += Tensor::matmul(at.transposed(), b2);
-    }
-    const std::string shape = std::to_string(m) + "x" + std::to_string(k) +
-                              "x" + std::to_string(n);
-    for (gemm::Backend backend :
-         {gemm::Backend::kNaive, gemm::Backend::kBlocked}) {
-      gemm::BackendScope scope(backend);
-      const std::string tag =
-          std::string(gemm::to_string(backend)) + " " + shape;
-      Tensor got_b = acc0;
-      gemm::matmul_transB_acc(a, bt, got_b);
-      expect_bitwise(got_b, ref_transB, "matmul_transB_acc " + tag);
-      Tensor got_a = acc0;
-      gemm::matmul_transA_acc(at, b2, got_a);
-      expect_bitwise(got_a, ref_transA, "matmul_transA_acc " + tag);
-    }
-    // Every kernel set the CPU runs, not only the one the dispatcher
-    // picked: an AVX-512 machine must still vouch for the avx2 and
-    // generic kernels.
-    for (const auto* set : sets) {
-      const std::string tag = std::string(set->isa) + " " + shape;
-      Tensor got_b = acc0;
-      set->transB_acc(m, k, n, a.data().data(), bt.data().data(),
-                      got_b.data().data());
-      expect_bitwise(got_b, ref_transB, "transB_acc " + tag);
-      Tensor got_a = acc0;
-      set->transA_acc(m, k, n, at.data().data(), b2.data().data(),
-                      got_a.data().data());
-      expect_bitwise(got_a, ref_transA, "transA_acc " + tag);
-    }
+      return 0;
+    });
+    const std::string shape = describe(m, k, n);
+    Tensor got_b = acc0;
+    gemm::matmul_transB_acc(a, bt, got_b);
+    expect_bitwise(got_b, ref_transB, "matmul_transB_acc " + shape);
+    Tensor got_a = acc0;
+    gemm::matmul_transA_acc(at, b2, got_a);
+    expect_bitwise(got_a, ref_transA, "matmul_transA_acc " + shape);
   }
 }
 
 // Outputs narrower than a register tile (n = 1 .. 7; transA runs lanes
-// over rows, the others the skinny and streaming paths): every kernel
-// set, for all four products, against the naive loop, with m
-// on and off the 4- and 8-row lane groups and k from empty to a 512-row
-// minibatch (the dW of a policy or value head).
-TEST(GemmParity, NarrowOutputsEveryKernelSetBitwise) {
-  const auto sets = gemm::detail::supported_kernel_sets();
+// over rows, the others the skinny and streaming paths): all four
+// products against the reference loops, with m on and off the 4- and
+// 8-row lane groups and k from empty to a 512-row minibatch (the dW of a
+// policy or value head).
+TEST_P(GemmParity, NarrowOutputsBitwise) {
   metis::Rng rng(18);
   for (std::size_t n = 1; n <= 7; ++n) {
     for (std::size_t m : {1u, 3u, 4u, 7u, 8u, 13u, 37u, 64u, 67u}) {
@@ -236,8 +167,7 @@ TEST(GemmParity, NarrowOutputsEveryKernelSetBitwise) {
         const Tensor acc0 = random_tensor(m, n, rng);
 
         Tensor ref, ref_bias, ref_transB = acc0, ref_transA = acc0;
-        {
-          gemm::BackendScope scope(gemm::Backend::kNaive);
+        at_reference([&] {
           ref = Tensor::matmul(a, b);
           ref_bias = ref;
           for (std::size_t r = 0; r < m; ++r) {
@@ -245,66 +175,50 @@ TEST(GemmParity, NarrowOutputsEveryKernelSetBitwise) {
           }
           ref_transB += Tensor::matmul(a, bt.transposed());
           ref_transA += Tensor::matmul(at.transposed(), b);
-        }
-        const std::string shape = std::to_string(m) + "x" + std::to_string(k) +
-                                  "x" + std::to_string(n);
-        for (const auto* set : sets) {
-          const std::string tag = std::string(set->isa) + " " + shape;
-          Tensor got(m, n, 0.0);
-          set->matmul(m, k, n, a.data().data(), b.data().data(), nullptr,
-                      got.data().data());
-          expect_bitwise(got, ref, "matmul " + tag);
-          Tensor got_bias(m, n, 0.0);
-          set->matmul(m, k, n, a.data().data(), b.data().data(),
-                      bias.data().data(), got_bias.data().data());
-          expect_bitwise(got_bias, ref_bias, "matmul_add_bias " + tag);
-          Tensor got_b = acc0;
-          set->transB_acc(m, k, n, a.data().data(), bt.data().data(),
-                          got_b.data().data());
-          expect_bitwise(got_b, ref_transB, "transB_acc " + tag);
-          Tensor got_a = acc0;
-          set->transA_acc(m, k, n, at.data().data(), b.data().data(),
-                          got_a.data().data());
-          expect_bitwise(got_a, ref_transA, "transA_acc " + tag);
-        }
+          return 0;
+        });
+        const std::string shape = describe(m, k, n);
+        expect_bitwise(Tensor::matmul(a, b), ref, "matmul " + shape);
+        expect_bitwise(gemm::matmul_add_bias(a, b, bias), ref_bias,
+                       "matmul_add_bias " + shape);
+        Tensor got_b = acc0;
+        gemm::matmul_transB_acc(a, bt, got_b);
+        expect_bitwise(got_b, ref_transB, "transB_acc " + shape);
+        Tensor got_a = acc0;
+        gemm::matmul_transA_acc(at, b, got_a);
+        expect_bitwise(got_a, ref_transA, "transA_acc " + shape);
       }
     }
   }
 }
 
-TEST(GemmParity, LinearOpMatchesUnfusedGraphBitwise) {
+TEST_P(GemmParity, LinearOpMatchesUnfusedGraphBitwise) {
   metis::Rng rng(14);
   for (std::size_t batch : {1u, 3u, 9u}) {
-    for (gemm::Backend backend :
-         {gemm::Backend::kNaive, gemm::Backend::kBlocked}) {
-      gemm::BackendScope scope(backend);
-      const Tensor xv = random_tensor(batch, 6, rng);
-      const Tensor wv = random_tensor(6, 5, rng);
-      const Tensor bv = random_tensor(1, 5, rng);
+    const Tensor xv = random_tensor(batch, 6, rng);
+    const Tensor wv = random_tensor(6, 5, rng);
+    const Tensor bv = random_tensor(1, 5, rng);
 
-      Var x1 = parameter(xv), w1 = parameter(wv), b1 = parameter(bv);
-      Var y1 = linear(x1, w1, b1);
-      backward(mean_all(square(y1)));
+    Var x1 = parameter(xv), w1 = parameter(wv), b1 = parameter(bv);
+    Var y1 = linear(x1, w1, b1);
+    backward(mean_all(square(y1)));
 
-      Var x2 = parameter(xv), w2 = parameter(wv), b2 = parameter(bv);
-      Var y2 = add(matmul(x2, w2), b2);
-      backward(mean_all(square(y2)));
+    Var x2 = parameter(xv), w2 = parameter(wv), b2 = parameter(bv);
+    Var y2 = add(matmul(x2, w2), b2);
+    backward(mean_all(square(y2)));
 
-      const std::string tag = std::string(gemm::to_string(backend)) +
-                              " batch=" + std::to_string(batch);
-      expect_bitwise(y1->value(), y2->value(), "linear value " + tag);
-      expect_bitwise(x1->grad(), x2->grad(), "linear dx " + tag);
-      expect_bitwise(w1->grad(), w2->grad(), "linear dW " + tag);
-      expect_bitwise(b1->grad(), b2->grad(), "linear db " + tag);
-    }
+    const std::string tag = "batch=" + std::to_string(batch);
+    expect_bitwise(y1->value(), y2->value(), "linear value " + tag);
+    expect_bitwise(x1->grad(), x2->grad(), "linear dx " + tag);
+    expect_bitwise(w1->grad(), w2->grad(), "linear dW " + tag);
+    expect_bitwise(b1->grad(), b2->grad(), "linear db " + tag);
   }
 }
 
 // Whole-network A/B: a PolicyNet forward (both heads) and a full backward
-// pass must be bitwise identical under either backend.
-TEST(GemmParity, PolicyNetForwardAndBackwardBitwise) {
-  auto run = [](gemm::Backend backend) {
-    gemm::BackendScope scope(backend);
+// pass must be bitwise identical to the same pass at kReference.
+TEST_P(GemmParity, PolicyNetForwardAndBackwardBitwise) {
+  auto run = [] {
     metis::Rng rng(15);
     PolicyNet net(/*state_dim=*/9, /*hidden_dim=*/32, /*hidden_layers=*/2,
                   /*action_count=*/5, rng);
@@ -320,17 +234,16 @@ TEST(GemmParity, PolicyNetForwardAndBackwardBitwise) {
     for (const auto& p : net.parameters()) out.push_back(p->grad());
     return out;
   };
-  const auto naive = run(gemm::Backend::kNaive);
-  const auto blocked = run(gemm::Backend::kBlocked);
-  ASSERT_EQ(naive.size(), blocked.size());
-  for (std::size_t i = 0; i < naive.size(); ++i) {
-    expect_bitwise(naive[i], blocked[i], "tensor " + std::to_string(i));
+  const auto want = at_reference(run);
+  const auto got = run();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    expect_bitwise(got[i], want[i], "tensor " + std::to_string(i));
   }
 }
 
-TEST(GemmParity, SkipFeatureNetAlsoBitwise) {
-  auto run = [](gemm::Backend backend) {
-    gemm::BackendScope scope(backend);
+TEST_P(GemmParity, SkipFeatureNetAlsoBitwise) {
+  auto run = [] {
     metis::Rng rng(16);
     PolicyNet net(7, 16, 2, 4, rng, /*skip_feature=*/2);
     std::vector<std::vector<double>> states(8, std::vector<double>(7));
@@ -342,19 +255,18 @@ TEST(GemmParity, SkipFeatureNetAlsoBitwise) {
         softmax_rows(net.logits(constant(Tensor::from_rows(states))));
     return probs->value();
   };
-  const Tensor naive = run(gemm::Backend::kNaive);
-  const Tensor blocked = run(gemm::Backend::kBlocked);
-  ASSERT_EQ(naive.rows(), 8u);
-  expect_bitwise(naive, blocked, "skip-feature action probs");
+  const Tensor want = at_reference(run);
+  ASSERT_EQ(want.rows(), 8u);
+  expect_bitwise(run(), want, "skip-feature action probs");
 }
 
 // The lockstep entry point: stacking several groups into one
 // act_and_values_multi call must reproduce, for every group, the
 // independent scalar paths — greedy_action on the group's first row and
-// value() on each of its rows — bitwise, for any grouping, under
-// either backend, with and without the skip connection (whose column the
+// value() on each of its rows — bitwise, for any grouping, at every
+// level, with and without the skip connection (whose column the
 // policy head reads from the gathered acting rows).
-TEST(GemmParity, ActAndValuesMultiMatchesPerGroup) {
+TEST_P(GemmParity, ActAndValuesMultiMatchesPerGroup) {
   for (int skip_feature : {-1, 2}) {
     metis::Rng rng(17);
     PolicyNet net(6, 24, 2, 4, rng, skip_feature);
@@ -372,23 +284,19 @@ TEST(GemmParity, ActAndValuesMultiMatchesPerGroup) {
       sizes.push_back(g.size());
       stacked.insert(stacked.end(), g.begin(), g.end());
     }
-    for (gemm::Backend backend :
-         {gemm::Backend::kNaive, gemm::Backend::kBlocked}) {
-      gemm::BackendScope scope(backend);
-      const auto multi = net.act_and_values_multi(stacked, sizes);
-      ASSERT_EQ(multi.size(), groups.size());
-      for (std::size_t i = 0; i < groups.size(); ++i) {
-        const std::string tag = "skip=" + std::to_string(skip_feature) +
-                                " group " + std::to_string(i);
-        std::vector<double> values;
-        for (const auto& row : groups[i]) values.push_back(net.value(row));
-        EXPECT_EQ(multi[i].action, net.greedy_action(groups[i][0])) << tag;
-        ASSERT_EQ(multi[i].values.size(), values.size()) << tag;
-        EXPECT_EQ(std::memcmp(multi[i].values.data(), values.data(),
-                              values.size() * sizeof(double)),
-                  0)
-            << tag;
-      }
+    const auto multi = net.act_and_values_multi(stacked, sizes);
+    ASSERT_EQ(multi.size(), groups.size());
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      const std::string tag = "skip=" + std::to_string(skip_feature) +
+                              " group " + std::to_string(i);
+      std::vector<double> values;
+      for (const auto& row : groups[i]) values.push_back(net.value(row));
+      EXPECT_EQ(multi[i].action, net.greedy_action(groups[i][0])) << tag;
+      ASSERT_EQ(multi[i].values.size(), values.size()) << tag;
+      EXPECT_EQ(std::memcmp(multi[i].values.data(), values.data(),
+                            values.size() * sizeof(double)),
+                0)
+          << tag;
     }
   }
 }

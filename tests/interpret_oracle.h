@@ -1,8 +1,9 @@
 // Parity oracle for core::find_critical_connections: the §4.2 search over
 // the dense |E| x |V| box, as it ran before the search went sparse. The
 // logits and the Adam state cover every cell, the gating scans the dense
-// incidence matrix, and the regularizer below scans it again; the naive
-// GEMM kernels run underneath, and no arena::Scope is open, so every
+// incidence matrix, and the regularizer below scans it again; every
+// kernel family runs at isa::Level::kReference underneath, and no
+// arena::Scope is open, so every
 // tensor buffer and tape node comes from plain operator new.
 // find_critical_connections, which optimises one logit per connection
 // with both pools recycling, must reproduce its mask, ranking and loss
@@ -15,8 +16,8 @@
 #include <utility>
 
 #include "metis/core/hypergraph_interpreter.h"
-#include "metis/nn/gemm.h"
 #include "metis/nn/optim.h"
+#include "metis/util/isa.h"
 
 namespace metis::oracle {
 
@@ -67,7 +68,7 @@ inline nn::Var dense_mask_regularizer(const nn::Var& w, const nn::Var& support,
 
 inline core::InterpretResult find_critical_connections(
     const core::MaskableModel& model, const core::InterpretConfig& cfg) {
-  nn::gemm::BackendScope naive(nn::gemm::Backend::kNaive);
+  isa::ScopedLevel reference(isa::Level::kReference);
   const hypergraph::Hypergraph& graph = model.graph();
   graph.validate();
   const nn::Tensor incidence = graph.incidence_matrix();

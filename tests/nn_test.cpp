@@ -20,6 +20,7 @@
 #include "metis/nn/optim.h"
 #include "metis/nn/serialize.h"
 #include "metis/nn/sparse.h"
+#include "metis/util/isa.h"
 #include "metis/util/rng.h"
 
 namespace metis::nn {
@@ -338,7 +339,7 @@ TEST(Sparse, CsrKeepsNonZerosInRowMajorOrder) {
   EXPECT_EQ(CsrMatrix(Tensor(2, 5, 0.0)).nnz(), 0u);
 }
 
-TEST(Sparse, ProductBitwiseIdenticalToGemmOnEveryBackend) {
+TEST(Sparse, ProductBitwiseIdenticalToGemmAtEveryLevel) {
   struct Case {
     const char* name;
     std::size_t m, k, n;
@@ -364,11 +365,10 @@ TEST(Sparse, ProductBitwiseIdenticalToGemmOnEveryBackend) {
     const Tensor b = random_dense(c.k, c.n, ++seed);
     const Tensor dy = random_dense(c.m, c.n, ++seed);
     const Tensor acc0 = random_dense(c.k, c.n, ++seed);
-    for (const auto backend :
-         {gemm::Backend::kNaive, gemm::Backend::kBlocked}) {
-      gemm::BackendScope scope(backend);
+    for (const isa::Level level : isa::supported_levels()) {
+      isa::ScopedLevel scope(level);
       const std::string what =
-          std::string(c.name) + " / " + gemm::to_string(backend);
+          std::string(c.name) + " / " + isa::to_string(level);
       expect_bitwise(sparse::matmul(a, b), gemm::matmul(dense, b),
                      what + " forward");
       Tensor acc_sparse = acc0, acc_dense = acc0;

@@ -33,6 +33,7 @@
 #include "metis/serve/server.h"
 #include "metis/serve/service.h"
 #include "metis/tree/tree_io.h"
+#include "metis/util/isa.h"
 
 #include "collect_oracle.h"
 
@@ -228,10 +229,14 @@ TEST(Collection, EveryCaseBitwiseIdenticalToOracle) {
       for (const auto& s : reference) nonuniform |= s.weight != 1.0;
       EXPECT_TRUE(nonuniform) << c.name << ": Eq. 1 weighting should be active";
     }
-    const auto env = c.make_env();
-    const auto collected = core::collect_traces(
-        *c.teacher, *env, c.config, student, c.episode_offset);
-    expect_identical(reference, collected, c.name);
+    for (const isa::Level level : isa::supported_levels()) {
+      isa::ScopedLevel scope(level);
+      const auto env = c.make_env();
+      const auto collected = core::collect_traces(
+          *c.teacher, *env, c.config, student, c.episode_offset);
+      expect_identical(reference, collected,
+                       c.name + " / " + isa::to_string(level));
+    }
   }
 }
 

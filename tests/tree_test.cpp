@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cart_oracle.h"
+#include "every_level.h"
 
 #include "metis/tree/cart.h"
 #include "metis/tree/dataset.h"
@@ -843,31 +844,18 @@ std::string describe(const FitConfig& cfg) {
   return os.str();
 }
 
-TEST(CartOracle, KernelSetsListedBestFirst) {
-  const auto sets = detail::supported_split_kernels();
-  ASSERT_FALSE(sets.empty());
-  EXPECT_STREQ(sets.back()->isa, "generic");
-  EXPECT_EQ(&detail::split_kernels(), sets.front());
-  std::string names;
-  for (const auto* set : sets) names += std::string(" ") + set->isa;
-  std::printf("[ cart ] split kernels:%s (fit runs %s)\n", names.c_str(),
-              detail::split_kernels().isa);
-}
+METIS_AT_EVERY_LEVEL(CartOracle);
 
-// Every case under every FitConfig, fitted by fit() and by each split
-// kernel set this CPU runs, serializes byte for byte like the oracle.
-TEST(CartOracle, EveryCaseFitsByteIdenticalToPerNodeSortBuilder) {
-  const auto sets = detail::supported_split_kernels();
+// Every case under every FitConfig, fitted by fit() at each level this
+// CPU runs (kReference: the scalar scan on every task), serializes byte
+// for byte like the oracle.
+TEST_P(CartOracle, EveryCaseFitsByteIdenticalToPerNodeSortBuilder) {
   std::size_t compared = 0;
   for (const FitCase& c : fit_cases()) {
     for (const FitConfig& cfg : fit_configs(c.task, c.data.size())) {
-      const std::string want = serialize(oracle::cart_fit(c.data, cfg));
-      EXPECT_EQ(serialize(DecisionTree::fit(c.data, cfg)), want)
+      EXPECT_EQ(serialize(DecisionTree::fit(c.data, cfg)),
+                serialize(oracle::cart_fit(c.data, cfg)))
           << c.name << " " << describe(cfg);
-      for (const auto* set : sets) {
-        EXPECT_EQ(serialize(detail::fit_with(c.data, cfg, *set)), want)
-            << c.name << " " << describe(cfg) << " kernels " << set->isa;
-      }
       ++compared;
     }
   }
@@ -907,11 +895,12 @@ std::size_t reference_scan(const std::vector<double>& x,
   return best_k;
 }
 
-// Runs every kernel set on one node, the rows (x, y, w) presorted as
-// `sorted`, and checks each against reference_scan: the same position
-// and the same bits of the winning decrease, so an operation out of order
-// in any lane shows even where it would not move a tree's cut. Leaves the
-// reference's maximum in `best` and returns its position.
+// Runs the active level's split kernel (none at kReference) on one node,
+// the rows (x, y, w) presorted as `sorted`, and checks it against
+// reference_scan: the same position and the same bits of the winning
+// decrease, so an operation out of order in any lane shows even where it
+// would not move a tree's cut. Leaves the reference's maximum in `best`
+// and returns its position.
 std::size_t expect_kernels_match_plain_scan(
     const std::vector<double>& x, const std::vector<std::uint8_t>& y,
     const std::vector<double>& w, const std::vector<std::uint32_t>& sorted,
@@ -934,17 +923,19 @@ std::size_t expect_kernels_match_plain_scan(
                                .hi = x.size(),
                                .min_leaf = min_leaf,
                                .parent_mass = stats.mass()};
-  for (const auto* set : detail::supported_split_kernels()) {
+  if (const detail::SplitScanFn kernel = detail::split_scan()) {
     double got = -std::numeric_limits<double>::infinity();
-    EXPECT_EQ(set->scan(scan, got), want_k) << set->isa;
+    EXPECT_EQ(kernel(scan, got), want_k);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
               std::bit_cast<std::uint64_t>(best))
-        << set->isa << ": " << got << " vs " << best;
+        << got << " vs " << best;
   }
   return want_k;
 }
 
-TEST(SplitKernel, SideWhoseWeightCancelsCountsAsPure) {
+METIS_AT_EVERY_LEVEL(SplitKernel);
+
+TEST_P(SplitKernel, SideWhoseWeightCancelsCountsAsPure) {
   // Two heavy rows (one per class) and two light ones at 0, two light
   // ones at 1. The light rows vanish from the node's sums (W = 2e17), so
   // the only cut's right side is left with W = -2 and class weights -1,
@@ -964,7 +955,7 @@ TEST(SplitKernel, SideWhoseWeightCancelsCountsAsPure) {
   EXPECT_EQ(best, 0.0);
 }
 
-TEST(SplitKernel, EverySetMatchesPlainScanOnRandomNodes) {
+TEST_P(SplitKernel, MatchesPlainScanOnRandomNodes) {
   metis::Rng rng(77);
   for (int trial = 0; trial < 600; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));

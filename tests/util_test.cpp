@@ -1,7 +1,8 @@
 // Unit + property tests for metis/util: RNG distributions, statistics,
 // the table printer, the annotated concurrency primitives
-// (Mutex/CondVar wrappers), cooperative cancellation,
-// deterministic fault plans, and crash-safe atomic file writes.
+// (Mutex/CondVar wrappers), the ISA level selection, cooperative
+// cancellation, deterministic fault plans, and crash-safe atomic file
+// writes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,6 +24,7 @@
 #include "metis/util/check.h"
 #include "metis/util/checksum.h"
 #include "metis/util/fault.h"
+#include "metis/util/isa.h"
 #include "metis/util/lock_graph.h"
 #include "metis/util/mutex.h"
 #include "metis/util/rng.h"
@@ -409,6 +411,75 @@ TEST_F(LockGraphTest, DisabledModeRecordsNothingAndNeverAborts) {
 }
 
 #endif  // METIS_LOCK_GRAPH_AVAILABLE
+
+// ---- ISA level selection ---------------------------------------------------
+
+TEST(Isa, SupportedLevelsBestFirstEndingInGenericAndReference) {
+  const std::vector<isa::Level>& levels = isa::supported_levels();
+  ASSERT_GE(levels.size(), 2u);
+  EXPECT_EQ(levels[levels.size() - 2], isa::Level::kGeneric);
+  EXPECT_EQ(levels.back(), isa::Level::kReference);
+  for (std::size_t i = 1; i < levels.size(); ++i) {
+    EXPECT_GT(levels[i - 1], levels[i]) << "not best first at " << i;
+  }
+}
+
+// The test's own probe, so a broken ladder in isa.cpp cannot vouch for
+// itself.
+TEST(Isa, ActiveIsTheCpusBestLevel) {
+  isa::Level want = isa::Level::kGeneric;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) {
+    want = isa::Level::kAvx512f;
+  } else if (__builtin_cpu_supports("avx2")) {
+    want = isa::Level::kAvx2;
+  }
+#endif
+  std::printf("[ isa ] active level: %s\n", isa::to_string(isa::active()));
+  EXPECT_EQ(isa::active(), want);
+  EXPECT_EQ(isa::active(), isa::supported_levels().front());
+}
+
+TEST(Isa, ScopedLevelNestsAndRestores) {
+  const isa::Level best = isa::active();
+  {
+    isa::ScopedLevel outer(isa::Level::kGeneric);
+    EXPECT_EQ(isa::active(), isa::Level::kGeneric);
+    {
+      isa::ScopedLevel inner(isa::Level::kReference);
+      EXPECT_EQ(isa::active(), isa::Level::kReference);
+    }
+    EXPECT_EQ(isa::active(), isa::Level::kGeneric);
+  }
+  EXPECT_EQ(isa::active(), best);
+}
+
+// Only constructs the scope: no kernel ever runs at a level the CPU lacks.
+TEST(Isa, ScopedLevelRefusesALevelTheCpuLacks) {
+  const std::vector<isa::Level>& levels = isa::supported_levels();
+  std::size_t refused = 0;
+  for (const isa::Level level : {isa::Level::kAvx2, isa::Level::kAvx512f}) {
+    if (std::find(levels.begin(), levels.end(), level) != levels.end()) {
+      continue;
+    }
+    EXPECT_THROW(isa::ScopedLevel scope(level), std::logic_error)
+        << isa::to_string(level);
+    EXPECT_EQ(isa::active(), levels.front());
+    ++refused;
+  }
+  if (refused == 0) GTEST_SKIP() << "this CPU runs every level";
+}
+
+TEST(Isa, OverrideIsPerThread) {
+  const isa::Level best = isa::active();
+  isa::ScopedLevel scope(isa::Level::kReference);
+  isa::Level seen = isa::Level::kReference;
+  std::thread other([&seen] { seen = isa::active(); });
+  other.join();
+  EXPECT_EQ(seen, best);
+  EXPECT_EQ(isa::active(), isa::Level::kReference);
+}
 
 // ---- cooperative cancellation ----------------------------------------------
 

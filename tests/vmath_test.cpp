@@ -1,6 +1,7 @@
-// Tests for nn/vmath.h: every compiled kernel set against the scalar
-// reference, bit for bit, and the reference against the accuracy contract
-// (long-double tanhl and 1 / (1 + expl(-x)) as the exact values).
+// Tests for nn/vmath.h: the entry points at every level the CPU supports
+// against the scalar reference, bit for bit, and the reference against
+// the accuracy contract (long-double tanhl and 1 / (1 + expl(-x)) as the
+// exact values).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,9 +9,10 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <string>
+#include <span>
 #include <vector>
 
+#include "every_level.h"
 #include "metis/nn/vmath.h"
 #include "metis/util/rng.h"
 
@@ -89,25 +91,13 @@ double ulp_error(double y, long double exact) {
 
 constexpr double kMaxUlp = 3.0;
 
-TEST(Vmath, ReportsDispatchedKernels) {
-  const auto sets = detail::supported_vmath_sets();
-  ASSERT_FALSE(sets.empty());
-  std::printf("[ vmath ] kernels: %s\n", sets.front()->isa);
-  EXPECT_STREQ(sets.back()->isa, "generic");
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) {
-    EXPECT_STREQ(sets.front()->isa, "avx512f");
-  } else if (__builtin_cpu_supports("avx2")) {
-    EXPECT_STREQ(sets.front()->isa, "avx2");
-  }
-#endif
-}
+METIS_AT_EVERY_LEVEL(VmathParity);
 
-// Every kernel set returns the scalar reference's bits: over the whole
-// input table (whole vectors plus one tail), and over every length 0..17
-// at 64 random start positions each, out of place and in place.
-TEST(Vmath, EveryKernelSetBitwiseEqualsScalarReference) {
+// The entry points return the scalar reference's bits at every level:
+// over the whole input table (whole vectors plus one tail), and over
+// every length 0..17 at 64 random start positions each, out of place and
+// in place.
+TEST_P(VmathParity, EntryPointsBitwiseEqualScalarReference) {
   const std::vector<double> xs = test_inputs();
   std::vector<double> want_tanh(xs.size()), want_logistic(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -116,62 +106,44 @@ TEST(Vmath, EveryKernelSetBitwiseEqualsScalarReference) {
   }
   struct Fn {
     const char* name;
-    void (*detail::VmathSet::*kernel)(const double*, double*, std::size_t);
+    void (*entry)(std::span<const double>, std::span<double>);
     const std::vector<double>* want;
   };
-  const Fn fns[] = {{"tanh", &detail::VmathSet::tanh, &want_tanh},
-                    {"logistic", &detail::VmathSet::logistic, &want_logistic}};
-  for (const auto* set : detail::supported_vmath_sets()) {
-    for (const Fn& fn : fns) {
-      const std::string what = std::string(set->isa) + " " + fn.name;
-      std::vector<double> got(xs.size());
-      (set->*fn.kernel)(xs.data(), got.data(), xs.size());
-      std::size_t mismatches = 0;
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        if (!same_bits(got[i], (*fn.want)[i]) && ++mismatches <= 5) {
-          ADD_FAILURE() << what << " x = " << std::hexfloat << xs[i] << ": "
-                        << got[i] << " vs " << (*fn.want)[i];
-        }
+  const Fn fns[] = {{"tanh", &tanh, &want_tanh},
+                    {"logistic", &logistic, &want_logistic}};
+  for (const Fn& fn : fns) {
+    std::vector<double> got(xs.size());
+    fn.entry(xs, got);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (!same_bits(got[i], (*fn.want)[i]) && ++mismatches <= 5) {
+        ADD_FAILURE() << fn.name << " x = " << std::hexfloat << xs[i] << ": "
+                      << got[i] << " vs " << (*fn.want)[i];
       }
-      EXPECT_EQ(mismatches, 0u) << what;
+    }
+    EXPECT_EQ(mismatches, 0u) << fn.name;
 
-      // Short runs: each starts at a random table position, so the lanes
-      // and the scalar tail meet every kind of input.
-      metis::Rng rng(7);
-      for (std::size_t n = 0; n <= 17; ++n) {
-        for (std::size_t rep = 0; rep < 64; ++rep) {
-          const auto at = static_cast<std::size_t>(
-              rng.uniform() * static_cast<double>(xs.size() - n));
-          std::vector<double> out(n + 1, -7.0);  // a guard past the end
-          (set->*fn.kernel)(xs.data() + at, out.data(), n);
-          std::vector<double> in_place(xs.begin() + at, xs.begin() + at + n);
-          (set->*fn.kernel)(in_place.data(), in_place.data(), n);
-          for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_TRUE(same_bits(out[i], (*fn.want)[at + i]))
-                << what << " tail " << n << " lane " << i;
-            EXPECT_TRUE(same_bits(in_place[i], (*fn.want)[at + i]))
-                << what << " in place, tail " << n << " lane " << i;
-          }
-          EXPECT_EQ(out[n], -7.0) << what << " wrote past n = " << n;
+    // Short runs: each starts at a random table position, so the lanes
+    // and the scalar tail meet every kind of input.
+    metis::Rng rng(7);
+    for (std::size_t n = 0; n <= 17; ++n) {
+      for (std::size_t rep = 0; rep < 64; ++rep) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform() * static_cast<double>(xs.size() - n));
+        std::vector<double> out(n + 1, -7.0);  // a guard past the end
+        fn.entry({xs.data() + at, n}, {out.data(), n});
+        std::vector<double> in_place(xs.begin() + at, xs.begin() + at + n);
+        fn.entry(in_place, in_place);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_TRUE(same_bits(out[i], (*fn.want)[at + i]))
+              << fn.name << " tail " << n << " lane " << i;
+          EXPECT_TRUE(same_bits(in_place[i], (*fn.want)[at + i]))
+              << fn.name << " in place, tail " << n << " lane " << i;
         }
+        EXPECT_EQ(out[n], -7.0) << fn.name << " wrote past n = " << n;
       }
     }
   }
-}
-
-// The public entry points run the selected set.
-TEST(Vmath, SpanEntryPointsRunTheSelectedSet) {
-  const std::vector<double> xs = test_inputs();
-  std::vector<double> got(xs.size()), want(xs.size());
-  const auto* set = detail::supported_vmath_sets().front();
-  tanh(xs, got);
-  set->tanh(xs.data(), want.data(), xs.size());
-  EXPECT_EQ(std::memcmp(got.data(), want.data(), xs.size() * sizeof(double)),
-            0);
-  logistic(xs, got);
-  set->logistic(xs.data(), want.data(), xs.size());
-  EXPECT_EQ(std::memcmp(got.data(), want.data(), xs.size() * sizeof(double)),
-            0);
 }
 
 TEST(Vmath, TanhMeetsAccuracyContract) {
