@@ -3,9 +3,10 @@
 #include <cstring>
 
 // metis-lint: begin-deterministic — the wire codec: encode(decode(x))
-// must be byte-identical on every host and run (the protocol tests
-// round-trip golden bytes), so the codec is a pure function of its
-// inputs — no clocks, no addresses, no iteration over hashed containers.
+// must be byte-identical on every host and run (net_test's
+// Wire.EveryMessageEncodesToPinnedBytes pins every message's bytes), so
+// the codec is a pure function of its inputs — no clocks, no addresses,
+// no iteration over hashed containers.
 namespace metis::net {
 
 const char* to_string(MsgType type) {

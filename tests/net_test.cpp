@@ -17,6 +17,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -433,6 +434,170 @@ TEST(Wire, TreeListRoundTrip) {
   // Ragged name/version columns must not encode.
   reply.versions.pop_back();
   EXPECT_THROW((void)reply.encode(), net::WireError);
+}
+
+// Hex of a byte string, two lowercase digits a byte.
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> from_hex(const std::string& hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(
+        static_cast<std::uint8_t>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+// Pins `m`'s framed bytes and decodes them back. Encoding is injective
+// (every field, presence flag and row lands in the bytes), so a decoded
+// message that re-encodes to the pinned bytes is `m` field for field, and
+// bit for bit in its doubles.
+template <typename M>
+void expect_pinned(const M& m, const std::string& hex,
+                   std::vector<net::MsgType>& seen) {
+  const net::Frame frame = m.encode();
+  seen.push_back(frame.type);
+  SCOPED_TRACE(net::to_string(frame.type));
+  EXPECT_EQ(to_hex(net::encode_frame(frame)), hex);
+  net::FrameDecoder decoder;
+  decoder.feed(from_hex(hex));
+  net::Frame pinned;
+  ASSERT_TRUE(decoder.next(pinned));
+  EXPECT_EQ(pinned.type, frame.type);
+  EXPECT_EQ(to_hex(net::encode_frame(M::decode(pinned).encode())), hex);
+}
+
+// The protocol's golden bytes: one message of every type, every field set
+// to a non-default value, each framed as it travels. A change to any
+// layout (field order, width, presence flags, row interleaving) fails
+// here even when encode and decode change together.
+TEST(Wire, EveryMessageEncodesToPinnedBytes) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<net::MsgType> seen;
+
+  expect_pinned(net::ErrorReply{"bad request"},
+                "10000000000b0000006261642072657175657374",
+                seen);
+  expect_pinned(net::BusyReply{"job limit"},
+                "0e00000001090000006a6f62206c696d6974",
+                seen);
+  expect_pinned(net::OpenSessionRequest{"abr"},
+                "080000000203000000616272",
+                seen);
+  expect_pinned(net::SessionOpenedReply{0x0123456789abcdefULL},
+                "0900000003efcdab8967452301",
+                seen);
+  expect_pinned(net::QueryRequest{7, 42, {-0.0, denorm, 1.5}},
+                "2d0000000407000000000000002a0000000000000003000000000000"
+                "00000000800100000000000000000000000000f83f",
+                seen);
+  expect_pinned(net::DecisionReply{7, 42, -2.5},
+                "190000000507000000000000002a0000000000000000000000000004"
+                "c0",
+                seen);
+
+  net::SubmitDistillRequest distill_all;
+  distill_all.scenario = "abr";
+  distill_all.overrides = {.episodes = 12,
+                           .max_steps = 48,
+                           .dagger_iterations = 3,
+                           .max_leaves = 64,
+                           .resample = true,
+                           .seed = 0xdeadbeefcafeULL,
+                           .deadline_ms = 5000};
+  expect_pinned(distill_all,
+                "400000000603000000616272010c0000000000000001300000000000"
+                "0000010300000000000000014000000000000000010101fecaefbead"
+                "de0000018813000000000000",
+                seen);
+  net::SubmitDistillRequest distill_mix;
+  distill_mix.scenario = "pensieve";
+  distill_mix.overrides.episodes = 4;
+  distill_mix.overrides.resample = false;
+  distill_mix.overrides.deadline_ms = 250;
+  expect_pinned(distill_mix,
+                "25000000060800000070656e73696576650104000000000000000000"
+                "0001000001fa00000000000000",
+                seen);
+
+  net::SubmitInterpretRequest interpret_all;
+  interpret_all.scenario = "routing";
+  interpret_all.overrides = {.lambda1 = 0.25,
+                             .lambda2 = -0.0,
+                             .steps = 100,
+                             .lr = 1e-3,
+                             .seed = 9,
+                             .deadline_ms = 60000};
+  expect_pinned(interpret_all,
+                "420000000707000000726f7574696e6701000000000000d03f010000"
+                "00000000008001640000000000000001fca9f1d24d62503f01090000"
+                "00000000000160ea000000000000",
+                seen);
+  net::SubmitInterpretRequest interpret_mix;
+  interpret_mix.scenario = "nfv";
+  interpret_mix.overrides.lambda2 = denorm;
+  interpret_mix.overrides.lr = 0.5;
+  interpret_mix.overrides.seed = 0xffffffffffffffffULL;
+  expect_pinned(interpret_mix,
+                "2600000007030000006e667600010100000000000000000100000000"
+                "0000e03f01ffffffffffffffff00",
+                seen);
+
+  expect_pinned(net::SubmittedReply{17}, "09000000081100000000000000", seen);
+  expect_pinned(net::PollRequest{18}, "09000000091200000000000000", seen);
+
+  net::JobStatusReply status;
+  status.job = 19;
+  status.status = 4;
+  status.rounds_done = 1;
+  status.rounds_total = 3;
+  status.episodes_done = 5;
+  status.episodes_total = 12;
+  status.steps_done = 240;
+  status.steps_total = 576;
+  status.error = "late failure";
+  expect_pinned(status,
+                "4a0000000a1300000000000000040100000000000000030000000000"
+                "000005000000000000000c00000000000000f0000000000000004002"
+                "0000000000000c0000006c617465206661696c757265",
+                seen);
+
+  expect_pinned(net::ResultRequest{20}, "090000000b1400000000000000", seen);
+  expect_pinned(net::DistillResultReply{21, 960, 9, 0.9375, "tree\ntext"},
+                "2a0000000c1500000000000000c00300000000000009000000000000"
+                "000000ee3f09000000747265650a74657874",
+                seen);
+  expect_pinned(net::CancelJobRequest{22}, "090000000e1600000000000000", seen);
+  expect_pinned(net::CancelResultReply{22, true},
+                "0a0000000f160000000000000001",
+                seen);
+  expect_pinned(net::ListTreesRequest{}, "0100000010", seen);
+  expect_pinned(net::TreeListReply{{"abr", "routing"}, {7, 0x100000000ULL}},
+                "27000000110200000003000000616272070000000000000007000000"
+                "726f7574696e670000000001000000",
+                seen);
+  expect_pinned(net::InterpretResultReply{23, 0.125, 3.5, 0.693, {4, 70000},
+                                          {5, 1}, {0.9, denorm}},
+                "450000000d1700000000000000000000000000c03f0000000000000c"
+                "40931804560e2de63f020000000400000005000000cdccccccccccec"
+                "3f70110100010000000100000000000000",
+                seen);
+
+  // Every MsgType is pinned at least once.
+  for (std::uint8_t t = 0;
+       t <= static_cast<std::uint8_t>(net::MsgType::kTreeList); ++t) {
+    const auto type = static_cast<net::MsgType>(t);
+    EXPECT_NE(std::find(seen.begin(), seen.end(), type), seen.end())
+        << "no pinned bytes for " << net::to_string(type);
+  }
 }
 
 // ---- server: query plane ----------------------------------------------------
