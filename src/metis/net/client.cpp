@@ -278,25 +278,34 @@ Frame Client::call(const Frame& frame) {
 
 namespace {
 
-// Surfaces an unexpected kError reply as a WireError carrying the
-// server's explanation instead of the generic "type mismatch".
-[[noreturn]] void throw_server_error(const Frame& frame) {
-  throw WireError("server error: " + ErrorReply::decode(frame).message);
+// The typed helpers' one reply step: a kError reply surfaces as a
+// WireError carrying the server's explanation, anything else must decode
+// as Reply.
+template <typename Reply>
+Reply expect_reply(const Frame& reply) {
+  if (reply.type == MsgType::kError) {
+    throw WireError("server error: " + ErrorReply::decode(reply).message);
+  }
+  return Reply::decode(reply);
+}
+
+// A submit's reply: kBusy (admission control) is nullopt.
+std::optional<std::uint64_t> submitted_job(const Frame& reply) {
+  if (reply.type == MsgType::kBusy) return std::nullopt;
+  return expect_reply<SubmittedReply>(reply).job;
 }
 
 }  // namespace
 
 std::uint64_t Client::open_session(const std::string& tree) {
   const Frame reply = call(OpenSessionRequest{tree}.encode());
-  if (reply.type == MsgType::kError) throw_server_error(reply);
-  return SessionOpenedReply::decode(reply).session;
+  return expect_reply<SessionOpenedReply>(reply).session;
 }
 
 double Client::query(std::uint64_t session, std::uint64_t seq,
                      const std::vector<double>& features) {
   const Frame reply = call(QueryRequest{session, seq, features}.encode());
-  if (reply.type == MsgType::kError) throw_server_error(reply);
-  return DecisionReply::decode(reply).decision;
+  return expect_reply<DecisionReply>(reply).decision;
 }
 
 double Client::query_robust(const std::string& tree, std::uint64_t seq,
@@ -323,49 +332,36 @@ double Client::query_robust(const std::string& tree, std::uint64_t seq,
 
 std::optional<std::uint64_t> Client::submit_distill(
     const std::string& scenario, const api::DistillOverrides& overrides) {
-  const Frame reply = call(SubmitDistillRequest{scenario, overrides}.encode());
-  if (reply.type == MsgType::kBusy) return std::nullopt;
-  if (reply.type == MsgType::kError) throw_server_error(reply);
-  return SubmittedReply::decode(reply).job;
+  return submitted_job(
+      call(SubmitDistillRequest{scenario, overrides}.encode()));
 }
 
 std::optional<std::uint64_t> Client::submit_interpret(
     const std::string& scenario, const api::InterpretOverrides& overrides) {
-  const Frame reply =
-      call(SubmitInterpretRequest{scenario, overrides}.encode());
-  if (reply.type == MsgType::kBusy) return std::nullopt;
-  if (reply.type == MsgType::kError) throw_server_error(reply);
-  return SubmittedReply::decode(reply).job;
+  return submitted_job(
+      call(SubmitInterpretRequest{scenario, overrides}.encode()));
 }
 
 JobStatusReply Client::poll(std::uint64_t job) {
-  const Frame reply = call(PollRequest{job}.encode());
-  if (reply.type == MsgType::kError) throw_server_error(reply);
-  return JobStatusReply::decode(reply);
+  return expect_reply<JobStatusReply>(call(PollRequest{job}.encode()));
 }
 
 DistillResultReply Client::distill_result(std::uint64_t job) {
-  const Frame reply = call(ResultRequest{job}.encode());
-  if (reply.type == MsgType::kError) throw_server_error(reply);
-  return DistillResultReply::decode(reply);
+  return expect_reply<DistillResultReply>(call(ResultRequest{job}.encode()));
 }
 
 InterpretResultReply Client::interpret_result(std::uint64_t job) {
   const Frame reply = call(ResultRequest{job}.encode());
-  if (reply.type == MsgType::kError) throw_server_error(reply);
-  return InterpretResultReply::decode(reply);
+  return expect_reply<InterpretResultReply>(reply);
 }
 
 bool Client::cancel_job(std::uint64_t job) {
   const Frame reply = call(CancelJobRequest{job}.encode());
-  if (reply.type == MsgType::kError) throw_server_error(reply);
-  return CancelResultReply::decode(reply).delivered;
+  return expect_reply<CancelResultReply>(reply).delivered;
 }
 
 TreeListReply Client::list_trees() {
-  const Frame reply = call(ListTreesRequest{}.encode());
-  if (reply.type == MsgType::kError) throw_server_error(reply);
-  return TreeListReply::decode(reply);
+  return expect_reply<TreeListReply>(call(ListTreesRequest{}.encode()));
 }
 
 }  // namespace metis::net

@@ -1,6 +1,9 @@
 #include "metis/net/wire.h"
 
 #include <cstring>
+#include <optional>
+#include <tuple>
+#include <type_traits>
 
 // metis-lint: begin-deterministic — the wire codec: encode(decode(x))
 // must be byte-identical on every host and run (net_test's
@@ -123,11 +126,6 @@ void PayloadWriter::str(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void PayloadWriter::f64s(const std::vector<double>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (double d : v) f64(d);
-}
-
 void PayloadReader::need(std::size_t n) const {
   if (pos_ + n > data_.size()) throw WireError("truncated payload");
 }
@@ -165,14 +163,6 @@ std::string PayloadReader::str() {
   return s;
 }
 
-std::vector<double> PayloadReader::f64s() {
-  const std::uint32_t n = count(8);
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(f64());
-  return v;
-}
-
 std::uint32_t PayloadReader::count(std::size_t entry_bytes) {
   const std::uint32_t n = u32();
   need(static_cast<std::size_t>(n) * entry_bytes);
@@ -187,399 +177,210 @@ void PayloadReader::expect_end() const {
 
 namespace {
 
-PayloadReader reader_for(const Frame& frame, MsgType expected) {
-  if (frame.type != expected) {
-    throw WireError(std::string("expected ") + to_string(expected) +
-                    " frame, got " + to_string(frame.type));
-  }
-  return PayloadReader(frame.payload);
-}
+// The field codec: one put/get overload per field type (size_t is
+// uint64_t here). get() fills a default-constructed field. Each template
+// finds the overloads it calls by ordinary lookup, so those are declared
+// first.
 
-// Sparse optional fields: u8 presence flag + value when present.
-template <typename T, typename Put>
-void put_opt(PayloadWriter& w, const std::optional<T>& v, Put&& put) {
+void put(PayloadWriter& w, bool v) { w.u8(v ? 1 : 0); }
+void put(PayloadWriter& w, std::uint8_t v) { w.u8(v); }
+void put(PayloadWriter& w, std::uint32_t v) { w.u32(v); }
+void put(PayloadWriter& w, std::uint64_t v) { w.u64(v); }
+void put(PayloadWriter& w, double v) { w.f64(v); }
+void put(PayloadWriter& w, const std::string& v) { w.str(v); }
+
+void get(PayloadReader& r, bool& v) { v = r.u8() != 0; }
+void get(PayloadReader& r, std::uint8_t& v) { v = r.u8(); }
+void get(PayloadReader& r, std::uint32_t& v) { v = r.u32(); }
+void get(PayloadReader& r, std::uint64_t& v) { v = r.u64(); }
+void get(PayloadReader& r, double& v) { v = r.f64(); }
+void get(PayloadReader& r, std::string& v) { v = r.str(); }
+
+// The fewest bytes a field of type T takes on the wire: what a row count
+// is checked against before anything is reserved for it.
+template <typename T>
+constexpr std::size_t kMinBytes =
+    std::is_same_v<T, std::string> ? 4 : sizeof(T);
+
+template <typename T>
+void put(PayloadWriter& w, const std::optional<T>& v) {
   w.u8(v.has_value() ? 1 : 0);
-  if (v.has_value()) put(*v);
+  if (v.has_value()) put(w, *v);
 }
 
-template <typename T, typename Get>
-std::optional<T> get_opt(PayloadReader& r, Get&& get) {
+template <typename T>
+void get(PayloadReader& r, std::optional<T>& v) {
   const std::uint8_t present = r.u8();
   if (present > 1) throw WireError("bad optional-presence flag");
-  if (present == 0) return std::nullopt;
-  return get();
+  if (present == 1) get(r, v.emplace());
 }
 
-void put_distill_overrides(PayloadWriter& w, const api::DistillOverrides& o) {
-  auto size = [&](std::size_t v) { w.u64(v); };
-  put_opt(w, o.episodes, size);
-  put_opt(w, o.max_steps, size);
-  put_opt(w, o.dagger_iterations, size);
-  put_opt(w, o.max_leaves, size);
-  put_opt(w, o.resample, [&](bool v) { w.u8(v ? 1 : 0); });
-  put_opt(w, o.seed, [&](std::uint64_t v) { w.u64(v); });
-  put_opt(w, o.deadline_ms, [&](std::uint64_t v) { w.u64(v); });
+template <typename... Cols>
+void put(PayloadWriter& w, const Rows<Cols...>& table) {
+  const std::size_t n = std::get<0>(table.cols).size();
+  std::apply(
+      [&w, n](const auto&... col) {
+        if (((col.size() != n) || ...)) throw WireError("ragged row columns");
+        w.u32(static_cast<std::uint32_t>(n));
+        for (std::size_t i = 0; i < n; ++i) (put(w, col[i]), ...);
+      },
+      table.cols);
 }
 
-api::DistillOverrides get_distill_overrides(PayloadReader& r) {
-  api::DistillOverrides o;
-  auto size = [&] { return static_cast<std::size_t>(r.u64()); };
-  auto flag = [&] { return r.u8() != 0; };
-  o.episodes = get_opt<std::size_t>(r, size);
-  o.max_steps = get_opt<std::size_t>(r, size);
-  o.dagger_iterations = get_opt<std::size_t>(r, size);
-  o.max_leaves = get_opt<std::size_t>(r, size);
-  o.resample = get_opt<bool>(r, flag);
-  o.seed = get_opt<std::uint64_t>(r, [&] { return r.u64(); });
-  o.deadline_ms = get_opt<std::uint64_t>(r, [&] { return r.u64(); });
-  return o;
+template <typename... Cols>
+void get(PayloadReader& r, Rows<Cols...> table) {
+  const std::uint32_t n = r.count((kMinBytes<typename Cols::value_type> + ...));
+  std::apply(
+      [&r, n](auto&... col) {
+        (col.reserve(n), ...);
+        for (std::uint32_t i = 0; i < n; ++i) (get(r, col.emplace_back()), ...);
+      },
+      table.cols);
 }
 
-void put_interpret_overrides(PayloadWriter& w,
-                             const api::InterpretOverrides& o) {
-  put_opt(w, o.lambda1, [&](double v) { w.f64(v); });
-  put_opt(w, o.lambda2, [&](double v) { w.f64(v); });
-  put_opt(w, o.steps, [&](std::size_t v) { w.u64(v); });
-  put_opt(w, o.lr, [&](double v) { w.f64(v); });
-  put_opt(w, o.seed, [&](std::uint64_t v) { w.u64(v); });
-  put_opt(w, o.deadline_ms, [&](std::uint64_t v) { w.u64(v); });
+template <typename T>
+void put(PayloadWriter& w, const std::vector<T>& v) {
+  put(w, rows(v));
 }
 
-api::InterpretOverrides get_interpret_overrides(PayloadReader& r) {
-  api::InterpretOverrides o;
-  auto real = [&] { return r.f64(); };
-  o.lambda1 = get_opt<double>(r, real);
-  o.lambda2 = get_opt<double>(r, real);
-  o.steps = get_opt<std::size_t>(r, [&] {
-    return static_cast<std::size_t>(r.u64());
-  });
-  o.lr = get_opt<double>(r, real);
-  o.seed = get_opt<std::uint64_t>(r, [&] { return r.u64(); });
-  o.deadline_ms = get_opt<std::uint64_t>(r, [&] { return r.u64(); });
-  return o;
+template <typename T>
+void get(PayloadReader& r, std::vector<T>& v) {
+  get(r, rows(v));
+}
+
+void put(PayloadWriter& w, const api::DistillOverrides& o);
+void get(PayloadReader& r, api::DistillOverrides& o);
+void put(PayloadWriter& w, const api::InterpretOverrides& o);
+void get(PayloadReader& r, api::InterpretOverrides& o);
+
+// Walks a field list in order; the fold over `,` sequences the calls.
+template <typename Fields>
+void put_fields(PayloadWriter& w, const Fields& fields) {
+  std::apply([&w](const auto&... f) { (put(w, f), ...); }, fields);
+}
+
+template <typename Fields>
+void get_fields(PayloadReader& r, Fields fields) {
+  std::apply([&r](auto&... f) { (get(r, f), ...); }, fields);
+}
+
+auto distill_fields(auto& o) {
+  return std::tie(o.episodes, o.max_steps, o.dagger_iterations,
+                  o.max_leaves, o.resample, o.seed, o.deadline_ms);
+}
+
+auto interpret_fields(auto& o) {
+  return std::tie(o.lambda1, o.lambda2, o.steps, o.lr, o.seed,
+                  o.deadline_ms);
+}
+
+void put(PayloadWriter& w, const api::DistillOverrides& o) {
+  put_fields(w, distill_fields(o));
+}
+void get(PayloadReader& r, api::DistillOverrides& o) {
+  get_fields(r, distill_fields(o));
+}
+void put(PayloadWriter& w, const api::InterpretOverrides& o) {
+  put_fields(w, interpret_fields(o));
+}
+void get(PayloadReader& r, api::InterpretOverrides& o) {
+  get_fields(r, interpret_fields(o));
+}
+
+template <typename M>
+Frame encode_message(const M& m) {
+  PayloadWriter w;
+  put_fields(w, M::fields(m));
+  return {M::kType, w.take()};
+}
+
+template <typename M>
+M decode_message(const Frame& frame) {
+  if (frame.type != M::kType) {
+    throw WireError(std::string("expected ") + to_string(M::kType) +
+                    " frame, got " + to_string(frame.type));
+  }
+  PayloadReader r(frame.payload);
+  M m;
+  get_fields(r, M::fields(m));
+  r.expect_end();
+  return m;
 }
 
 }  // namespace
 
-Frame ErrorReply::encode() const {
-  PayloadWriter w;
-  w.str(message);
-  return {MsgType::kError, w.take()};
-}
-
+// Each message's encode()/decode(): its fields() walked by the codec.
+Frame ErrorReply::encode() const { return encode_message(*this); }
 ErrorReply ErrorReply::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kError);
-  ErrorReply m;
-  m.message = r.str();
-  r.expect_end();
-  return m;
+  return decode_message<ErrorReply>(frame);
 }
-
-Frame BusyReply::encode() const {
-  PayloadWriter w;
-  w.str(reason);
-  return {MsgType::kBusy, w.take()};
-}
-
+Frame BusyReply::encode() const { return encode_message(*this); }
 BusyReply BusyReply::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kBusy);
-  BusyReply m;
-  m.reason = r.str();
-  r.expect_end();
-  return m;
+  return decode_message<BusyReply>(frame);
 }
-
-Frame OpenSessionRequest::encode() const {
-  PayloadWriter w;
-  w.str(tree);
-  return {MsgType::kOpenSession, w.take()};
-}
-
+Frame OpenSessionRequest::encode() const { return encode_message(*this); }
 OpenSessionRequest OpenSessionRequest::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kOpenSession);
-  OpenSessionRequest m;
-  m.tree = r.str();
-  r.expect_end();
-  return m;
+  return decode_message<OpenSessionRequest>(frame);
 }
-
-Frame SessionOpenedReply::encode() const {
-  PayloadWriter w;
-  w.u64(session);
-  return {MsgType::kSessionOpened, w.take()};
-}
-
+Frame SessionOpenedReply::encode() const { return encode_message(*this); }
 SessionOpenedReply SessionOpenedReply::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kSessionOpened);
-  SessionOpenedReply m;
-  m.session = r.u64();
-  r.expect_end();
-  return m;
+  return decode_message<SessionOpenedReply>(frame);
 }
-
-Frame QueryRequest::encode() const {
-  PayloadWriter w;
-  w.u64(session);
-  w.u64(seq);
-  w.f64s(features);
-  return {MsgType::kQuery, w.take()};
-}
-
+Frame QueryRequest::encode() const { return encode_message(*this); }
 QueryRequest QueryRequest::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kQuery);
-  QueryRequest m;
-  m.session = r.u64();
-  m.seq = r.u64();
-  m.features = r.f64s();
-  r.expect_end();
-  return m;
+  return decode_message<QueryRequest>(frame);
 }
-
-Frame DecisionReply::encode() const {
-  PayloadWriter w;
-  w.u64(session);
-  w.u64(seq);
-  w.f64(decision);
-  return {MsgType::kDecision, w.take()};
-}
-
+Frame DecisionReply::encode() const { return encode_message(*this); }
 DecisionReply DecisionReply::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kDecision);
-  DecisionReply m;
-  m.session = r.u64();
-  m.seq = r.u64();
-  m.decision = r.f64();
-  r.expect_end();
-  return m;
+  return decode_message<DecisionReply>(frame);
 }
-
-Frame SubmitDistillRequest::encode() const {
-  PayloadWriter w;
-  w.str(scenario);
-  put_distill_overrides(w, overrides);
-  return {MsgType::kSubmitDistill, w.take()};
-}
-
+Frame SubmitDistillRequest::encode() const { return encode_message(*this); }
 SubmitDistillRequest SubmitDistillRequest::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kSubmitDistill);
-  SubmitDistillRequest m;
-  m.scenario = r.str();
-  m.overrides = get_distill_overrides(r);
-  r.expect_end();
-  return m;
+  return decode_message<SubmitDistillRequest>(frame);
 }
-
-Frame SubmitInterpretRequest::encode() const {
-  PayloadWriter w;
-  w.str(scenario);
-  put_interpret_overrides(w, overrides);
-  return {MsgType::kSubmitInterpret, w.take()};
-}
-
+Frame SubmitInterpretRequest::encode() const { return encode_message(*this); }
 SubmitInterpretRequest SubmitInterpretRequest::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kSubmitInterpret);
-  SubmitInterpretRequest m;
-  m.scenario = r.str();
-  m.overrides = get_interpret_overrides(r);
-  r.expect_end();
-  return m;
+  return decode_message<SubmitInterpretRequest>(frame);
 }
-
-Frame SubmittedReply::encode() const {
-  PayloadWriter w;
-  w.u64(job);
-  return {MsgType::kSubmitted, w.take()};
-}
-
+Frame SubmittedReply::encode() const { return encode_message(*this); }
 SubmittedReply SubmittedReply::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kSubmitted);
-  SubmittedReply m;
-  m.job = r.u64();
-  r.expect_end();
-  return m;
+  return decode_message<SubmittedReply>(frame);
 }
-
-Frame PollRequest::encode() const {
-  PayloadWriter w;
-  w.u64(job);
-  return {MsgType::kPoll, w.take()};
-}
-
+Frame PollRequest::encode() const { return encode_message(*this); }
 PollRequest PollRequest::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kPoll);
-  PollRequest m;
-  m.job = r.u64();
-  r.expect_end();
-  return m;
+  return decode_message<PollRequest>(frame);
 }
-
-Frame JobStatusReply::encode() const {
-  PayloadWriter w;
-  w.u64(job);
-  w.u8(status);
-  w.u64(rounds_done);
-  w.u64(rounds_total);
-  w.u64(episodes_done);
-  w.u64(episodes_total);
-  w.u64(steps_done);
-  w.u64(steps_total);
-  w.str(error);
-  return {MsgType::kJobStatus, w.take()};
-}
-
+Frame JobStatusReply::encode() const { return encode_message(*this); }
 JobStatusReply JobStatusReply::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kJobStatus);
-  JobStatusReply m;
-  m.job = r.u64();
-  m.status = r.u8();
-  m.rounds_done = r.u64();
-  m.rounds_total = r.u64();
-  m.episodes_done = r.u64();
-  m.episodes_total = r.u64();
-  m.steps_done = r.u64();
-  m.steps_total = r.u64();
-  m.error = r.str();
-  r.expect_end();
-  return m;
+  return decode_message<JobStatusReply>(frame);
 }
-
-Frame ResultRequest::encode() const {
-  PayloadWriter w;
-  w.u64(job);
-  return {MsgType::kResult, w.take()};
-}
-
+Frame ResultRequest::encode() const { return encode_message(*this); }
 ResultRequest ResultRequest::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kResult);
-  ResultRequest m;
-  m.job = r.u64();
-  r.expect_end();
-  return m;
+  return decode_message<ResultRequest>(frame);
 }
-
-Frame DistillResultReply::encode() const {
-  PayloadWriter w;
-  w.u64(job);
-  w.u64(samples);
-  w.u32(leaves);
-  w.f64(fidelity);
-  w.str(tree_text);
-  return {MsgType::kDistillResult, w.take()};
-}
-
+Frame DistillResultReply::encode() const { return encode_message(*this); }
 DistillResultReply DistillResultReply::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kDistillResult);
-  DistillResultReply m;
-  m.job = r.u64();
-  m.samples = r.u64();
-  m.leaves = r.u32();
-  m.fidelity = r.f64();
-  m.tree_text = r.str();
-  r.expect_end();
-  return m;
+  return decode_message<DistillResultReply>(frame);
 }
-
-Frame CancelJobRequest::encode() const {
-  PayloadWriter w;
-  w.u64(job);
-  return {MsgType::kCancelJob, w.take()};
-}
-
+Frame CancelJobRequest::encode() const { return encode_message(*this); }
 CancelJobRequest CancelJobRequest::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kCancelJob);
-  CancelJobRequest m;
-  m.job = r.u64();
-  r.expect_end();
-  return m;
+  return decode_message<CancelJobRequest>(frame);
 }
-
-Frame CancelResultReply::encode() const {
-  PayloadWriter w;
-  w.u64(job);
-  w.u8(delivered ? 1 : 0);
-  return {MsgType::kCancelResult, w.take()};
-}
-
+Frame CancelResultReply::encode() const { return encode_message(*this); }
 CancelResultReply CancelResultReply::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kCancelResult);
-  CancelResultReply m;
-  m.job = r.u64();
-  m.delivered = r.u8() != 0;
-  r.expect_end();
-  return m;
+  return decode_message<CancelResultReply>(frame);
 }
-
-Frame ListTreesRequest::encode() const { return {MsgType::kListTrees, {}}; }
-
+Frame ListTreesRequest::encode() const { return encode_message(*this); }
 ListTreesRequest ListTreesRequest::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kListTrees);
-  r.expect_end();
-  return {};
+  return decode_message<ListTreesRequest>(frame);
 }
-
-Frame TreeListReply::encode() const {
-  if (names.size() != versions.size()) {
-    throw WireError("ragged tree-list columns");
-  }
-  PayloadWriter w;
-  w.u32(static_cast<std::uint32_t>(names.size()));
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    w.str(names[i]);
-    w.u64(versions[i]);
-  }
-  return {MsgType::kTreeList, w.take()};
-}
-
+Frame TreeListReply::encode() const { return encode_message(*this); }
 TreeListReply TreeListReply::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kTreeList);
-  TreeListReply m;
-  const std::uint32_t n = r.count(12);  // u32 name length + u64 version
-  m.names.reserve(n);
-  m.versions.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    m.names.push_back(r.str());
-    m.versions.push_back(r.u64());
-  }
-  r.expect_end();
-  return m;
+  return decode_message<TreeListReply>(frame);
 }
-
-Frame InterpretResultReply::encode() const {
-  if (edges.size() != vertices.size() || edges.size() != masks.size()) {
-    throw WireError("ragged interpret-result columns");
-  }
-  PayloadWriter w;
-  w.u64(job);
-  w.f64(divergence);
-  w.f64(mask_l1);
-  w.f64(entropy);
-  w.u32(static_cast<std::uint32_t>(edges.size()));
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    w.u32(edges[i]);
-    w.u32(vertices[i]);
-    w.f64(masks[i]);
-  }
-  return {MsgType::kInterpretResult, w.take()};
-}
-
+Frame InterpretResultReply::encode() const { return encode_message(*this); }
 InterpretResultReply InterpretResultReply::decode(const Frame& frame) {
-  PayloadReader r = reader_for(frame, MsgType::kInterpretResult);
-  InterpretResultReply m;
-  m.job = r.u64();
-  m.divergence = r.f64();
-  m.mask_l1 = r.f64();
-  m.entropy = r.f64();
-  const std::uint32_t n = r.count(16);  // u32 edge + u32 vertex + f64 mask
-  m.edges.reserve(n);
-  m.vertices.reserve(n);
-  m.masks.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    m.edges.push_back(r.u32());
-    m.vertices.push_back(r.u32());
-    m.masks.push_back(r.f64());
-  }
-  r.expect_end();
-  return m;
+  return decode_message<InterpretResultReply>(frame);
 }
 
 }  // namespace metis::net

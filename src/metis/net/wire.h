@@ -3,7 +3,8 @@
 // Frames are length-prefixed:  [u32 length][u8 type][payload], all
 // little-endian, where `length` counts the type byte plus the payload.
 // Payloads are a flat binary encoding (bounds-checked, no external
-// dependencies): integers little-endian, doubles as their IEEE-754 bit
+// dependencies), described once per message by its field list (see
+// "messages" below): integers little-endian, doubles as their IEEE-754 bit
 // pattern — so a decision travels the wire *bitwise* intact, which is what
 // lets the ABR load demo assert byte-for-byte equality between served and
 // in-process FlatTree evaluations.
@@ -23,6 +24,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "metis/api/runs.h"
@@ -112,8 +114,7 @@ class PayloadWriter {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void f64(double v);  // IEEE-754 bit pattern, little-endian (bit-exact)
-  void str(const std::string& s);             // u32 length + bytes
-  void f64s(const std::vector<double>& v);    // u32 count + doubles
+  void str(const std::string& s);  // u32 length + bytes
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
@@ -132,7 +133,6 @@ class PayloadReader {
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
-  [[nodiscard]] std::vector<double> f64s();
   // A u32 element count, rejected unless that many entries of at least
   // `entry_bytes` each fit in the rest of the payload, so a hostile count
   // throws WireError before anything is reserved for it.
@@ -146,20 +146,38 @@ class PayloadReader {
   std::size_t pos_ = 0;
 };
 
+// Equal-length columns that travel as one table: a u32 row count, then
+// each row's cells in column order. A lone std::vector field is a
+// one-column table.
+template <typename... Cols>
+struct Rows { std::tuple<Cols&...> cols; };
+template <typename... Cols>
+Rows<Cols...> rows(Cols&... cols) { return {std::tie(cols...)}; }
+
 // ---- messages ---------------------------------------------------------------
 //
-// Each message encodes to / decodes from a Frame. decode() validates
-// exhaustively (type match, bounds, no trailing bytes) and throws
-// WireError otherwise.
+// Each message states its layout once: `kType` is its frame type and
+// `fields(m)` lists its fields in wire order. wire.cpp's one codec walks
+// that list both ways: bool as u8 (decoded as != 0), unsigned integers
+// and size_t at their width, doubles as IEEE-754 bits, strings as a u32
+// length + bytes, std::optional as a 0/1 presence byte + the value, the
+// override bundles as their optional fields, and rows(a, b, ...) as a u32
+// row count + the rows interleaved. decode() validates exhaustively (type
+// match, bounds, presence flags, no trailing bytes) and throws WireError
+// otherwise; encode() throws it on ragged rows.
 
 struct ErrorReply {
   std::string message;
+  static constexpr MsgType kType = MsgType::kError;
+  static auto fields(auto& m) { return std::tie(m.message); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static ErrorReply decode(const Frame& frame);
 };
 
 struct BusyReply {
   std::string reason;
+  static constexpr MsgType kType = MsgType::kBusy;
+  static auto fields(auto& m) { return std::tie(m.reason); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static BusyReply decode(const Frame& frame);
 };
@@ -168,12 +186,16 @@ struct BusyReply {
 // distilled artifact registered with Server::add_tree).
 struct OpenSessionRequest {
   std::string tree;
+  static constexpr MsgType kType = MsgType::kOpenSession;
+  static auto fields(auto& m) { return std::tie(m.tree); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static OpenSessionRequest decode(const Frame& frame);
 };
 
 struct SessionOpenedReply {
   std::uint64_t session = 0;
+  static constexpr MsgType kType = MsgType::kSessionOpened;
+  static auto fields(auto& m) { return std::tie(m.session); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static SessionOpenedReply decode(const Frame& frame);
 };
@@ -184,6 +206,10 @@ struct QueryRequest {
   std::uint64_t session = 0;
   std::uint64_t seq = 0;
   std::vector<double> features;
+  static constexpr MsgType kType = MsgType::kQuery;
+  static auto fields(auto& m) {
+    return std::tie(m.session, m.seq, m.features);
+  }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static QueryRequest decode(const Frame& frame);
 };
@@ -192,6 +218,10 @@ struct DecisionReply {
   std::uint64_t session = 0;
   std::uint64_t seq = 0;
   double decision = 0.0;  // FlatTree::predict, bit-exact
+  static constexpr MsgType kType = MsgType::kDecision;
+  static auto fields(auto& m) {
+    return std::tie(m.session, m.seq, m.decision);
+  }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static DecisionReply decode(const Frame& frame);
 };
@@ -199,6 +229,8 @@ struct DecisionReply {
 struct SubmitDistillRequest {
   std::string scenario;
   api::DistillOverrides overrides;
+  static constexpr MsgType kType = MsgType::kSubmitDistill;
+  static auto fields(auto& m) { return std::tie(m.scenario, m.overrides); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static SubmitDistillRequest decode(const Frame& frame);
 };
@@ -206,18 +238,24 @@ struct SubmitDistillRequest {
 struct SubmitInterpretRequest {
   std::string scenario;
   api::InterpretOverrides overrides;
+  static constexpr MsgType kType = MsgType::kSubmitInterpret;
+  static auto fields(auto& m) { return std::tie(m.scenario, m.overrides); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static SubmitInterpretRequest decode(const Frame& frame);
 };
 
 struct SubmittedReply {
   std::uint64_t job = 0;
+  static constexpr MsgType kType = MsgType::kSubmitted;
+  static auto fields(auto& m) { return std::tie(m.job); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static SubmittedReply decode(const Frame& frame);
 };
 
 struct PollRequest {
   std::uint64_t job = 0;
+  static constexpr MsgType kType = MsgType::kPoll;
+  static auto fields(auto& m) { return std::tie(m.job); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static PollRequest decode(const Frame& frame);
 };
@@ -230,12 +268,20 @@ struct JobStatusReply {
   std::uint64_t episodes_done = 0, episodes_total = 0;
   std::uint64_t steps_done = 0, steps_total = 0;
   std::string error;  // non-empty iff status == kFailed
+  static constexpr MsgType kType = MsgType::kJobStatus;
+  static auto fields(auto& m) {
+    return std::tie(m.job, m.status, m.rounds_done, m.rounds_total,
+                    m.episodes_done, m.episodes_total, m.steps_done,
+                    m.steps_total, m.error);
+  }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static JobStatusReply decode(const Frame& frame);
 };
 
 struct ResultRequest {
   std::uint64_t job = 0;
+  static constexpr MsgType kType = MsgType::kResult;
+  static auto fields(auto& m) { return std::tie(m.job); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static ResultRequest decode(const Frame& frame);
 };
@@ -249,6 +295,10 @@ struct DistillResultReply {
   std::uint32_t leaves = 0;
   double fidelity = 0.0;
   std::string tree_text;
+  static constexpr MsgType kType = MsgType::kDistillResult;
+  static auto fields(auto& m) {
+    return std::tie(m.job, m.samples, m.leaves, m.fidelity, m.tree_text);
+  }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static DistillResultReply decode(const Frame& frame);
 };
@@ -258,6 +308,8 @@ struct DistillResultReply {
 // terminal kCancelled/kTimedOut/kDone status afterwards.
 struct CancelJobRequest {
   std::uint64_t job = 0;
+  static constexpr MsgType kType = MsgType::kCancelJob;
+  static auto fields(auto& m) { return std::tie(m.job); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static CancelJobRequest decode(const Frame& frame);
 };
@@ -268,6 +320,8 @@ struct CancelJobRequest {
 struct CancelResultReply {
   std::uint64_t job = 0;
   bool delivered = false;
+  static constexpr MsgType kType = MsgType::kCancelResult;
+  static auto fields(auto& m) { return std::tie(m.job, m.delivered); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static CancelResultReply decode(const Frame& frame);
 };
@@ -275,6 +329,8 @@ struct CancelResultReply {
 // Asks the server what the query plane currently serves. Deliberately
 // payload-free: the reply is a snapshot of the deployed-tree table.
 struct ListTreesRequest {
+  static constexpr MsgType kType = MsgType::kListTrees;
+  static auto fields(auto&) { return std::tie(); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static ListTreesRequest decode(const Frame& frame);
 };
@@ -286,6 +342,8 @@ struct ListTreesRequest {
 struct TreeListReply {
   std::vector<std::string> names;
   std::vector<std::uint64_t> versions;
+  static constexpr MsgType kType = MsgType::kTreeList;
+  static auto fields(auto& m) { return std::tuple(rows(m.names, m.versions)); }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static TreeListReply decode(const Frame& frame);
 };
@@ -300,6 +358,11 @@ struct InterpretResultReply {
   std::vector<std::uint32_t> edges;
   std::vector<std::uint32_t> vertices;
   std::vector<double> masks;
+  static constexpr MsgType kType = MsgType::kInterpretResult;
+  static auto fields(auto& m) {
+    return std::tuple_cat(std::tie(m.job, m.divergence, m.mask_l1, m.entropy),
+                          std::tuple(rows(m.edges, m.vertices, m.masks)));
+  }
   [[nodiscard]] Frame encode() const;
   [[nodiscard]] static InterpretResultReply decode(const Frame& frame);
 };

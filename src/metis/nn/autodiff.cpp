@@ -264,12 +264,6 @@ Var sigmoid(const Var& a) {
                     [](double, double y) { return y * (1.0 - y); });
 }
 
-Var exp_op(const Var& a) {
-  return unary(
-      a, [](double x) { return std::exp(x); },
-      [](double, double y) { return y; });
-}
-
 Var log_op(const Var& a, double eps) {
   return unary(
       a, [eps](double x) { return std::log(std::max(x, eps)); },
@@ -280,12 +274,6 @@ Var square(const Var& a) {
   return unary(
       a, [](double x) { return x * x; },
       [](double x, double) { return 2.0 * x; });
-}
-
-Var abs_op(const Var& a) {
-  return unary(
-      a, [](double x) { return std::abs(x); },
-      [](double x, double) { return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0); });
 }
 
 Var softmax_rows(const Var& a) {

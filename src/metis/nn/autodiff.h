@@ -216,11 +216,9 @@ class Node {
 // the same bits on every CPU); the sigmoid gatings below do too.
 [[nodiscard]] Var tanh_op(const Var& a);
 [[nodiscard]] Var sigmoid(const Var& a);
-[[nodiscard]] Var exp_op(const Var& a);
 // Natural log with an epsilon floor for numerical safety: log(max(x, eps)).
 [[nodiscard]] Var log_op(const Var& a, double eps = 1e-12);
 [[nodiscard]] Var square(const Var& a);
-[[nodiscard]] Var abs_op(const Var& a);
 
 // Row-wise softmax / log-softmax (each row treated as one distribution).
 [[nodiscard]] Var softmax_rows(const Var& a);

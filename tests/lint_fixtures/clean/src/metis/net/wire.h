@@ -1,6 +1,6 @@
 // Minimal fixture mirroring the real wire.h conventions: every
-// enumerator comment starts with the message struct name, and request
-// types mark their reply with `->`.
+// enumerator comment starts with the message struct name, request types
+// mark their reply with `->`, and each message struct declares its kType.
 #pragma once
 
 namespace metis::net {
@@ -13,9 +13,17 @@ enum class MsgType : std::uint8_t {
 };
 
 struct Frame {};
-struct ErrorReply {};
-struct PingRequest {};
-struct PongReply {};
-struct QueryRequest {};
+struct ErrorReply {
+  static constexpr MsgType kType = MsgType::kError;
+};
+struct PingRequest {
+  static constexpr MsgType kType = MsgType::kPing;
+};
+struct PongReply { static constexpr MsgType kType = MsgType::kPong; };
+struct QueryRequest {
+  std::string text;
+  static constexpr MsgType kType = MsgType::kQuery;
+  static auto fields(auto& m) { return std::tie(m.text); }
+};
 
 }  // namespace metis::net

@@ -919,8 +919,9 @@ TEST(Server, StopIsIdempotentAndRestartable) {
 // sizes. The decoder must either yield frames or throw WireError — never
 // crash, loop, or read out of bounds (the CI UBSan leg runs this test with
 // -fno-sanitize-recover=all, so any UB in the bounds checks is fatal).
-// Decoded frames are additionally pushed through the per-message payload
-// decoders, which see arbitrarily corrupted payloads here.
+// The stream carries one frame of every message type, and every decoded
+// frame is pushed through its own type's payload decoder, which sees
+// arbitrarily corrupted payloads here.
 TEST(Wire, SeededByteMutationNeverBreaksFraming) {
   std::vector<std::uint8_t> stream;
   {
@@ -928,19 +929,38 @@ TEST(Wire, SeededByteMutationNeverBreaksFraming) {
       const auto bytes = net::encode_frame(f);
       stream.insert(stream.end(), bytes.begin(), bytes.end());
     };
+    append(net::ErrorReply{"boom"}.encode());
+    append(net::BusyReply{"full"}.encode());
     append(net::OpenSessionRequest{"abr"}.encode());
     append(net::SessionOpenedReply{7}.encode());
     append(net::QueryRequest{7, 3, {0.25, -1.0, 3.5}}.encode());
     append(net::DecisionReply{7, 3, 2.0}.encode());
-    append(net::SubmitDistillRequest{"abr", {}}.encode());
+    net::SubmitDistillRequest distill{"abr", {}};
+    distill.overrides.episodes = 4;
+    distill.overrides.resample = true;
+    append(distill.encode());
+    net::SubmitInterpretRequest interpret{"routing", {}};
+    interpret.overrides.lambda1 = 0.5;
+    interpret.overrides.steps = 20;
+    append(interpret.encode());
+    append(net::SubmittedReply{12}.encode());
     append(net::PollRequest{12}.encode());
     net::JobStatusReply status;
     status.job = 12;
     status.status = 1;
     status.rounds_total = 4;
     append(status.encode());
-    append(net::ErrorReply{"boom"}.encode());
+    append(net::ResultRequest{12}.encode());
+    append(net::DistillResultReply{12, 96, 5, 0.75, "tree"}.encode());
+    append(net::InterpretResultReply{13, 0.1, 0.2, 0.3, {1, 2}, {3, 4},
+                                     {0.9, 0.8}}
+               .encode());
+    append(net::CancelJobRequest{12}.encode());
+    append(net::CancelResultReply{12, true}.encode());
+    append(net::ListTreesRequest{}.encode());
+    append(net::TreeListReply{{"abr", "routing"}, {1, 2}}.encode());
   }
+  constexpr std::size_t kFrames = 18;  // one per MsgType
 
   Rng rng(20260808);  // fixed seed: every run mutates identically
   for (int iter = 0; iter < 300; ++iter) {
@@ -965,7 +985,15 @@ TEST(Wire, SeededByteMutationNeverBreaksFraming) {
         while (decoder.next(frame)) {
           ++frames;
           try {
+            // One arm per MsgType: the frame decoder rejects any other
+            // type byte.
             switch (frame.type) {
+              case net::MsgType::kError:
+                (void)net::ErrorReply::decode(frame);
+                break;
+              case net::MsgType::kBusy:
+                (void)net::BusyReply::decode(frame);
+                break;
               case net::MsgType::kOpenSession:
                 (void)net::OpenSessionRequest::decode(frame);
                 break;
@@ -981,17 +1009,39 @@ TEST(Wire, SeededByteMutationNeverBreaksFraming) {
               case net::MsgType::kSubmitDistill:
                 (void)net::SubmitDistillRequest::decode(frame);
                 break;
+              case net::MsgType::kSubmitInterpret:
+                (void)net::SubmitInterpretRequest::decode(frame);
+                break;
+              case net::MsgType::kSubmitted:
+                (void)net::SubmittedReply::decode(frame);
+                break;
               case net::MsgType::kPoll:
                 (void)net::PollRequest::decode(frame);
                 break;
               case net::MsgType::kJobStatus:
                 (void)net::JobStatusReply::decode(frame);
                 break;
-              case net::MsgType::kError:
-                (void)net::ErrorReply::decode(frame);
+              case net::MsgType::kResult:
+                (void)net::ResultRequest::decode(frame);
                 break;
-              default:
-                break;  // a type this stream never carried, or corrupted
+              case net::MsgType::kDistillResult:
+                (void)net::DistillResultReply::decode(frame);
+                break;
+              case net::MsgType::kInterpretResult:
+                (void)net::InterpretResultReply::decode(frame);
+                break;
+              case net::MsgType::kCancelJob:
+                (void)net::CancelJobRequest::decode(frame);
+                break;
+              case net::MsgType::kCancelResult:
+                (void)net::CancelResultReply::decode(frame);
+                break;
+              case net::MsgType::kListTrees:
+                (void)net::ListTreesRequest::decode(frame);
+                break;
+              case net::MsgType::kTreeList:
+                (void)net::TreeListReply::decode(frame);
+                break;
             }
           } catch (const net::WireError&) {
             // Corrupted payload of a well-framed message: recoverable.
@@ -1001,9 +1051,9 @@ TEST(Wire, SeededByteMutationNeverBreaksFraming) {
         dead = true;  // bad frame header: the stream cannot re-sync
       }
     }
-    // An unmutated stream carries 8 frames; a mutated one may frame
+    // An unmutated stream carries kFrames frames; a mutated one may frame
     // fewer (or die), but can never conjure more from the same bytes.
-    EXPECT_LE(frames, 8u) << "iteration " << iter;
+    EXPECT_LE(frames, kFrames) << "iteration " << iter;
   }
 }
 

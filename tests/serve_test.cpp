@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -242,7 +243,8 @@ TEST(Collection, EveryCaseBitwiseIdenticalToOracle) {
 
 // Counts teacher queries by delegation, to pin the claimed win: a round
 // asks the teacher one act_and_values_multi call per step, covering all
-// its live episodes, and never a scalar act() or value().
+// its live episodes, and never a scalar act() or value(). It also keeps
+// every batched question it was asked.
 class CountingTeacher final : public core::Teacher {
  public:
   explicit CountingTeacher(const core::Teacher* inner) : inner_(inner) {}
@@ -260,12 +262,20 @@ class CountingTeacher final : public core::Teacher {
       std::span<const std::size_t> group_sizes) const override {
     ++multi_calls;
     rows += states.size();
+    questions.push_back(
+        {states, {group_sizes.begin(), group_sizes.end()}});
     return inner_->act_and_values_multi(states, group_sizes);
   }
+
+  struct Question {
+    std::vector<std::vector<double>> states;
+    std::vector<std::size_t> group_sizes;
+  };
 
   mutable std::size_t multi_calls = 0;
   mutable std::size_t scalar_calls = 0;
   mutable std::size_t rows = 0;
+  mutable std::vector<Question> questions;
 
  private:
   const core::Teacher* inner_;
@@ -314,6 +324,66 @@ TEST(Collection, TrunkForwardsCollapseFromEpisodesXStepsToSteps) {
         << c.name;
     EXPECT_EQ(counting.scalar_calls, 0u) << c.name;
   }
+}
+
+// The oracle comparison above cannot see a last-bit error in the
+// teacher's forward: on this untrained net the Eq. 1 weights V(s) - min Q
+// are dominated by the rewards and absorb it, and actions are argmaxes.
+// So the teacher's answers are checked themselves. Over every question the
+// ABR battery asks (each acting state plus its lookahead successors, whose
+// V gives Q), the batched forward at every ISA level must give the action
+// and V of the scalar forward at kReference, bit for bit.
+TEST(Collection, TeacherValuesAtEveryLevelMatchTheReferenceForward) {
+  AbrWorld abr_world;
+  std::size_t values_checked = 0;
+  for (CollectCase& c : collect_battery(abr_world)) {
+    if (dynamic_cast<const core::PolicyNetTeacher*>(c.teacher.get()) ==
+        nullptr) {
+      continue;  // a rule teacher has no forward to check
+    }
+    CountingTeacher recorder(c.teacher.get());
+    const auto env = c.make_env();
+    const core::StudentPolicy* student = c.student ? &c.student : nullptr;
+    (void)core::collect_traces(recorder, *env, c.config, student,
+                               c.episode_offset);
+    ASSERT_FALSE(recorder.questions.empty()) << c.name;
+
+    for (const auto& q : recorder.questions) {
+      std::vector<std::size_t> actions;
+      std::vector<double> values;
+      {
+        isa::ScopedLevel scope(isa::Level::kReference);
+        std::size_t base = 0;
+        for (std::size_t g : q.group_sizes) {
+          actions.push_back(c.teacher->act(q.states[base]));
+          for (std::size_t r = base; r < base + g; ++r) {
+            values.push_back(c.teacher->value(q.states[r]));
+          }
+          base += g;
+        }
+      }
+      for (const isa::Level level : isa::supported_levels()) {
+        isa::ScopedLevel scope(level);
+        const auto got =
+            c.teacher->act_and_values_multi(q.states, q.group_sizes);
+        ASSERT_EQ(got.size(), q.group_sizes.size());
+        std::size_t row = 0;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].action, actions[i])
+              << c.name << " / " << isa::to_string(level);
+          for (double v : got[i].values) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(v),
+                      std::bit_cast<std::uint64_t>(values[row]))
+                << c.name << " / " << isa::to_string(level) << " row " << row
+                << ": " << v << " vs " << values[row];
+            ++row;
+          }
+        }
+        values_checked += row;
+      }
+    }
+  }
+  EXPECT_GT(values_checked, 1000u);
 }
 
 // ---- episode completion and cancellation -----------------------------------
