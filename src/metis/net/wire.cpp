@@ -309,7 +309,8 @@ M decode_message(const Frame& frame) {
 
 }  // namespace
 
-// Each message's encode()/decode(): its fields() walked by the codec.
+// The members every caller uses (and metis-lint check 1 looks for), each
+// forwarding to the codec.
 Frame ErrorReply::encode() const { return encode_message(*this); }
 ErrorReply ErrorReply::decode(const Frame& frame) {
   return decode_message<ErrorReply>(frame);

@@ -371,6 +371,7 @@ TEST(Collection, TeacherValuesAtEveryLevelMatchTheReferenceForward) {
         for (std::size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(got[i].action, actions[i])
               << c.name << " / " << isa::to_string(level);
+          ASSERT_EQ(got[i].values.size(), q.group_sizes[i]);
           for (double v : got[i].values) {
             ASSERT_EQ(std::bit_cast<std::uint64_t>(v),
                       std::bit_cast<std::uint64_t>(values[row]))
